@@ -17,10 +17,10 @@ from pathlib import Path
 
 from .circuit import CircuitError
 from .compiler import CompileError, compile_circuit, enumerate_options, parse_option
-from .devices import DeviceError, builtin_devices, load_device_dir
-from .features import extract_features, full_schema
+from .devices import DeviceError, builtin_devices, fleet_by_id, load_device_dir
+from .features import extract_features
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
-from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict_many, predict_top_k, save_model
+from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict, predict_top_k, save_model
 from .pipeline import (
     DEFAULT_FOREST_PARAMS,
     DEFAULT_TEST_FRACTION,
@@ -40,6 +40,7 @@ from .pipeline import (
     label_dataset,
     load_labeled_dataset,
     majority_baseline,
+    project_to_model,
     read_corpus,
     split,
     train_model,
@@ -169,14 +170,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    circuit = _read_circuit(args.circuit)
-    schema = full_schema()
-    if tuple(model.schema.names) != schema.names:
-        raise PipelineError("model schema does not match this feature extractor")
-    vector = extract_features(circuit, schema)
-    columns = [schema.names.index(r) for r in model.schema.retained]
-    x = vector[columns]
-    print(f"predicted: {model.label_space[int(predict_many(model, x[None, :])[0])]}")
+    x = project_to_model(model, extract_features(_read_circuit(args.circuit)))
+    print(f"predicted: {predict(model, x)}")
     for i, (label, share) in enumerate(predict_top_k(model, x, args.top_k), start=1):
         print(f"  {i}. {label}  vote share {share:.3f}")
     if args.explain:
@@ -190,7 +185,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     devices = _load_devices(args)
-    fleet = {d.id: d for d in devices}
+    fleet = fleet_by_id(devices)
     options = enumerate_options(devices)
     circuit = _read_circuit(args.circuit)
 
@@ -213,10 +208,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             raise PipelineError(f"option {option.option_id!r} not available on this fleet")
     elif args.model:
         model = load_model(args.model)
-        schema = full_schema()
-        vector = extract_features(circuit, schema)
-        columns = [schema.names.index(r) for r in model.schema.retained]
-        option = parse_option(model.label_space[int(predict_many(model, vector[columns][None, :])[0])])
+        option = parse_option(predict(model, project_to_model(model, extract_features(circuit))))
     else:
         raise PipelineError("compile needs --option, --model, or --all")
 
@@ -301,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: the corpus directory)")
     add_devices(p)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="per-option compile timeout (s)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs serially")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="train and evaluate a classifier")
@@ -318,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_FOREST_PARAMS["max_depth"], help="int or 'none'")
     p.add_argument("--min-samples-leaf", type=int, default=DEFAULT_FOREST_PARAMS["min_samples_leaf"])
     p.add_argument("--knn-k", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs serially")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict the best option for one circuit")

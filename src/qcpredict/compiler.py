@@ -19,7 +19,7 @@ from .circuit import (
     Instruction,
     interaction_graph,
 )
-from .devices import DeviceModel
+from .devices import DeviceModel, fleet_by_id
 
 
 class CompileError(ValueError):
@@ -284,32 +284,6 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
 # ---------------------------------------------------------------------------
 # placement
 
-_LINE_PATH_CACHE: dict[str, tuple[int, ...]] = {}
-
-
-def _longest_greedy_path(device: DeviceModel) -> tuple[int, ...]:
-    """Greedy simple path from every start, extending to the lowest-id neighbor."""
-    cached = _LINE_PATH_CACHE.get(device.id)
-    if cached is not None and len(cached) <= device.num_qubits:
-        return cached
-    best: tuple[int, ...] = ()
-    for start in range(device.num_qubits):
-        path = [start]
-        visited = {start}
-        while True:
-            nxt = next((nb for nb in device.neighbors[path[-1]] if nb not in visited), None)
-            if nxt is None:
-                break
-            path.append(nxt)
-            visited.add(nxt)
-        if len(path) > len(best):
-            best = tuple(path)
-        if len(best) == device.num_qubits:
-            break
-    _LINE_PATH_CACHE[device.id] = best
-    return best
-
-
 def place_trivial(circuit: Circuit, device: DeviceModel) -> dict[int, int]:
     return {q: q for q in range(circuit.num_qubits)}
 
@@ -328,7 +302,7 @@ def place_line(circuit: Circuit, device: DeviceModel) -> tuple[dict[int, int], b
     Returns (layout, fell_back); when no long-enough path exists the trivial
     placement is used instead and flagged.
     """
-    path = _longest_greedy_path(device)
+    path = device.line_path
     if len(path) < circuit.num_qubits:
         return place_trivial(circuit, device), True
     layout = {logical: path[i] for i, logical in enumerate(_degree_order(circuit))}
@@ -612,7 +586,7 @@ def compile_circuit(
     circuit: Circuit, option: CompilationOption, devices: list[DeviceModel] | dict[str, DeviceModel]
 ) -> CompiledResult:
     """Run one option end to end: place, route, lower to native, optimize."""
-    fleet = devices if isinstance(devices, dict) else {d.id: d for d in devices}
+    fleet = fleet_by_id(devices)
     device = fleet.get(option.device_id)
     if device is None:
         raise CompileError(f"unknown device {option.device_id!r}")

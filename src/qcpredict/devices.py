@@ -79,11 +79,36 @@ class DeviceModel:
                         queue.append(nb)
         return dist
 
+    @cached_property
+    def line_path(self) -> tuple[int, ...]:
+        """Longest greedy simple path over every start, each step extending to
+        the lowest-id unvisited neighbor."""
+        best: tuple[int, ...] = ()
+        for start in range(self.num_qubits):
+            path = [start]
+            visited = {start}
+            while True:
+                nxt = next((nb for nb in self.neighbors[path[-1]] if nb not in visited), None)
+                if nxt is None:
+                    break
+                path.append(nxt)
+                visited.add(nxt)
+            if len(path) > len(best):
+                best = tuple(path)
+            if len(best) == self.num_qubits:
+                break
+        return best
+
     def coupled(self, a: int, b: int) -> bool:
         return (a, b) in self.coupling
 
     def is_connected(self) -> bool:
         return all(d <= self.num_qubits for d in self.distances[0])
+
+
+def fleet_by_id(devices: list[DeviceModel] | dict[str, DeviceModel]) -> dict[str, DeviceModel]:
+    """The fleet keyed by device id; a dict passes through unchanged."""
+    return devices if isinstance(devices, dict) else {d.id: d for d in devices}
 
 
 def _complete_coupling(n: int) -> frozenset[tuple[int, int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import ceil, sqrt
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 from .features import FeatureSchema
 
 MODEL_FORMAT = "qcpredict-forest"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _MIN_DECREASE = 1e-12
 
@@ -28,22 +28,29 @@ class ModelFormatError(ValueError):
     """Model file is missing, corrupt, or from an unknown format version."""
 
 
-@dataclass
-class TreeNode:
-    """Split node (feature >= 0) or leaf (feature == -1)."""
+@dataclass(eq=False)
+class NodeTable:
+    """One or more trees as flat node arrays, each tree stored in preorder
+    from its root, so the left child of split node ``i`` is ``i + 1``."""
 
-    n_samples: int
-    impurity: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: int = -1
-    histogram: tuple[int, ...] = ()
+    feature: np.ndarray  # int64, -1 marks a leaf
+    threshold: np.ndarray  # float64; rows with x[feature] <= threshold go left
+    right: np.ndarray  # int64 right child, -1 at leaves
+    label: np.ndarray  # int64 majority class at leaves, -1 at splits
+    n_samples: np.ndarray  # int64 training rows reaching the node
+    impurity: np.ndarray  # float64 gini of those rows
+    roots: np.ndarray  # int64 root index per tree
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NodeTable) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+_NODE_DTYPES = {
+    "feature": np.int64, "threshold": np.float64, "right": np.int64, "label": np.int64,
+    "n_samples": np.int64, "impurity": np.float64, "roots": np.int64,
+}
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -105,9 +112,10 @@ def fit_tree(
     min_samples_leaf: int = 1,
     rng: np.random.Generator | None = None,
     max_features: int | None = None,
-) -> TreeNode:
-    """Grow one CART tree. ``max_features`` with an rng samples a fresh feature
-    subset at every node (forest mode); otherwise all features are candidates."""
+) -> NodeTable:
+    """Grow one CART tree into a one-root node table. ``max_features`` with
+    an rng samples a fresh feature subset at every node (forest mode);
+    otherwise all features are candidates."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
@@ -117,11 +125,11 @@ def fit_tree(
     n_features = X.shape[1]
     onehot = np.zeros((X.shape[0], n_classes), dtype=np.float64)
     onehot[np.arange(X.shape[0]), y] = 1.0
+    nodes: dict[str, list] = {name: [] for name in _NODE_DTYPES if name != "roots"}
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int) -> None:
         counts = onehot[idx].sum(axis=0)
         impurity = _gini(counts)
-        node = TreeNode(n_samples=int(idx.shape[0]), impurity=impurity)
         split = None
         if impurity > 0.0 and (max_depth is None or depth < max_depth):
             if max_features is not None and rng is not None and max_features < n_features:
@@ -129,86 +137,57 @@ def fit_tree(
             else:
                 candidates = np.arange(n_features)
             split = _best_split(X[idx], onehot[idx], impurity, min_samples_leaf, candidates)
+        node = len(nodes["feature"])
+        feature, threshold = split if split is not None else (-1, 0.0)
+        nodes["feature"].append(feature)
+        nodes["threshold"].append(threshold)
+        nodes["right"].append(-1)
+        nodes["label"].append(int(np.argmax(counts)) if split is None else -1)
+        nodes["n_samples"].append(int(idx.shape[0]))
+        nodes["impurity"].append(impurity)
         if split is None:
-            node.label = int(np.argmax(counts))
-            node.histogram = tuple(int(c) for c in counts)
-            return node
-        feature, threshold = split
-        node.feature = feature
-        node.threshold = threshold
+            return
         mask = X[idx, feature] <= threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
+        grow(idx[mask], depth + 1)
+        nodes["right"][node] = len(nodes["feature"])
+        grow(idx[~mask], depth + 1)
 
-    return grow(np.arange(X.shape[0]), 0)
-
-
-# all trees flattened into one node table so a batch of rows descends every
-# tree at once (per-tree python loops are too slow for single-row prediction)
-@dataclass
-class _ForestTable:
-    feature: np.ndarray  # (total_nodes,), -1 marks a leaf
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    label: np.ndarray
-    roots: np.ndarray  # (n_trees,) root node index per tree
-
-
-def _merge_trees(trees: tuple[TreeNode, ...]) -> _ForestTable:
-    nodes: list[TreeNode] = []
-    roots = []
-
-    def visit(node: TreeNode) -> int:
-        index = len(nodes)
-        nodes.append(node)
-        if not node.is_leaf:
-            visit(node.left)
-            visit(node.right)
-        return index
-
-    for root in trees:
-        roots.append(visit(root))
-    index_of = {id(n): i for i, n in enumerate(nodes)}
-    count = len(nodes)
-    table = _ForestTable(
-        feature=np.full(count, -1, dtype=np.int64),
-        threshold=np.zeros(count, dtype=np.float64),
-        left=np.zeros(count, dtype=np.int64),
-        right=np.zeros(count, dtype=np.int64),
-        label=np.zeros(count, dtype=np.int64),
-        roots=np.array(roots, dtype=np.int64),
+    grow(np.arange(X.shape[0]), 0)
+    return NodeTable(
+        **{name: np.array(values, dtype=_NODE_DTYPES[name]) for name, values in nodes.items()},
+        roots=np.zeros(1, dtype=np.int64),
     )
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            table.label[i] = node.label
-        else:
-            table.feature[i] = node.feature
-            table.threshold[i] = node.threshold
-            table.left[i] = index_of[id(node.left)]
-            table.right[i] = index_of[id(node.right)]
-    return table
 
 
-def _forest_leaf_labels(table: _ForestTable, X: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) leaf label matrix via lockstep descent."""
+def _concat_trees(tables: list[NodeTable]) -> NodeTable:
+    """One table holding every tree, the node indices shifted to match."""
+    offsets = np.cumsum([0] + [t.feature.shape[0] for t in tables[:-1]])
+    merged = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _NODE_DTYPES}
+    shift = np.repeat(offsets, [t.feature.shape[0] for t in tables])
+    merged["right"] = np.where(merged["right"] >= 0, merged["right"] + shift, -1)
+    merged["roots"] = merged["roots"] + offsets
+    return NodeTable(**merged)
+
+
+def _forest_leaf_labels(nodes: NodeTable, X: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) leaf label matrix via lockstep descent of every tree
+    (per-tree python loops are too slow for single-row prediction)."""
     n = X.shape[0]
-    position = np.broadcast_to(table.roots, (n, table.roots.shape[0])).copy()
+    position = np.broadcast_to(nodes.roots, (n, nodes.roots.shape[0])).copy()
     rows = np.arange(n)[:, None]
     while True:
-        feature = table.feature[position]
+        feature = nodes.feature[position]
         active = feature >= 0
         if not active.any():
-            return table.label[position]
+            return nodes.label[position]
         values = X[rows, np.where(active, feature, 0)]
-        descend = np.where(values <= table.threshold[position], table.left[position], table.right[position])
+        descend = np.where(values <= nodes.threshold[position], position + 1, nodes.right[position])
         position = np.where(active, descend, position)
 
 
 @dataclass
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    nodes: NodeTable
     n_trees: int
     max_depth: int | None
     min_samples_leaf: int
@@ -217,11 +196,6 @@ class ForestModel:
     schema: FeatureSchema
     label_space: tuple[str, ...]
     seed: int
-    table: _ForestTable | None = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = _merge_trees(self.trees)
 
     @property
     def n_classes(self) -> int:
@@ -263,7 +237,7 @@ def fit_forest(
             fit_tree(Xb, yb, n_classes, max_depth, min_samples_leaf, rng=rng, max_features=subset)
         )
     return ForestModel(
-        tuple(trees), n_trees, max_depth, min_samples_leaf, bootstrap, max_features,
+        _concat_trees(trees), n_trees, max_depth, min_samples_leaf, bootstrap, max_features,
         schema, tuple(label_space), seed,
     )
 
@@ -273,7 +247,7 @@ def _vote_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != len(model.schema.retained):
         raise ValueError(f"expected {len(model.schema.retained)} features, got {X.shape[1]}")
-    labels = _forest_leaf_labels(model.table, X)
+    labels = _forest_leaf_labels(model.nodes, X)
     votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
     np.add.at(votes, (np.arange(X.shape[0])[:, None], labels), 1)
     return votes
@@ -303,23 +277,20 @@ def feature_importance(model: ForestModel) -> tuple[np.ndarray, np.ndarray, bool
     Means are renormalized to sum to one. The flag reports the degenerate
     all-leaf case, where importances are uniformly zero.
     """
+    nodes = model.nodes
     n_features = len(model.schema.retained)
-    per_tree = np.zeros((len(model.trees), n_features))
-    for t, root in enumerate(model.trees):
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            child_impurity = (
-                node.left.n_samples * node.left.impurity + node.right.n_samples * node.right.impurity
-            ) / node.n_samples
-            per_tree[t, node.feature] += (node.n_samples / root.n_samples) * (node.impurity - child_impurity)
-            stack.append(node.right)
-            stack.append(node.left)
-        total = per_tree[t].sum()
-        if total > 0.0:
-            per_tree[t] /= total
+    n_trees = nodes.roots.shape[0]
+    tree = np.repeat(np.arange(n_trees), np.diff(np.append(nodes.roots, nodes.feature.shape[0])))
+    split = np.flatnonzero(nodes.feature >= 0)
+    left, right = split + 1, nodes.right[split]
+    n, gini = nodes.n_samples, nodes.impurity
+    child_impurity = (n[left] * gini[left] + n[right] * gini[right]) / n[split]
+    decrease = (n[split] / n[nodes.roots][tree[split]]) * (gini[split] - child_impurity)
+    per_tree = np.zeros((n_trees, n_features))
+    # unbuffered adds in node order: the same preorder sums as a per-tree walk
+    np.add.at(per_tree, (tree[split], nodes.feature[split]), decrease)
+    total = per_tree.sum(axis=1, keepdims=True)
+    np.divide(per_tree, total, out=per_tree, where=total > 0.0)
     mean = per_tree.mean(axis=0)
     std = per_tree.std(axis=0)
     grand = mean.sum()
@@ -433,41 +404,6 @@ DEFAULT_GRID = [
 # ---------------------------------------------------------------------------
 # persistence
 
-def _encode_tree(root: TreeNode) -> list[list]:
-    """Preorder node records: split [feature, threshold, left, right, n, gini],
-    leaf [-1, label, histogram, n, gini]."""
-    nodes: list[list] = []
-
-    def visit(node: TreeNode) -> int:
-        index = len(nodes)
-        if node.is_leaf:
-            nodes.append([-1, node.label, list(node.histogram), node.n_samples, node.impurity])
-        else:
-            record = [node.feature, node.threshold, 0, 0, node.n_samples, node.impurity]
-            nodes.append(record)
-            record[2] = visit(node.left)
-            record[3] = visit(node.right)
-        return index
-
-    visit(root)
-    return nodes
-
-
-def _decode_tree(nodes: list[list]) -> TreeNode:
-    def build(index: int) -> TreeNode:
-        record = nodes[index]
-        if record[0] == -1:
-            return TreeNode(
-                n_samples=record[3], impurity=record[4], label=record[1], histogram=tuple(record[2])
-            )
-        return TreeNode(
-            n_samples=record[4], impurity=record[5], feature=record[0], threshold=record[1],
-            left=build(record[2]), right=build(record[3]),
-        )
-
-    return build(0)
-
-
 def save_model(model: ForestModel, path: str | Path) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -480,7 +416,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "seed": model.seed,
         "schema": {"names": list(model.schema.names), "pruned": list(model.schema.pruned)},
         "label_space": list(model.label_space),
-        "trees": [_encode_tree(t) for t in model.trees],
+        "trees": {name: getattr(model.nodes, name).tolist() for name in _NODE_DTYPES},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -494,14 +430,34 @@ def load_model(path: str | Path) -> ForestModel:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
+    if doc.get("version") == 1:
+        raise ModelFormatError(
+            f"{path} is a version 1 model; re-run `qcpredict train` to rebuild it "
+            "(training is seeded, so the same forest comes back)"
+        )
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        trees = tuple(_decode_tree(t) for t in doc["trees"])
+        nodes = NodeTable(
+            **{name: np.array(doc["trees"][name], dtype=dtype) for name, dtype in _NODE_DTYPES.items()}
+        )
         schema = FeatureSchema(tuple(doc["schema"]["names"]), tuple(doc["schema"]["pruned"]))
-        return ForestModel(
-            trees, doc["n_trees"], doc["max_depth"], doc["min_samples_leaf"], doc["bootstrap"],
+        model = ForestModel(
+            nodes, doc["n_trees"], doc["max_depth"], doc["min_samples_leaf"], doc["bootstrap"],
             doc["max_features"], schema, tuple(doc["label_space"]), doc["seed"],
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
+    size = nodes.feature.size
+    splits = np.flatnonzero(nodes.feature >= 0)
+    leaves = nodes.feature < 0
+    if (
+        any(getattr(nodes, name).shape != (size,) for name in _NODE_DTYPES if name != "roots")
+        or nodes.roots.shape != (model.n_trees,)
+        or not np.all((nodes.roots >= 0) & (nodes.roots < size))
+        or not np.all((nodes.right[splits] > splits + 1) & (nodes.right[splits] < size))
+        or not np.all(nodes.feature < len(schema.retained))
+        or not np.all((nodes.label[leaves] >= 0) & (nodes.label[leaves] < model.n_classes))
+    ):
+        raise ModelFormatError(f"corrupt model file {path}: inconsistent node arrays")
+    return model

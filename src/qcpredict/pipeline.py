@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .compiler import CompilationOption, compile_circuit
-from .devices import DeviceModel
+from .devices import DeviceModel, fleet_by_id
 from .features import (
     FeatureSchema,
     apply_standardize,
@@ -39,6 +39,7 @@ from .ml import (
     grid_search_cv,
     knn_fit_predict,
     naive_bayes_fit_predict,
+    predict,
     predict_many,
 )
 from .qasm import parse_qasm, to_qasm
@@ -216,16 +217,17 @@ def train_model(
     return model, chosen, results
 
 
-def _project_to_model(model: ForestModel, samples: list[LabeledSample]) -> np.ndarray:
-    names = full_schema().names
-    if tuple(model.schema.names) != names:
-        raise PipelineError("model schema does not match the feature extractor")
-    columns = [names.index(r) for r in model.schema.retained]
-    return _full_matrix(samples)[:, columns]
+def project_to_model(model: ForestModel, features: np.ndarray) -> np.ndarray:
+    """The model's input columns of full-schema feature rows (one vector or a
+    matrix), as a matrix; refuses a model built on another feature schema."""
+    schema = full_schema()
+    if tuple(model.schema.names) != schema.names:
+        raise PipelineError("model schema does not match this feature extractor")
+    return project_columns(np.atleast_2d(features), schema, model.schema)
 
 
 def predicted_labels(model: ForestModel, samples: list[LabeledSample]) -> list[str]:
-    X = _project_to_model(model, samples)
+    X = project_to_model(model, _full_matrix(samples))
     return [model.label_space[int(i)] for i in predict_many(model, X)]
 
 
@@ -316,7 +318,7 @@ def runtime_compare(
     timeout: float | None = None,
 ) -> dict:
     """Wall time of the full brute-force sweep vs predict-then-compile-once."""
-    fleet = devices if isinstance(devices, dict) else {d.id: d for d in devices}
+    fleet = fleet_by_id(devices)
     by_id = {opt.option_id: opt for opt in options}
 
     started = time.perf_counter()
@@ -324,10 +326,7 @@ def runtime_compare(
     brute = time.perf_counter() - started
 
     started = time.perf_counter()
-    schema = full_schema()
-    vector = extract_features(circuit, schema)
-    columns = [schema.names.index(r) for r in model.schema.retained]
-    label = model.label_space[int(predict_many(model, vector[columns][None, :])[0])]
+    label = predict(model, project_to_model(model, extract_features(circuit)))
     compile_circuit(circuit, by_id[label], fleet)
     fast = time.perf_counter() - started
 

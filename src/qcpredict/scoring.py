@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .circuit import BARRIER, MEASURE, Circuit
 from .compiler import CompilationOption, CompiledResult, compile_circuit
-from .devices import DeviceModel
+from .devices import DeviceModel, fleet_by_id
 
 
 class CalibrationError(KeyError):
@@ -93,7 +93,7 @@ def rank_options(
     """
     if not options:
         raise ValueError("no options to rank")
-    fleet = devices if isinstance(devices, dict) else {d.id: d for d in devices}
+    fleet = fleet_by_id(devices)
     scores: dict[CompilationOption, EvalScore] = {}
     for option in options:
         device = fleet.get(option.device_id)

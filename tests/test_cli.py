@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qcpredict
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
+from qcpredict.features import FeatureSchema
+from qcpredict.ml import fit_forest, save_model
 from qcpredict.qasm import parse_qasm
 from qcpredict.simulator import check_equivalence
 
@@ -183,6 +188,19 @@ def test_compile_with_model(workdir, tmp_path):
     assert out.is_file()
 
 
+@pytest.mark.parametrize("command", [["predict"], ["compile"]])
+def test_model_with_foreign_schema_is_refused(workdir, tmp_path, capfd, command):
+    # predict and compile --model share one schema check and one message
+    rng = np.random.default_rng(0)
+    model = fit_forest(rng.uniform(size=(10, 2)), np.arange(10) % 2, FeatureSchema(("x", "y")),
+                       ("dev8/A/O0", "dev8/A/O1"), n_trees=2)
+    path = tmp_path / "foreign.bin"
+    save_model(model, path)
+    src = workdir / "circuits" / "ghz_003.qasm"
+    assert main(command + [str(src), "--model", str(path)]) == 1
+    assert "error: model schema does not match this feature extractor" in capfd.readouterr().err
+
+
 def test_compile_all_ranks_everything(workdir, tmp_path):
     src = workdir / "circuits" / "ghz_003.qasm"
     out = tmp_path / "ranking.csv"
@@ -260,7 +278,10 @@ def test_argparse_errors_exit_two(tmp_path):
 
 
 def test_console_script_help():
-    env = dict(os.environ, PYTHONWARNINGS="ignore")
+    # the child imports the same qcpredict this process does, also under a bare `pytest`
+    src = str(Path(qcpredict.__file__).parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="ignore",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "qcpredict.cli", "--help"],
         capture_output=True, text=True, env=env,

@@ -27,6 +27,7 @@ from qcpredict.compiler import (
     place_trivial,
     route,
 )
+from qcpredict.devices import Calibration, DeviceModel
 from qcpredict.simulator import check_equivalence
 
 
@@ -142,6 +143,19 @@ def test_line_placement_falls_back_when_no_path(fleet):
         assert layout == {q: q for q in range(8)}
     else:
         assert len(set(layout.values())) == 8
+
+
+def test_line_placement_follows_a_custom_device_that_reuses_a_builtin_id(fleet):
+    # a chain-coupled "dev8" placed after the builtin dev8 must get a path on
+    # its own coupling, not the builtin's (3, 2, 1, 0, 4, 5, 6, 7)
+    builtin = fleet["dev8"]
+    chain = frozenset(pair for i in range(7) for pair in ((i, i + 1), (i + 1, i)))
+    custom = DeviceModel("dev8", builtin.technology, 8, chain, builtin.native_gates, Calibration({}, {}))
+    c = _circ(8, [gate("h", (q,)) for q in range(8)])  # no interactions: path slot q holds qubit q
+    place_line(c, builtin)
+    layout, fell_back = place_line(c, custom)
+    assert not fell_back
+    assert all(custom.coupled(layout[q], layout[q + 1]) for q in range(7))
 
 
 def test_graph_placement_puts_hot_edges_on_couplings(fleet):

@@ -10,7 +10,6 @@ from qcpredict.ml import (
     MODEL_VERSION,
     ForestModel,
     ModelFormatError,
-    TreeNode,
     feature_importance,
     fit_forest,
     fit_tree,
@@ -33,17 +32,16 @@ def _labels(n):
     return tuple(f"class{i}" for i in range(n))
 
 
-def _walk(node):
-    yield node
-    if not node.is_leaf:
-        yield from _walk(node.left)
-        yield from _walk(node.right)
+def _splits(nodes):
+    """(node, left, right) for every split node; the left child follows its parent."""
+    for i in np.flatnonzero(nodes.feature >= 0):
+        yield i, i + 1, nodes.right[i]
 
 
-def _descend(node, row):
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.label
+def _descend(nodes, node, row):
+    while nodes.feature[node] >= 0:
+        node = node + 1 if row[nodes.feature[node]] <= nodes.threshold[node] else nodes.right[node]
+    return nodes.label[node]
 
 
 # ---------------------------------------------------------------------------
@@ -53,31 +51,33 @@ def _descend(node, row):
 def test_single_split_at_midpoint():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    root = fit_tree(X, y, n_classes=2)
-    assert root.feature == 0
-    assert root.threshold == 5.5
-    assert root.left.is_leaf and root.left.label == 0
-    assert root.right.is_leaf and root.right.label == 1
-    assert root.left.histogram == (2, 0)
-    assert root.right.histogram == (0, 2)
+    tree = fit_tree(X, y, n_classes=2)
+    assert tree.roots.tolist() == [0]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == 5.5
+    assert tree.right[0] == 2
+    # leaves: left holds the two class-0 rows, right the two class-1 rows, both pure
+    assert tree.label[1:].tolist() == [0, 1]
+    assert tree.n_samples.tolist() == [4, 2, 2]
+    assert tree.impurity[1:].tolist() == [0.0, 0.0]
 
 
 def test_pure_input_is_single_leaf():
     X = np.array([[0.0], [5.0], [9.0]])
     y = np.array([1, 1, 1])
-    root = fit_tree(X, y, n_classes=3)
-    assert root.is_leaf
-    assert root.label == 1
-    assert root.impurity == 0.0
-    assert root.n_samples == 3
+    tree = fit_tree(X, y, n_classes=3)
+    assert tree.feature.tolist() == [-1]
+    assert tree.label.tolist() == [1]
+    assert tree.impurity.tolist() == [0.0]
+    assert tree.n_samples.tolist() == [3]
 
 
 def test_tie_breaks_prefer_lowest_feature_and_threshold():
     # both features separate perfectly; feature 0 must win
     X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]])
     y = np.array([0, 0, 1, 1])
-    root = fit_tree(X, y, n_classes=2)
-    assert root.feature == 0
+    tree = fit_tree(X, y, n_classes=2)
+    assert tree.feature[0] == 0
 
 
 def test_max_depth_respected():
@@ -85,38 +85,34 @@ def test_max_depth_respected():
     X = rng.uniform(size=(200, 4))
     y = rng.integers(0, 3, size=200)
     for limit in (1, 2, 3):
-        root = fit_tree(X, y, n_classes=3, max_depth=limit)
+        tree = fit_tree(X, y, n_classes=3, max_depth=limit)
 
         def depth(node):
-            if node.is_leaf:
+            if tree.feature[node] < 0:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(node + 1), depth(tree.right[node]))
 
-        assert depth(root) <= limit
+        assert depth(0) <= limit
 
 
 def test_min_samples_leaf_respected():
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(150, 3))
     y = rng.integers(0, 2, size=150)
-    root = fit_tree(X, y, n_classes=2, min_samples_leaf=10)
-    for node in _walk(root):
-        if node.is_leaf:
-            assert node.n_samples >= 10
+    tree = fit_tree(X, y, n_classes=2, min_samples_leaf=10)
+    assert tree.n_samples[tree.feature < 0].min() >= 10
 
 
 def test_every_split_strictly_decreases_impurity():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(120, 5))
     y = (X[:, 1] > 0.5).astype(np.int64)
-    root = fit_tree(X, y, n_classes=2)
-    for node in _walk(root):
-        if node.is_leaf:
-            continue
-        weighted = (
-            node.left.n_samples * node.left.impurity + node.right.n_samples * node.right.impurity
-        ) / node.n_samples
-        assert node.impurity - weighted > 1e-12
+    tree = fit_tree(X, y, n_classes=2)
+    n, gini = tree.n_samples, tree.impurity
+    for node, left, right in _splits(tree):
+        assert n[left] + n[right] == n[node]
+        weighted = (n[left] * gini[left] + n[right] * gini[right]) / n[node]
+        assert gini[node] - weighted > 1e-12
 
 
 def test_fit_tree_rejects_bad_input():
@@ -141,7 +137,7 @@ def test_unbagged_single_tree_forest_matches_plain_tree():
     tree = fit_tree(X, y, 2, max_depth=6, min_samples_leaf=2)
     probe = rng.uniform(size=(50, 4))
     forest_pred = predict_many(model, probe)
-    tree_pred = np.array([_descend(tree, row) for row in probe])
+    tree_pred = np.array([_descend(tree, 0, row) for row in probe])
     assert np.array_equal(forest_pred, tree_pred)
 
 
@@ -154,8 +150,8 @@ def test_forest_votes_match_manual_tree_descent():
     fast = predict_many(model, probe)
     for i, row in enumerate(probe):
         votes = np.zeros(2, dtype=np.int64)
-        for tree in model.trees:
-            votes[_descend(tree, row)] += 1
+        for root in model.nodes.roots:
+            votes[_descend(model.nodes, root, row)] += 1
         assert fast[i] == np.argmax(votes)
 
 
@@ -165,9 +161,9 @@ def test_forest_fit_is_deterministic():
     y = rng.integers(0, 2, size=60)
     a = fit_forest(X, y, _schema(3), _labels(2), n_trees=10, seed=7)
     b = fit_forest(X, y, _schema(3), _labels(2), n_trees=10, seed=7)
-    assert a.trees == b.trees
+    assert a.nodes == b.nodes
     c = fit_forest(X, y, _schema(3), _labels(2), n_trees=10, seed=8)
-    assert c.trees != a.trees
+    assert c.nodes != a.nodes
 
 
 def test_predict_returns_label_and_top_k_shares():
@@ -223,6 +219,35 @@ def test_importance_concentrates_on_informative_feature():
     assert np.argmax(mean) == 2
     assert mean[2] > 0.5
     assert std.shape == (4,)
+
+
+def _loop_importance(model):
+    """Reference: per-tree walk over the node arrays in preorder, the
+    per-node gini decrease weighted by the node's share of the tree's rows."""
+    nodes, n, gini = model.nodes, model.nodes.n_samples, model.nodes.impurity
+    per_tree = np.zeros((model.n_trees, len(model.schema.retained)))
+    ends = list(nodes.roots[1:]) + [nodes.feature.shape[0]]
+    for t, (root, end) in enumerate(zip(nodes.roots, ends)):
+        for node, left, right in _splits(nodes):
+            if root <= node < end:
+                child = (n[left] * gini[left] + n[right] * gini[right]) / n[node]
+                per_tree[t, nodes.feature[node]] += (n[node] / n[root]) * (gini[node] - child)
+        total = per_tree[t].sum()
+        if total > 0.0:
+            per_tree[t] /= total
+    mean = per_tree.mean(axis=0)
+    return mean / mean.sum(), per_tree.std(axis=0)
+
+
+def test_importance_equals_the_per_tree_loop_exactly():
+    rng = np.random.default_rng(13)
+    X = rng.uniform(size=(120, 16))
+    y = ((X[:, 3] > 0.5).astype(np.int64) + (X[:, 9] > 0.3)) % 3
+    model = fit_forest(X, y, _schema(16), _labels(3), n_trees=25, max_depth=6, seed=2)
+    mean, std, _ = feature_importance(model)
+    ref_mean, ref_std = _loop_importance(model)
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(std, ref_std)
 
 
 def test_importance_degenerate_single_class():
@@ -359,7 +384,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded == model  # tree-for-tree dataclass equality
+    assert loaded == model  # node-for-node array equality
     assert loaded.schema == model.schema
     assert loaded.label_space == model.label_space
     assert np.array_equal(predict_many(loaded, X), predict_many(model, X))
@@ -400,6 +425,38 @@ def test_load_rejects_wrong_format_and_version(tmp_path):
     path.write_text(json.dumps(doc_bad), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
+
+
+def test_load_rejects_version_1_and_names_the_retrain_command(tmp_path):
+    model, _ = _small_model()
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # a version-1 file held one list of preorder node records per tree
+    doc.update(version=1, trees=[[[-1, 0, [1, 0], 1, 0.0]]])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="qcpredict train"):
+        load_model(path)
+
+
+def test_load_rejects_inconsistent_node_arrays(tmp_path):
+    model, _ = _small_model()
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    leaf = doc["trees"]["feature"].index(-1)
+    edits = [
+        ("threshold", lambda a: a.pop()),  # arrays of unequal length
+        ("right", lambda a: a.__setitem__(0, len(a))),  # child past the end
+        ("feature", lambda a: a.__setitem__(0, 3)),  # the schema retains 3 features
+        ("label", lambda a: a.__setitem__(leaf, 2)),  # the label space has 2 classes
+    ]
+    for name, edit in edits:
+        bad = json.loads(json.dumps(doc))
+        edit(bad["trees"][name])
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="corrupt"):
+            load_model(path)
 
 
 def test_load_rejects_truncated_trees(tmp_path):

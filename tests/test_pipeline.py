@@ -6,7 +6,7 @@ import pytest
 from qcpredict.circuit import Circuit, gate
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
-from qcpredict.ml import ForestModel, TreeNode
+from qcpredict.ml import ForestModel, fit_tree
 from qcpredict.pipeline import (
     DEFAULT_FOREST_PARAMS,
     EvalReport,
@@ -192,10 +192,11 @@ def test_train_model_grid_search(labeled, options):
 
 def _constant_model(options, class_index, label_space=None):
     """A forest of one leaf: always predicts options[class_index]."""
-    leaf = TreeNode(n_samples=1, impurity=0.0, label=class_index, histogram=(1,))
     space = label_space or tuple(opt.option_id for opt in options)
+    # one pure row grows a single leaf labelled class_index
+    leaf = fit_tree(np.zeros((1, 1)), np.array([class_index]), n_classes=len(space))
     return ForestModel(
-        trees=(leaf,), n_trees=1, max_depth=None, min_samples_leaf=1, bootstrap=False,
+        nodes=leaf, n_trees=1, max_depth=None, min_samples_leaf=1, bootstrap=False,
         max_features=None, schema=full_schema(), label_space=space, seed=0,
     )
 
