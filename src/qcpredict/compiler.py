@@ -7,7 +7,6 @@ deterministic: all tie-breaks resolve toward the lowest index.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from math import pi
 
@@ -585,7 +584,11 @@ def optimize(circuit: Circuit, level: str | int) -> Circuit:
 def compile_circuit(
     circuit: Circuit, option: CompilationOption, devices: list[DeviceModel] | dict[str, DeviceModel]
 ) -> CompiledResult:
-    """Run one option end to end: place, route, lower to native, optimize."""
+    """Run one option end to end: place, route, lower to native, optimize.
+
+    Raises ``InfeasibleError`` before any work when the circuit is wider than
+    the device, and ``CompileError`` (a ``ValueError``) for an unknown device.
+    """
     fleet = fleet_by_id(devices)
     device = fleet.get(option.device_id)
     if device is None:
@@ -594,7 +597,6 @@ def compile_circuit(
         raise InfeasibleError(
             f"{circuit.num_qubits} qubits do not fit on {device.id} ({device.num_qubits} qubits)"
         )
-    started = time.perf_counter()
 
     expanded = expand_three_qubit(circuit)
     fell_back = False
@@ -613,7 +615,6 @@ def compile_circuit(
     stats = {
         "swaps_inserted": swaps,
         "native_gates": optimized.num_gates(),
-        "compile_seconds": time.perf_counter() - started,
         "placement_fallback": fell_back,
     }
     return CompiledResult(optimized, final_layout, option, stats)

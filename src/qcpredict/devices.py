@@ -53,7 +53,7 @@ class DeviceModel:
     num_qubits: int
     coupling: frozenset[tuple[int, int]]  # directed pairs
     native_gates: frozenset[str]
-    calib: Calibration = field(compare=True)
+    calib: Calibration = field(hash=False)  # dicts: compared, not hashed
 
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:

@@ -47,7 +47,6 @@ from .scoring import rank_options, ranks_from_values
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TIMEOUT = 10.0
 DEFAULT_TEST_FRACTION = 0.3
 DEFAULT_FOREST_PARAMS = {"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2}
 
@@ -107,7 +106,6 @@ def label_dataset(
     circuits: list[Circuit],
     options: list[CompilationOption],
     devices: list[DeviceModel] | dict[str, DeviceModel],
-    timeout: float | None = DEFAULT_TIMEOUT,
 ) -> tuple[list[LabeledSample], list[tuple[str, str]]]:
     """Brute-force label every circuit; returns (samples, excluded).
 
@@ -127,7 +125,7 @@ def label_dataset(
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
     for c in circuits:
-        ranking = rank_options(c, options, devices, timeout=timeout)
+        ranking = rank_options(c, options, devices)
         values = ranking.score_values()
         if max(values) == 0.0:
             reason = f"all {len(options)} options infeasible"
@@ -315,14 +313,13 @@ def runtime_compare(
     model: ForestModel,
     options: list[CompilationOption],
     devices: list[DeviceModel] | dict[str, DeviceModel],
-    timeout: float | None = None,
 ) -> dict:
     """Wall time of the full brute-force sweep vs predict-then-compile-once."""
     fleet = fleet_by_id(devices)
     by_id = {opt.option_id: opt for opt in options}
 
     started = time.perf_counter()
-    rank_options(circuit, options, fleet, timeout=timeout)
+    rank_options(circuit, options, fleet)
     brute = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -2,19 +2,19 @@
 
 The score of a feasible compilation is the product of gate fidelities on the
 exact physical qubit tuples times the product of readout fidelities on the
-measured qubits. Infeasible or timed-out options get 0.0, which every feasible
-product strictly beats. Long products are summed in log space so they cannot
-underflow.
+measured qubits. Options whose device is too small get 0.0, which every
+feasible product strictly beats. Long products are summed in log space so they
+cannot underflow. No wall-clock value enters a score, so a ranking depends only
+on the circuit, the options and the fleet.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import exp, log
 from typing import NamedTuple
 
 from .circuit import BARRIER, MEASURE, Circuit
-from .compiler import CompilationOption, CompiledResult, compile_circuit
+from .compiler import CompilationOption, CompiledResult, InfeasibleError, compile_circuit
 from .devices import DeviceModel, fleet_by_id
 
 
@@ -30,10 +30,8 @@ class EvalScore(NamedTuple):
 INFEASIBLE = EvalScore(0.0, False)
 
 
-def evaluate_score(result: CompiledResult | None, device: DeviceModel) -> EvalScore:
-    """Score one compiled result; None marks an infeasible compilation."""
-    if result is None:
-        return INFEASIBLE
+def evaluate_score(result: CompiledResult, device: DeviceModel) -> EvalScore:
+    """Score one compiled result on the device it was compiled for."""
     gate_fidelity = device.calib.gate_fidelity
     readout_fidelity = device.calib.readout_fidelity
     log_total = 0.0
@@ -59,7 +57,6 @@ class OptionRanking:
     options: tuple[CompilationOption, ...]
     scores: dict[CompilationOption, EvalScore]
     order: tuple[CompilationOption, ...]
-    rank_of: dict[CompilationOption, int]
 
     @property
     def best(self) -> CompilationOption:
@@ -69,12 +66,16 @@ class OptionRanking:
         return tuple(self.scores[opt].value for opt in self.options)
 
 
+def _best_first(values: list[float]) -> list[int]:
+    """Positions sorted best score first; equal scores keep list order."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))
+
+
 def ranks_from_values(values: tuple[float, ...] | list[float]) -> tuple[int, ...]:
     """Rank per position (1 = best) for scores listed in option order, with
-    the same tie rule as rank_options: equal scores keep list order."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    the same tie rule as rank_options."""
     ranks = [0] * len(values)
-    for rank, i in enumerate(order, start=1):
+    for rank, i in enumerate(_best_first(values), start=1):
         ranks[i] = rank
     return tuple(ranks)
 
@@ -83,37 +84,26 @@ def rank_options(
     circuit: Circuit,
     options: list[CompilationOption],
     devices: list[DeviceModel] | dict[str, DeviceModel],
-    timeout: float | None = None,
 ) -> OptionRanking:
     """Brute-force sweep: compile and score every option, then sort.
 
-    Options on too-small devices score 0.0 without compiling. ``timeout``
-    bounds the per-option compile wall time; an overrun is scored exactly like
-    an infeasible option. Ties in score resolve by position in ``options``.
+    An option ``compile_circuit`` refuses as infeasible scores 0.0. Ties in
+    score resolve by position in ``options``.
     """
     if not options:
         raise ValueError("no options to rank")
     fleet = fleet_by_id(devices)
     scores: dict[CompilationOption, EvalScore] = {}
     for option in options:
-        device = fleet.get(option.device_id)
-        if device is None:
-            raise ValueError(f"unknown device {option.device_id!r}")
-        if circuit.num_qubits > device.num_qubits:
+        try:
+            result = compile_circuit(circuit, option, fleet)
+        except InfeasibleError:
             scores[option] = INFEASIBLE
             continue
-        started = time.perf_counter()
-        result = compile_circuit(circuit, option, fleet)
-        elapsed = time.perf_counter() - started
-        if timeout is not None and elapsed > timeout:
-            scores[option] = INFEASIBLE
-            continue
-        scores[option] = evaluate_score(result, device)
-
-    position = {option: i for i, option in enumerate(options)}
-    order = tuple(sorted(options, key=lambda o: (-scores[o].value, position[o])))
-    rank_of = {option: rank for rank, option in enumerate(order, start=1)}
-    return OptionRanking(tuple(options), scores, order, rank_of)
+        scores[option] = evaluate_score(result, fleet[option.device_id])
+    values = [scores[option].value for option in options]
+    order = tuple(options[i] for i in _best_first(values))
+    return OptionRanking(tuple(options), scores, order)
 
 
 def normalize_scores(ranking: OptionRanking) -> dict[CompilationOption, float]:

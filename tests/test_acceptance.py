@@ -52,7 +52,7 @@ def desk(options, devices):
     at 2..30 qubits, brute-force labels, 70/30 split, 500-tree forest."""
     corpus = generate_corpus(qubit_range=(2, 30), random_variants=9, seed=0)
     assert len(corpus) >= 500
-    samples, excluded = label_dataset(corpus, options, devices, timeout=10.0)
+    samples, excluded = label_dataset(corpus, options, devices)
     train_set, test_set = split(samples, 0.3, seed=0)
     model, chosen, _ = train_model(
         train_set, options, seed=0,
@@ -149,7 +149,6 @@ def test_scoring_oracles_products_and_feasibility(devices, options):
     )
     assert abs(evaluate_score(three, dev8).value - direct) <= 1e-12
 
-    assert evaluate_score(None, dev8) is INFEASIBLE
     assert INFEASIBLE.value == 0.0
 
     ranking = rank_options(ghz(50), options, fleet)
@@ -158,7 +157,7 @@ def test_scoring_oracles_products_and_feasibility(devices, options):
     assert {o.device_id for o in feasible} == {"dev80", "dev127"}
     for o in options:
         if o not in feasible:
-            assert ranking.scores[o].value == 0.0
+            assert ranking.scores[o] == INFEASIBLE
 
 
 def test_forest_perfect_on_separable_data_with_concentrated_importance(separable):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import qcpredict
+from qcpredict import ml
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
-from qcpredict.features import FeatureSchema
-from qcpredict.ml import fit_forest, save_model
+from qcpredict.features import FeatureSchema, extract_features
+from qcpredict.ml import fit_forest, load_model, predict, predict_top_k, save_model
+from qcpredict.pipeline import project_to_model
 from qcpredict.qasm import parse_qasm
 from qcpredict.simulator import check_equivalence
 
@@ -135,6 +137,22 @@ def test_predict_prints_choice_and_shares(workdir, capfd):
     assert lines[0].startswith("predicted: dev")
     assert len([l for l in lines if l.lstrip().startswith(("1.", "2.", "3."))]) == 3
     assert "vote share" in lines[1]
+
+
+def test_predict_votes_once(workdir, capfd, monkeypatch):
+    model = load_model(workdir / "model.bin")
+    qasm = workdir / "circuits" / "qft_004.qasm"
+    x = project_to_model(model, extract_features(parse_qasm(qasm.read_text(encoding="utf-8"))))
+    expected = [f"predicted: {predict(model, x)}"]
+    expected += [f"  {i}. {label}  vote share {share:.3f}"
+                 for i, (label, share) in enumerate(predict_top_k(model, x, 3), start=1)]
+    capfd.readouterr()
+    calls = []
+    real_votes = ml._vote_counts
+    monkeypatch.setattr(ml, "_vote_counts", lambda *a: calls.append(a) or real_votes(*a))
+    assert main(["predict", str(qasm), "--model", str(workdir / "model.bin")]) == 0
+    assert len(calls) == 1
+    assert capfd.readouterr().out.splitlines() == expected
 
 
 def test_predict_top_k_and_explain(workdir, capfd):
@@ -275,6 +293,10 @@ def test_argparse_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for command in (["label", "--corpus", str(tmp_path)], ["compile", str(tmp_path / "c.qasm"), "--all"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--timeout", "1"])  # no wall-clock limit exists
+        assert exc.value.code == 2
 
 
 def test_console_script_help():

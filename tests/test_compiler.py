@@ -326,7 +326,7 @@ def test_compile_every_option_is_legal_and_equivalent(devices, options):
 
 def test_compile_stats_keys(devices):
     result = compile_circuit(_ghz(3), parse_option("dev8/A/O2"), devices)
-    assert set(result.stats) == {"swaps_inserted", "native_gates", "compile_seconds", "placement_fallback"}
+    assert set(result.stats) == {"swaps_inserted", "native_gates", "placement_fallback"}
     assert result.stats["native_gates"] == result.circuit.num_gates()
     assert result.stats["swaps_inserted"] >= 0
 

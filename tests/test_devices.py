@@ -96,6 +96,16 @@ def test_yaml_round_trip(tmp_path, devices):
         assert back.calib.readout_fidelity == d.calib.readout_fidelity
 
 
+def test_devices_are_hashable(tmp_path, devices):
+    assert len(set(builtin_devices())) == 5
+    for d in devices:
+        path = tmp_path / f"{d.id}.yaml"
+        write_device(d, path)
+        back = load_device(path)
+        assert back == d
+        assert hash(back) == hash(d)
+
+
 def test_load_device_dir_sorted_and_duplicates(tmp_path, devices):
     write_device(devices[1], tmp_path / "b.yaml")
     write_device(devices[0], tmp_path / "a.yaml")

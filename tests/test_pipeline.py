@@ -1,9 +1,12 @@
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 
 from qcpredict.circuit import Circuit, gate
+from qcpredict.cli import main
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
 from qcpredict.ml import ForestModel, fit_tree
@@ -33,6 +36,7 @@ from qcpredict.pipeline import (
     write_labels_csv,
     write_report,
 )
+from qcpredict.qasm import to_qasm
 from qcpredict.scoring import rank_options, ranks_from_values
 
 
@@ -91,10 +95,25 @@ def test_oversized_circuits_are_excluded(options, devices):
     assert "infeasible" in excluded[0][1]
 
 
-def test_zero_timeout_excludes_everything(options, devices):
-    samples, excluded = label_dataset([ghz(3), qft(4)], options, devices, timeout=0.0)
-    assert samples == []
-    assert [name for name, _ in excluded] == ["ghz_003", "qft_004"]
+def test_labels_do_not_read_the_clock(options, devices, tmp_path, monkeypatch):
+    qasm = tmp_path / "qft_004.qasm"
+    qasm.write_text(to_qasm(qft(4)), encoding="utf-8")
+
+    def run(tag):
+        labels = label_dataset([ghz(3), qft(4)], options, devices)
+        out = tmp_path / f"{tag}.csv"
+        assert main(["compile", str(qasm), "--all", "--out", str(out)]) == 0
+        return labels, out.read_bytes()
+
+    steady = run("steady")
+    ticks = itertools.count()
+    with monkeypatch.context() as m:
+        # a clock that leaps a minute per reading: any wall-clock limit would trip
+        m.setattr(time, "perf_counter", lambda: 60.0 * next(ticks))
+        leaping = run("leaping")
+    assert leaping == steady
+    (samples, excluded), _ = steady
+    assert [s.name for s in samples] == ["ghz_003", "qft_004"] and excluded == []
 
 
 def test_label_dataset_rejects_duplicates_and_anonymous(options, devices):

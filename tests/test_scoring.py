@@ -2,6 +2,7 @@ from math import log
 
 import pytest
 
+from qcpredict import compiler
 from qcpredict.circuit import Circuit, gate, measure
 from qcpredict.compiler import CompiledResult, compile_circuit, parse_option
 from qcpredict.devices import Calibration, DeviceModel
@@ -71,11 +72,6 @@ def test_long_products_do_not_underflow_to_garbage():
     assert score.value >= 0.0
 
 
-def test_none_result_is_infeasible():
-    assert evaluate_score(None, _toy_device()) is INFEASIBLE
-    assert INFEASIBLE.value == 0.0 and not INFEASIBLE.feasible
-
-
 def test_missing_calibration_entry_raises():
     device = _toy_device()
     with pytest.raises(CalibrationError, match="x"):
@@ -104,15 +100,20 @@ def test_rank_options_orders_by_score(devices, options):
     assert all(v > 0.0 for v in values)  # 3 qubits fit everywhere
     best = ranking.best
     assert ranking.scores[best].value == max(values)
-    assert ranking.rank_of[best] == 1
-    assert sorted(ranking.rank_of.values()) == list(range(1, 31))
+    ranks = ranks_from_values(values)
+    assert ranks[options.index(best)] == 1
+    assert sorted(ranks) == list(range(1, 31))
     # order is the sorted view
     ordered = [ranking.scores[o].value for o in ranking.order]
     assert ordered == sorted(ordered, reverse=True)
 
 
-def test_too_wide_scores_zero_without_compiling(devices, options):
+def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
+    expanded = []
+    real_expand = compiler.expand_three_qubit
+    monkeypatch.setattr(compiler, "expand_three_qubit", lambda c: expanded.append(c) or real_expand(c))
     ranking = rank_options(_ghz(50), options, devices)
+    assert INFEASIBLE.value == 0.0 and not INFEASIBLE.feasible
     feasible = [o for o in options if ranking.scores[o].feasible]
     # only the two largest devices fit 50 qubits: 6 options each
     assert len(feasible) == 12
@@ -120,6 +121,8 @@ def test_too_wide_scores_zero_without_compiling(devices, options):
     for o in options:
         if not ranking.scores[o].feasible:
             assert ranking.scores[o] == INFEASIBLE
+    # compile_circuit refuses the 18 infeasible options before its first stage
+    assert len(expanded) == 12
 
 
 def test_tie_breaks_keep_option_order(devices, options):
@@ -129,12 +132,6 @@ def test_tie_breaks_keep_option_order(devices, options):
     assert set(ranking.score_values()) == {1.0}
     assert ranking.order == tuple(options)
     assert ranking.best.option_id == "dev8/A/O0"
-
-
-def test_zero_timeout_marks_everything_infeasible(devices, options):
-    ranking = rank_options(_ghz(3), options, devices, timeout=0.0)
-    assert all(s == INFEASIBLE for s in ranking.scores.values())
-    assert normalize_scores(ranking) == {o: 0.0 for o in options}
 
 
 def test_rank_options_rejects_empty_or_unknown(devices):
@@ -149,6 +146,9 @@ def test_normalize_scores(devices, options):
     normalized = normalize_scores(ranking)
     assert normalized[ranking.best] == 1.0
     assert all(0.0 <= v <= 1.0 for v in normalized.values())
+    nowhere = rank_options(_ghz(128), options, devices)  # wider than every device
+    assert all(s == INFEASIBLE for s in nowhere.scores.values())
+    assert normalize_scores(nowhere) == {o: 0.0 for o in options}
 
 
 def test_scores_agree_with_manual_recompute(devices, options):
