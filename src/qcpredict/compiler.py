@@ -7,6 +7,7 @@ deterministic: all tie-breaks resolve toward the lowest index.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import pi
 
@@ -458,28 +459,35 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
     last: dict[int, int | None] = {}
     changed = False
     for op in ops:
-        if op.kind in GATE_SIGNATURES:
-            if op.kind == "id" or (op.kind in _ROTATIONS and abs(op.params[0]) < _EPS):
+        kind, qubits = op.kind, op.qubits
+        if kind in GATE_SIGNATURES:
+            if kind == "id" or (kind in _ROTATIONS and abs(op.params[0]) < _EPS):
                 changed = True
                 continue
-            prev_idx = {last.get(q) for q in op.qubits}
-            if len(prev_idx) == 1 and None not in prev_idx:
-                k = prev_idx.pop()
+            # the op before this one on its first qubit matches only if it is
+            # also the latest op on every other qubit
+            k = last.get(qubits[0])
+            if k is not None:
                 prev = out[k]
-                if prev is not None and prev.kind == op.kind and prev.qubits == op.qubits:
-                    if op.kind in _SELF_INVERSE:
+                if (
+                    prev is not None
+                    and prev.kind == kind
+                    and prev.qubits == qubits
+                    and all(last[q] == k for q in qubits[1:])
+                ):
+                    if kind in _SELF_INVERSE:
                         out[k] = None
-                        for q in op.qubits:
+                        for q in qubits:
                             last[q] = None  # true predecessor unknown; next pass catches follow-ups
                         changed = True
                         continue
-                    if fuse and op.kind in _ROTATIONS:
+                    if fuse and kind in _ROTATIONS:
                         out[k] = prev._replace(params=(prev.params[0] + op.params[0],))
                         changed = True
                         continue
+        idx = len(out)
         out.append(op)
-        idx = len(out) - 1
-        for q in op.qubits:
+        for q in qubits:
             last[q] = idx
     return [op for op in out if op is not None], changed
 
@@ -581,6 +589,78 @@ def optimize(circuit: Circuit, level: str | int) -> Circuit:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
+def _layout_and_level(
+    expanded: Circuit, option: CompilationOption, device: DeviceModel
+) -> tuple[dict[int, int], bool, int]:
+    """Place one option's circuit: (layout, placement fell back, optimizer level)."""
+    if option.family == FAMILY_A:
+        return place_trivial(expanded, device), False, OPT_LEVELS.index(option.setting)
+    if option.setting == "line":
+        layout, fell_back = place_line(expanded, device)
+        return layout, fell_back, 1
+    return place_graph(expanded, device), False, 1
+
+
+def _compile_on_device(
+    expanded: Circuit, options: list[CompilationOption], device: DeviceModel
+) -> Iterator[tuple[CompilationOption, CompiledResult]]:
+    """Route and lower once per distinct layout, then climb the optimizer
+    ladder through the levels the options ask for, one rung on the last.
+
+    Climbing is exact: every optimizer stage ends on a fixed point, so
+    ``optimize(optimize(c, a), b) == optimize(c, b)`` for ``a <= b``.
+    """
+    plans: dict[tuple, tuple[dict[int, int], list[tuple[CompilationOption, bool, int]]]] = {}
+    for option in options:
+        layout, fell_back, level = _layout_and_level(expanded, option, device)
+        key = tuple(sorted(layout.items()))
+        plans.setdefault(key, (layout, []))[1].append((option, fell_back, level))
+
+    for layout, wanted in plans.values():
+        routed, final_layout, swaps = route(expanded, device, layout)
+        rung = decompose_to_native(routed, device)
+        for level in sorted({level for _, _, level in wanted}):
+            rung = optimize(rung, level)
+            for option, fell_back, option_level in wanted:
+                if option_level == level:
+                    stats = {
+                        "swaps_inserted": swaps,
+                        "native_gates": rung.num_gates(),
+                        "placement_fallback": fell_back,
+                    }
+                    yield option, CompiledResult(rung, dict(final_layout), option, stats)
+
+
+def compile_options(
+    circuit: Circuit, options: list[CompilationOption], devices: list[DeviceModel] | dict[str, DeviceModel]
+) -> Iterator[tuple[CompilationOption, CompiledResult]]:
+    """Compile every option that fits its device, sharing the common prefixes.
+
+    Yields ``(option, result)`` device by device, so the work kept for one
+    device is dropped before the next starts. Three-qubit gates are expanded
+    once per circuit, routing and lowering run once per distinct layout on a
+    device, and the optimizer climbs O1 -> O2 -> O3 on one routed circuit.
+    Options whose device is narrower than the circuit are skipped without any
+    work. Raises ``CompileError`` (a ``ValueError``) for an unknown device
+    before compiling anything.
+    """
+    fleet = fleet_by_id(devices)
+    by_device: dict[str, list[CompilationOption]] = {}
+    for option in options:
+        if option.device_id not in fleet:
+            raise CompileError(f"unknown device {option.device_id!r}")
+        by_device.setdefault(option.device_id, []).append(option)
+
+    expanded = None
+    for device_id, wanted in by_device.items():
+        device = fleet[device_id]
+        if circuit.num_qubits > device.num_qubits:
+            continue
+        if expanded is None:
+            expanded = expand_three_qubit(circuit)
+        yield from _compile_on_device(expanded, wanted, device)
+
+
 def compile_circuit(
     circuit: Circuit, option: CompilationOption, devices: list[DeviceModel] | dict[str, DeviceModel]
 ) -> CompiledResult:
@@ -590,34 +670,12 @@ def compile_circuit(
     the device, and ``CompileError`` (a ``ValueError``) for an unknown device.
     """
     fleet = fleet_by_id(devices)
-    device = fleet.get(option.device_id)
-    if device is None:
-        raise CompileError(f"unknown device {option.device_id!r}")
-    if circuit.num_qubits > device.num_qubits:
-        raise InfeasibleError(
-            f"{circuit.num_qubits} qubits do not fit on {device.id} ({device.num_qubits} qubits)"
-        )
-
-    expanded = expand_three_qubit(circuit)
-    fell_back = False
-    if option.family == FAMILY_A:
-        layout = place_trivial(expanded, device)
-    elif option.setting == "line":
-        layout, fell_back = place_line(expanded, device)
-    else:
-        layout = place_graph(expanded, device)
-
-    routed, final_layout, swaps = route(expanded, device, layout)
-    native = decompose_to_native(routed, device)
-    level = option.setting if option.family == FAMILY_A else "O1"
-    optimized = optimize(native, level)
-
-    stats = {
-        "swaps_inserted": swaps,
-        "native_gates": optimized.num_gates(),
-        "placement_fallback": fell_back,
-    }
-    return CompiledResult(optimized, final_layout, option, stats)
+    for _, result in compile_options(circuit, [option], fleet):
+        return result
+    device = fleet[option.device_id]
+    raise InfeasibleError(
+        f"{circuit.num_qubits} qubits do not fit on {device.id} ({device.num_qubits} qubits)"
+    )
 
 
 def is_device_legal(circuit: Circuit, device: DeviceModel) -> tuple[bool, str]:

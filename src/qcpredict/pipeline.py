@@ -324,7 +324,10 @@ def runtime_compare(
 
     started = time.perf_counter()
     label = predict(model, project_to_model(model, extract_features(circuit)))
-    compile_circuit(circuit, by_id[label], fleet)
+    option = by_id.get(label)
+    if option is None:
+        raise PipelineError(f"the model predicts {label}, which is not among the {len(options)} options given")
+    compile_circuit(circuit, option, fleet)
     fast = time.perf_counter() - started
 
     return {

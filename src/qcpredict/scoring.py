@@ -14,7 +14,7 @@ from math import exp, log
 from typing import NamedTuple
 
 from .circuit import BARRIER, MEASURE, Circuit
-from .compiler import CompilationOption, CompiledResult, InfeasibleError, compile_circuit
+from .compiler import CompilationOption, CompiledResult, compile_options
 from .devices import DeviceModel, fleet_by_id
 
 
@@ -87,19 +87,17 @@ def rank_options(
 ) -> OptionRanking:
     """Brute-force sweep: compile and score every option, then sort.
 
-    An option ``compile_circuit`` refuses as infeasible scores 0.0. Ties in
-    score resolve by position in ``options``.
+    The options are compiled by ``compile_options``, which shares placement,
+    routing, lowering and the optimizer ladder between options that have
+    them in common; each result equals that option's ``compile_circuit``.
+    An option whose device is too small scores 0.0. Ties in score resolve by
+    position in ``options``.
     """
     if not options:
         raise ValueError("no options to rank")
     fleet = fleet_by_id(devices)
-    scores: dict[CompilationOption, EvalScore] = {}
-    for option in options:
-        try:
-            result = compile_circuit(circuit, option, fleet)
-        except InfeasibleError:
-            scores[option] = INFEASIBLE
-            continue
+    scores = dict.fromkeys(options, INFEASIBLE)
+    for option, result in compile_options(circuit, options, fleet):
         scores[option] = evaluate_score(result, fleet[option.device_id])
     values = [scores[option].value for option in options]
     order = tuple(options[i] for i in _best_first(values))

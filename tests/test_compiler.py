@@ -28,6 +28,7 @@ from qcpredict.compiler import (
     route,
 )
 from qcpredict.devices import Calibration, DeviceModel
+from qcpredict.generators import grover, qaoa, qft, random_circuit
 from qcpredict.simulator import check_equivalence
 
 
@@ -292,6 +293,21 @@ def test_levels_never_grow_and_preserve_semantics(fleet):
         assert counts[0] >= counts[1] >= counts[2] >= counts[3], (trial, counts)
         for lvl in ("O1", "O2", "O3"):
             assert check_equivalence(c, optimize(c, lvl), _identity_layout(4)), (trial, lvl)
+
+
+def test_optimizer_ladder_climbs_exactly(fleet):
+    # the labeling sweep climbs O1 -> O2 -> O3 on one routed circuit; that is
+    # exact only because each level ends on a fixed point of the ones below
+    for device_id in ("dev8", "dev11"):
+        device = fleet[device_id]
+        for c in (qft(5), grover(3), qaoa(6, seed=3), random_circuit(6, seed=1), random_circuit(7, seed=2)):
+            expanded = expand_three_qubit(c)
+            routed, _, _ = route(expanded, device, place_graph(expanded, device))
+            native = decompose_to_native(routed, device)
+            ladder = [optimize(native, b) for b in range(4)]
+            for a in range(4):
+                for b in range(a, 4):
+                    assert optimize(ladder[a], b).ops == ladder[b].ops, (device_id, c.name, a, b)
 
 
 def test_optimize_rejects_unknown_level():

@@ -7,6 +7,7 @@ import pytest
 
 from qcpredict.circuit import Circuit, gate
 from qcpredict.cli import main
+from qcpredict.compiler import parse_option
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
 from qcpredict.ml import ForestModel, fit_tree
@@ -309,6 +310,14 @@ def test_runtime_compare_keys(labeled, options, devices):
     assert result["predict_and_compile_seconds"] > 0.0
     assert result["predicted_option"] in {opt.option_id for opt in options}
     assert result["reduction_fraction"] < 1.0
+
+
+def test_runtime_compare_refuses_a_prediction_outside_the_options(options, devices):
+    # a model trained on the full fleet, compared on a subset without its pick
+    model = _constant_model(options, options.index(parse_option("dev27/B/graph")))
+    subset = [opt for opt in options if opt.device_id != "dev27"]
+    with pytest.raises(PipelineError, match="dev27/B/graph"):
+        runtime_compare(qft(5), model, subset, devices)
 
 
 def test_export_dot_graph_rows(options):

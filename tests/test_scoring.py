@@ -4,7 +4,7 @@ import pytest
 
 from qcpredict import compiler
 from qcpredict.circuit import Circuit, gate, measure
-from qcpredict.compiler import CompiledResult, compile_circuit, parse_option
+from qcpredict.compiler import CompiledResult, InfeasibleError, compile_circuit, compile_options, parse_option
 from qcpredict.devices import Calibration, DeviceModel
 from qcpredict.scoring import (
     INFEASIBLE,
@@ -109,9 +109,10 @@ def test_rank_options_orders_by_score(devices, options):
 
 
 def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
-    expanded = []
-    real_expand = compiler.expand_three_qubit
+    expanded, routed_on = [], []
+    real_expand, real_route = compiler.expand_three_qubit, compiler.route
     monkeypatch.setattr(compiler, "expand_three_qubit", lambda c: expanded.append(c) or real_expand(c))
+    monkeypatch.setattr(compiler, "route", lambda c, d, layout: routed_on.append(d.id) or real_route(c, d, layout))
     ranking = rank_options(_ghz(50), options, devices)
     assert INFEASIBLE.value == 0.0 and not INFEASIBLE.feasible
     feasible = [o for o in options if ranking.scores[o].feasible]
@@ -121,8 +122,12 @@ def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
     for o in options:
         if not ranking.scores[o].feasible:
             assert ranking.scores[o] == INFEASIBLE
-    # compile_circuit refuses the 18 infeasible options before its first stage
-    assert len(expanded) == 12
+    # three-qubit expansion runs once per circuit, and the 18 infeasible
+    # options do no compile work: routing runs only on the devices that fit,
+    # at most once per distinct layout (trivial, line, graph)
+    assert len(expanded) == 1
+    assert set(routed_on) == {"dev80", "dev127"}
+    assert all(routed_on.count(d) <= 3 for d in routed_on)
 
 
 def test_tie_breaks_keep_option_order(devices, options):
@@ -151,14 +156,36 @@ def test_normalize_scores(devices, options):
     assert normalize_scores(nowhere) == {o: 0.0 for o in options}
 
 
+def _toffoli_swap(n):
+    ops = [gate("h", (q,)) for q in range(n)]
+    ops += [gate("ccx", (0, 1, 2)), gate("cswap", (2, 0, n - 1)), gate("cx", (n - 1, 0)), gate("ccx", (1, n - 1, 0))]
+    ops += [measure(q, q) for q in range(n)]
+    return Circuit(n, n, tuple(ops), f"toffoli_swap{n}")
+
+
 def test_scores_agree_with_manual_recompute(devices, options):
+    # the shared sweep must give every option exactly what compiling it alone
+    # gives: ccx/cswap expansion is shared by all devices, and a 24-qubit
+    # circuit has no 24-qubit line on dev27, so B/line shares A's trivial layout
     fleet = {d.id: d for d in devices}
-    c = _ghz(3)
-    ranking = rank_options(c, options, devices)
-    for option in options[:8]:
-        result = compile_circuit(c, option, fleet)
-        again = evaluate_score(result, fleet[option.device_id])
-        assert ranking.scores[option] == again
+    for circuit in (_ghz(3), _toffoli_swap(5), _ghz(24)):
+        ranking = rank_options(circuit, options, devices)
+        shared = dict(compile_options(circuit, options, fleet))
+        for option in options:
+            device = fleet[option.device_id]
+            where = (circuit.name, option.option_id)
+            if circuit.num_qubits > device.num_qubits:
+                assert option not in shared and ranking.scores[option] == INFEASIBLE, where
+                with pytest.raises(InfeasibleError):
+                    compile_circuit(circuit, option, fleet)
+                continue
+            alone = compile_circuit(circuit, option, fleet)
+            assert ranking.scores[option] == evaluate_score(alone, device), where
+            assert shared[option].stats == alone.stats, where
+            assert shared[option].circuit == alone.circuit, where
+            assert shared[option].layout == alone.layout, where
+    assert shared[parse_option("dev27/B/line")].stats["placement_fallback"]
+    assert not shared[parse_option("dev80/B/line")].stats["placement_fallback"]
 
 
 def test_ranks_from_values():
