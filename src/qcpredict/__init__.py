@@ -74,9 +74,7 @@ from .qasm import QasmError, parse_qasm, to_qasm
 from .scoring import (
     EvalScore,
     CalibrationError,
-    OptionRanking,
     evaluate_score,
-    normalize_scores,
     rank_options,
 )
 from .simulator import SimulationError, check_equivalence, simulate_statevector
@@ -105,7 +103,6 @@ __all__ = [
     "Instruction",
     "LabeledSample",
     "ModelFormatError",
-    "OptionRanking",
     "PipelineError",
     "QasmError",
     "SimulationError",
@@ -132,7 +129,6 @@ __all__ = [
     "load_device_dir",
     "load_model",
     "measure",
-    "normalize_scores",
     "optimize",
     "parse_option",
     "parse_qasm",

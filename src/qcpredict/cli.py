@@ -52,7 +52,7 @@ from .pipeline import (
     write_report,
 )
 from .qasm import QasmError, parse_qasm, to_qasm
-from .scoring import CalibrationError, evaluate_score, rank_options
+from .scoring import CalibrationError, evaluate_score, rank_options, ranks_from_values
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,10 @@ def cmd_label(args: argparse.Namespace) -> int:
     circuits = read_corpus(args.corpus)
     samples, excluded = label_dataset(circuits, options, devices)
     if not samples:
-        raise PipelineError("every circuit was infeasible on every option")
+        raise PipelineError(
+            f"all {len(excluded)} circuits were excluded: each is wider than every device "
+            "or has every feasible score underflow"
+        )
     outdir = Path(args.out or args.corpus)
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(outdir / LABELS_FILE, samples, options)
@@ -187,10 +190,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     circuit = _read_circuit(args.circuit)
 
     if args.all:
-        ranking = rank_options(circuit, options, fleet)
+        scores = rank_options(circuit, options, fleet)
+        ranks = ranks_from_values(scores)
         lines = ["rank,option,score"]
-        for rank, option in enumerate(ranking.order, start=1):
-            lines.append(f"{rank},{option.option_id},{ranking.scores[option].value!r}")
+        for i in sorted(range(len(options)), key=ranks.__getitem__):
+            lines.append(f"{ranks[i]},{options[i].option_id},{scores[i]!r}")
         text = "\n".join(lines) + "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8", newline="\n")

@@ -269,8 +269,7 @@ def _lower(op: Instruction, device: DeviceModel, out: list[Instruction]) -> None
         for sub in _two_qubit_rule(op):
             _lower(sub, device, out)
     else:
-        for sub in _three_qubit_rule(op):
-            _lower(sub, device, out)
+        raise CompileError(f"decompose_to_native expects gates on at most two qubits; expand {kind} first")
 
 
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
@@ -494,67 +493,57 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
 
 def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
     """Cancel or fuse gate pairs separated only by commuting neighbors."""
-    per_qubit: dict[int, list[int]] = {}
-    pos_of: dict[tuple[int, int], int] = {}
-    for i, op in enumerate(ops):
-        for q in op.qubits:
-            chain = per_qubit.setdefault(q, [])
-            pos_of[(i, q)] = len(chain)
-            chain.append(i)
+    n = len(ops)
+    # after[i][q]: index of the next op on qubit q after op i, n after the last
+    after: list[dict[int, int]] = [{}] * n
+    next_on: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        qubits = ops[i].qubits
+        after[i] = {q: next_on.get(q, n) for q in qubits}
+        for q in qubits:
+            next_on[q] = i
 
-    alive = [True] * len(ops)
+    alive = [True] * n
     params_now: dict[int, tuple[float, ...]] = {}
     changed = False
 
     for i, op in enumerate(ops):
-        if not alive[i] or op.kind not in GATE_SIGNATURES:
+        if not alive[i] or (op.kind not in _SELF_INVERSE and op.kind not in _ROTATIONS):
             continue
-        if op.kind not in _SELF_INVERSE and op.kind not in _ROTATIONS:
-            continue
-        my_params = params_now.get(i, op.params)
-        ptr = {q: pos_of[(i, q)] + 1 for q in op.qubits}
+        nxt = dict(after[i])
         while True:
-            cand = None
+            # the next live op on each qubit; the earliest of them is the candidate
             for q in op.qubits:
-                chain = per_qubit[q]
-                p = ptr[q]
-                while p < len(chain) and not alive[chain[p]]:
-                    p += 1
-                ptr[q] = p
-                if p < len(chain):
-                    j = chain[p]
-                    cand = j if cand is None else min(cand, j)
-            if cand is None:
+                j = nxt[q]
+                while j < n and not alive[j]:
+                    j = after[j][q]
+                nxt[q] = j
+            cand = min(nxt.values())
+            if cand == n:
                 break
             other = ops[cand]
             if other.kind == op.kind and other.qubits == op.qubits:
                 if op.kind in _SELF_INVERSE:
-                    alive[i] = alive[cand] = False
-                    changed = True
-                    break
-                merged = my_params[0] + params_now.get(cand, other.params)[0]
+                    alive[cand] = False
+                else:
+                    merged = params_now.get(i, op.params)[0] + params_now.get(cand, other.params)[0]
+                    params_now[cand] = (merged,)
                 alive[i] = False
-                params_now[cand] = (merged,)
                 changed = True
                 break
-            if _commutes(op, other):
-                for q in op.qubits:
-                    chain = per_qubit[q]
-                    if ptr[q] < len(chain) and chain[ptr[q]] == cand:
-                        ptr[q] += 1
-                continue
-            break
+            if not _commutes(op, other):
+                break
+            for q in op.qubits:
+                if nxt[q] == cand:
+                    nxt[q] = after[cand][q]
 
     if not changed:
         return ops, False
-    result = []
-    for i, op in enumerate(ops):
-        if not alive[i]:
-            continue
-        if i in params_now:
-            op = op._replace(params=params_now[i])
-        result.append(op)
-    return result, True
+    return [
+        op._replace(params=params_now[i]) if i in params_now else op
+        for i, op in enumerate(ops)
+        if alive[i]
+    ], True
 
 
 def _run_stage(ops: list[Instruction], fuse: bool, commute: bool) -> list[Instruction]:

@@ -379,13 +379,7 @@ def grid_search_cv(
         accuracies = []
         for k in range(folds):
             train = fold_of != k
-            model = fit_forest(
-                X[train], y[train], schema, label_space,
-                n_trees=params.get("n_trees", 500),
-                max_depth=params.get("max_depth", 20),
-                min_samples_leaf=params.get("min_samples_leaf", 2),
-                seed=fit_seeds[k],
-            )
+            model = fit_forest(X[train], y[train], schema, label_space, seed=fit_seeds[k], **params)
             pred = predict_many(model, X[~train])
             accuracies.append(float(np.mean(pred == y[~train])))
         results.append((params, float(np.mean(accuracies))))

@@ -10,8 +10,10 @@ enter any dataset file.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
+import sys
 import time
 from dataclasses import dataclass
 from math import floor
@@ -48,7 +50,11 @@ from .scoring import rank_options, ranks_from_values
 logger = logging.getLogger(__name__)
 
 DEFAULT_TEST_FRACTION = 0.3
-DEFAULT_FOREST_PARAMS = {"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2}
+# the forest defaults live in fit_forest's signature
+DEFAULT_FOREST_PARAMS = {
+    name: inspect.signature(fit_forest).parameters[name].default
+    for name in ("n_trees", "max_depth", "min_samples_leaf")
+}
 
 LABELS_FILE = "labels.csv"
 FEATURES_FILE = "features.csv"
@@ -109,7 +115,10 @@ def label_dataset(
 ) -> tuple[list[LabeledSample], list[tuple[str, str]]]:
     """Brute-force label every circuit; returns (samples, excluded).
 
-    A circuit with no feasible option is excluded and logged, not an error.
+    The label is the rank-1 option of the circuit's score vector. A circuit
+    whose best score is below ``sys.float_info.min`` is excluded and logged,
+    not an error: either it is wider than every device, or every feasible
+    score underflows.
     """
     if not circuits or not options:
         raise PipelineError("label_dataset needs circuits and options")
@@ -125,10 +134,15 @@ def label_dataset(
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
     for c in circuits:
-        ranking = rank_options(c, options, devices)
-        values = ranking.score_values()
-        if max(values) == 0.0:
-            reason = f"all {len(options)} options infeasible"
+        scores = rank_options(c, options, devices)
+        ranks = ranks_from_values(scores)
+        best = ranks.index(1)
+        if scores[best] < sys.float_info.min:
+            fleet = fleet_by_id(devices)
+            if all(c.num_qubits > fleet[opt.device_id].num_qubits for opt in options):
+                reason = f"all {len(options)} options infeasible: {c.num_qubits} qubits, wider than every device"
+            else:
+                reason = f"every feasible score underflows: the best is {scores[best]!r}"
             logger.info("excluding %s: %s", c.name, reason)
             excluded.append((c.name, reason))
             continue
@@ -137,9 +151,9 @@ def label_dataset(
                 name=c.name,
                 num_qubits=c.num_qubits,
                 features=tuple(float(v) for v in extract_features(c, schema)),
-                label=ranking.best.option_id,
-                scores=values,
-                ranks=ranks_from_values(values),
+                label=options[best].option_id,
+                scores=scores,
+                ranks=ranks,
             )
         )
     return samples, excluded
@@ -187,7 +201,8 @@ def train_model(
 
     Constant feature columns are pruned using the training rows only. With
     ``grid`` set, hyperparameters come from cross-validated search; otherwise
-    ``params`` (default 500 trees / depth 20 / min leaf 2) are used directly.
+    ``params`` are passed to ``fit_forest`` (a missing key keeps its default,
+    a misspelt one raises ``TypeError``).
     """
     if not train:
         raise PipelineError("empty training set")
@@ -205,13 +220,7 @@ def train_model(
         chosen, results = grid_search_cv(X, y, pruned, label_space, grid, folds=folds, seed=seed)
     else:
         chosen = dict(params if params is not None else DEFAULT_FOREST_PARAMS)
-    model = fit_forest(
-        X, y, pruned, label_space,
-        n_trees=chosen.get("n_trees", 500),
-        max_depth=chosen.get("max_depth", 20),
-        min_samples_leaf=chosen.get("min_samples_leaf", 2),
-        seed=seed,
-    )
+    model = fit_forest(X, y, pruned, label_space, seed=seed, **chosen)
     return model, chosen, results
 
 
@@ -430,8 +439,9 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
 def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -> list[LabeledSample]:
     """Rebuild samples by joining features.csv and labels.csv on circuit name.
 
-    Ranks are recomputed from the stored scores; the recomputation uses the
-    same tie rule as labeling, so the round trip is exact.
+    Ranks and labels are derived from the stored scores with the tie rule of
+    labeling, so the round trip is exact; a stored label that disagrees with
+    its scores is refused.
     """
     outdir = Path(outdir)
     f_header, f_rows = _read_csv_rows(outdir / FEATURES_FILE)
@@ -443,16 +453,23 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
     if l_header != expected:
         raise PipelineError("labels.csv header does not match the configured options")
 
-    scores_by_name: dict[str, tuple[str, tuple[float, ...]]] = {}
+    by_name: dict[str, tuple[str, tuple[float, ...], tuple[int, ...]]] = {}
     for row in l_rows:
-        scores_by_name[row[0]] = (row[1], tuple(float(v) for v in row[2:]))
+        if len(row) != len(expected):
+            raise PipelineError(f"labels.csv row {row[0]!r} has {len(row) - 2} scores, not {len(options)}")
+        scores = tuple(float(v) for v in row[2:])
+        ranks = ranks_from_values(scores)
+        label = options[ranks.index(1)].option_id
+        if row[1] != label:
+            raise PipelineError(f"labels.csv labels {row[0]!r} {row[1]}, but its scores rank {label} first")
+        by_name[row[0]] = (label, scores, ranks)
     samples = []
     qubit_column = names.index("num_qubits") + 1
     for row in f_rows:
         name = row[0]
-        if name not in scores_by_name:
+        if name not in by_name:
             raise PipelineError(f"circuit {name!r} in features.csv but not labels.csv")
-        label, scores = scores_by_name[name]
+        label, scores, ranks = by_name[name]
         if label != row[-1]:
             raise PipelineError(f"label mismatch for {name!r} between the two CSV files")
         samples.append(
@@ -462,7 +479,7 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
                 features=tuple(float(v) for v in row[1:-1]),
                 label=label,
                 scores=scores,
-                ranks=ranks_from_values(scores),
+                ranks=ranks,
             )
         )
     return samples

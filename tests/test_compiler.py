@@ -220,6 +220,14 @@ def test_route_rejects_wide_gates(fleet):
         route(c, fleet["dev8"], _identity_layout(3))
 
 
+def test_lowering_rejects_wide_gates(fleet):
+    # three-qubit gates have one path: expand_three_qubit, before routing
+    for kind in ("ccx", "cswap"):
+        c = _circ(3, [gate(kind, (0, 1, 2))])
+        with pytest.raises(CompileError, match="expand"):
+            decompose_to_native(c, fleet["dev8"])
+
+
 # ---------------------------------------------------------------------------
 # optimization ladder
 
@@ -297,10 +305,13 @@ def test_levels_never_grow_and_preserve_semantics(fleet):
 
 def test_optimizer_ladder_climbs_exactly(fleet):
     # the labeling sweep climbs O1 -> O2 -> O3 on one routed circuit; that is
-    # exact only because each level ends on a fixed point of the ones below
+    # exact only because each level ends on a fixed point of the ones below.
+    # In `unblock` the commuting pass cancels the cx pair, which leaves the two
+    # x(0) adjacent for the next round only.
+    unblock = _circ(2, [gate("x", (0,)), gate("cx", (0, 1)), gate("x", (1,)), gate("cx", (0, 1)), gate("x", (0,))])
     for device_id in ("dev8", "dev11"):
         device = fleet[device_id]
-        for c in (qft(5), grover(3), qaoa(6, seed=3), random_circuit(6, seed=1), random_circuit(7, seed=2)):
+        for c in (qft(5), grover(3), qaoa(6, seed=3), random_circuit(6, seed=1), random_circuit(7, seed=2), unblock):
             expanded = expand_three_qubit(c)
             routed, _, _ = route(expanded, device, place_graph(expanded, device))
             native = decompose_to_native(routed, device)

@@ -7,7 +7,8 @@ import pytest
 
 from qcpredict.circuit import Circuit, gate
 from qcpredict.cli import main
-from qcpredict.compiler import parse_option
+from qcpredict.compiler import enumerate_options, parse_option
+from qcpredict.devices import Calibration, DeviceModel, write_device
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
 from qcpredict.ml import ForestModel, fit_tree
@@ -72,11 +73,11 @@ def _fake_sample(name, qubits, label, scores):
 def test_labels_agree_with_brute_force(labeled, small_corpus, options, devices):
     by_name = {s.name: s for s in labeled}
     for c in small_corpus[:5]:
-        ranking = rank_options(c, options, devices)
+        values = rank_options(c, options, devices)
         s = by_name[c.name]
-        assert s.label == ranking.best.option_id
-        assert s.scores == ranking.score_values()
-        assert s.ranks == ranks_from_values(s.scores)
+        assert s.scores == values
+        assert s.ranks == ranks_from_values(values)
+        assert s.label == options[s.ranks.index(1)].option_id
         assert s.num_qubits == c.num_qubits
         assert len(s.features) == len(full_schema().names)
 
@@ -94,6 +95,41 @@ def test_oversized_circuits_are_excluded(options, devices):
     assert len(excluded) == 1
     assert excluded[0][0] == "ghz_128"
     assert "infeasible" in excluded[0][1]
+
+
+def _lossy_device(cx_fidelity):
+    """Three all-to-all qubits with a very poor cx: products of a few cx leave
+    the normal float range."""
+    pairs = frozenset((a, b) for a in range(3) for b in range(3) if a != b)
+    gate_fid = {(kind, (q,)): 0.999 for kind in ("rz", "sx", "x") for q in range(3)}
+    gate_fid.update({("cx", pair): cx_fidelity for pair in pairs})
+    return DeviceModel(
+        "lossy3", "superconducting", 3, pairs, frozenset({"rz", "sx", "x", "cx", "measure"}),
+        Calibration(gate_fid, {q: 0.97 for q in range(3)}),
+    )
+
+
+@pytest.mark.parametrize("cx_fidelity", [1e-200, 1e-155])
+def test_underflowing_circuits_are_excluded_with_their_reason(cx_fidelity, tmp_path, capfd):
+    # ghz(2) has one cx and still scores a normal float; ghz(3) has two, whose
+    # product underflows to 0.0 (1e-200) or to a subnormal (1e-155); ghz(4)
+    # is wider than the device
+    device = _lossy_device(cx_fidelity)
+    options = enumerate_options([device])
+    samples, excluded = label_dataset([ghz(2), ghz(3), ghz(4)], options, [device])
+    assert [s.name for s in samples] == ["ghz_002"]
+    assert [name for name, _ in excluded] == ["ghz_003", "ghz_004"]
+    assert "underflow" in excluded[0][1]
+    assert "wider than every device" in excluded[1][1]
+
+    # `label` names both reasons when nothing is left to label
+    corpus, devdir = tmp_path / "corpus", tmp_path / "devices"
+    write_corpus(corpus, [ghz(3), ghz(4)])
+    devdir.mkdir()
+    write_device(device, devdir / "lossy3.yaml")
+    assert main(["label", "--corpus", str(corpus), "--devices", str(devdir)]) == 1
+    err = capfd.readouterr().err
+    assert "wider than every device" in err and "underflow" in err
 
 
 def test_labels_do_not_read_the_clock(options, devices, tmp_path, monkeypatch):
@@ -179,6 +215,8 @@ def test_train_model_defaults_and_schema(labeled, options):
     model, chosen, results = train_model(train, options, seed=0, params={"n_trees": 30, "max_depth": 10})
     assert chosen == {"n_trees": 30, "max_depth": 10}
     assert results is None
+    # a key left out keeps its default
+    assert model.min_samples_leaf == DEFAULT_FOREST_PARAMS["min_samples_leaf"]
     assert model.label_space == tuple(opt.option_id for opt in options)
     assert model.schema.names == full_schema().names
     preds = predicted_labels(model, test)
@@ -192,7 +230,15 @@ def test_train_model_uses_default_params(labeled, options):
     if len({s.label for s in short}) < 2:
         short = train
     _, chosen, _ = train_model(short, options, params=None)
-    assert chosen == DEFAULT_FOREST_PARAMS
+    assert chosen == DEFAULT_FOREST_PARAMS == {"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2}
+
+
+def test_train_model_refuses_a_misspelt_param(labeled, options):
+    train, _ = split(labeled, 0.3, seed=0)
+    with pytest.raises(TypeError, match="n_tree"):
+        train_model(train, options, params={"n_tree": 5})
+    with pytest.raises(TypeError, match="n_tree"):
+        train_model(train, options, grid=[{"n_tree": 5}], folds=2)
 
 
 def test_train_model_rejects_single_class(options):
@@ -385,6 +431,29 @@ def test_load_labeled_dataset_header_checks(tmp_path, labeled, options):
         load_labeled_dataset(tmp_path, options)
     with pytest.raises(PipelineError, match="missing"):
         load_labeled_dataset(tmp_path / "nowhere", options)
+
+
+def test_load_labeled_dataset_derives_labels_from_scores(tmp_path, labeled, options):
+    write_labels_csv(tmp_path / "labels.csv", labeled, options)
+    write_features_csv(tmp_path / "features.csv", labeled)
+    name, label = labeled[0].name, labeled[0].label
+    wrong = next(o.option_id for o in options if o.option_id != label)
+    # relabel the circuit in both files: they agree, but not with the scores
+    for csv in ("labels.csv", "features.csv"):
+        path = tmp_path / csv
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [line.replace(label, wrong) if line.startswith(name + ",") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"{name}.*{wrong}.*{label} first"):
+        load_labeled_dataset(tmp_path, options)
+
+    write_labels_csv(tmp_path / "labels.csv", labeled, options)
+    path = tmp_path / "labels.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]  # one score short
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match="29 scores, not 30"):
+        load_labeled_dataset(tmp_path, options)
 
 
 def test_figure_csvs_parse_clean(tmp_path, labeled, options):

@@ -6,15 +6,7 @@ from qcpredict import compiler
 from qcpredict.circuit import Circuit, gate, measure
 from qcpredict.compiler import CompiledResult, InfeasibleError, compile_circuit, compile_options, parse_option
 from qcpredict.devices import Calibration, DeviceModel
-from qcpredict.scoring import (
-    INFEASIBLE,
-    CalibrationError,
-    EvalScore,
-    evaluate_score,
-    normalize_scores,
-    rank_options,
-    ranks_from_values,
-)
+from qcpredict.scoring import CalibrationError, EvalScore, evaluate_score, rank_options, ranks_from_values
 
 
 def _toy_device():
@@ -39,14 +31,13 @@ def _result(device, ops, clbits=0):
 
 def test_empty_circuit_scores_one():
     score = evaluate_score(_result(_toy_device(), []), _toy_device())
-    assert score == EvalScore(1.0, True)
+    assert score == EvalScore(1.0)
 
 
 def test_hand_computed_product():
     device = _toy_device()
     score = evaluate_score(_result(device, [gate("x", (0,)), gate("x", (1,)), gate("cx", (0, 1))]), device)
     assert score.value == pytest.approx(0.99 * 0.99 * 0.98, abs=1e-15)
-    assert score.feasible
 
 
 def test_readout_multiplies_in():
@@ -94,18 +85,15 @@ def _ghz(n):
 
 
 def test_rank_options_orders_by_score(devices, options):
-    ranking = rank_options(_ghz(3), options, devices)
-    values = ranking.score_values()
-    assert len(values) == 30
+    values = rank_options(_ghz(3), options, devices)
+    assert isinstance(values, tuple) and len(values) == 30
     assert all(v > 0.0 for v in values)  # 3 qubits fit everywhere
-    best = ranking.best
-    assert ranking.scores[best].value == max(values)
     ranks = ranks_from_values(values)
-    assert ranks[options.index(best)] == 1
+    assert values[ranks.index(1)] == max(values)
     assert sorted(ranks) == list(range(1, 31))
-    # order is the sorted view
-    ordered = [ranking.scores[o].value for o in ranking.order]
-    assert ordered == sorted(ordered, reverse=True)
+    # listing the options by rank lists the scores best first
+    ordered = [values[i] for i in sorted(range(30), key=ranks.__getitem__)]
+    assert ordered == sorted(values, reverse=True)
 
 
 def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
@@ -113,15 +101,13 @@ def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
     real_expand, real_route = compiler.expand_three_qubit, compiler.route
     monkeypatch.setattr(compiler, "expand_three_qubit", lambda c: expanded.append(c) or real_expand(c))
     monkeypatch.setattr(compiler, "route", lambda c, d, layout: routed_on.append(d.id) or real_route(c, d, layout))
-    ranking = rank_options(_ghz(50), options, devices)
-    assert INFEASIBLE.value == 0.0 and not INFEASIBLE.feasible
-    feasible = [o for o in options if ranking.scores[o].feasible]
-    # only the two largest devices fit 50 qubits: 6 options each
+    values = rank_options(_ghz(50), options, devices)
+    # only the two largest devices fit 50 qubits: 6 options each, every other
+    # option scores exactly 0.0
+    feasible = [o for o, v in zip(options, values) if v > 0.0]
     assert len(feasible) == 12
     assert {o.device_id for o in feasible} == {"dev80", "dev127"}
-    for o in options:
-        if not ranking.scores[o].feasible:
-            assert ranking.scores[o] == INFEASIBLE
+    assert all(v == 0.0 for o, v in zip(options, values) if o not in feasible)
     # three-qubit expansion runs once per circuit, and the 18 infeasible
     # options do no compile work: routing runs only on the devices that fit,
     # at most once per distinct layout (trivial, line, graph)
@@ -132,11 +118,11 @@ def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
 
 def test_tie_breaks_keep_option_order(devices, options):
     c = Circuit(2, 0, (), "empty")
-    ranking = rank_options(c, options, devices)
+    values = rank_options(c, options, devices)
     # every option scores 1.0 (no gates, no measures), first option wins
-    assert set(ranking.score_values()) == {1.0}
-    assert ranking.order == tuple(options)
-    assert ranking.best.option_id == "dev8/A/O0"
+    assert values == (1.0,) * 30
+    assert ranks_from_values(values) == tuple(range(1, 31))
+    assert options[ranks_from_values(values).index(1)].option_id == "dev8/A/O0"
 
 
 def test_rank_options_rejects_empty_or_unknown(devices):
@@ -144,16 +130,6 @@ def test_rank_options_rejects_empty_or_unknown(devices):
         rank_options(_ghz(2), [], devices)
     with pytest.raises(ValueError, match="unknown device"):
         rank_options(_ghz(2), [parse_option("nope/A/O0")], devices)
-
-
-def test_normalize_scores(devices, options):
-    ranking = rank_options(_ghz(3), options, devices)
-    normalized = normalize_scores(ranking)
-    assert normalized[ranking.best] == 1.0
-    assert all(0.0 <= v <= 1.0 for v in normalized.values())
-    nowhere = rank_options(_ghz(128), options, devices)  # wider than every device
-    assert all(s == INFEASIBLE for s in nowhere.scores.values())
-    assert normalize_scores(nowhere) == {o: 0.0 for o in options}
 
 
 def _toffoli_swap(n):
@@ -169,18 +145,18 @@ def test_scores_agree_with_manual_recompute(devices, options):
     # circuit has no 24-qubit line on dev27, so B/line shares A's trivial layout
     fleet = {d.id: d for d in devices}
     for circuit in (_ghz(3), _toffoli_swap(5), _ghz(24)):
-        ranking = rank_options(circuit, options, devices)
+        values = rank_options(circuit, options, devices)
         shared = dict(compile_options(circuit, options, fleet))
-        for option in options:
+        for option, value in zip(options, values):
             device = fleet[option.device_id]
             where = (circuit.name, option.option_id)
             if circuit.num_qubits > device.num_qubits:
-                assert option not in shared and ranking.scores[option] == INFEASIBLE, where
+                assert option not in shared and value == 0.0, where
                 with pytest.raises(InfeasibleError):
                     compile_circuit(circuit, option, fleet)
                 continue
             alone = compile_circuit(circuit, option, fleet)
-            assert ranking.scores[option] == evaluate_score(alone, device), where
+            assert value == evaluate_score(alone, device).value, where
             assert shared[option].stats == alone.stats, where
             assert shared[option].circuit == alone.circuit, where
             assert shared[option].layout == alone.layout, where
@@ -194,3 +170,5 @@ def test_ranks_from_values():
     assert ranks_from_values((0.5, 0.9, 0.5, 0.0)) == (2, 1, 3, 4)
     assert ranks_from_values(()) == ()
     assert ranks_from_values((0.0, 0.0)) == (1, 2)
+    # the first position among the best scores is rank 1
+    assert ranks_from_values((0.0, 0.7, 0.3, 0.7)).index(1) == 1
