@@ -156,9 +156,14 @@ def circuit_depth(circuit: Circuit) -> DepthSchedule:
     frontier = [0] * circuit.num_qubits
     layers: list[int] = []
     for op in circuit.ops:
-        layer = 1 + max(frontier[q] for q in op.qubits)
-        for q in op.qubits:
-            frontier[q] = layer
+        qubits = op.qubits
+        if len(qubits) == 1:  # most ops; the general branch gives the same layer
+            (q,) = qubits
+            layer = frontier[q] = frontier[q] + 1
+        else:
+            layer = 1 + max([frontier[q] for q in qubits])
+            for q in qubits:
+                frontier[q] = layer
         layers.append(layer)
     return DepthSchedule(tuple(layers), max(layers, default=0))
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from .circuit import CircuitError
 from .compiler import CompileError, compile_circuit, enumerate_options, parse_option
 from .devices import DeviceError, builtin_devices, fleet_by_id, load_device_dir
-from .features import extract_features
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
 from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict, predict_top_k, save_model
 from .pipeline import (
@@ -27,6 +26,7 @@ from .pipeline import (
     FIG4_FILE,
     FIG5_FILE,
     FIG6_FILE,
+    EXCLUDED_FILE,
     FEATURES_FILE,
     LABELS_FILE,
     MODEL_FILE,
@@ -39,11 +39,13 @@ from .pipeline import (
     label_dataset,
     load_labeled_dataset,
     majority_baseline,
-    project_to_model,
+    model_features,
     read_corpus,
+    read_excluded_csv,
     split,
     train_model,
     write_corpus,
+    write_excluded_csv,
     write_features_csv,
     write_fig4_csv,
     write_fig5_csv,
@@ -119,6 +121,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(outdir / LABELS_FILE, samples, options)
     write_features_csv(outdir / FEATURES_FILE, samples)
+    write_excluded_csv(outdir / EXCLUDED_FILE, excluded)
     print(f"labeled {len(samples)} circuits ({len(excluded)} excluded) -> {outdir}")
     return 0
 
@@ -127,6 +130,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     devices = _load_devices(args)
     options = enumerate_options(devices)
     samples = load_labeled_dataset(args.data, options)
+    excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
     train_set, test_set = split(samples, args.test_fraction, args.seed)
     outdir = Path(args.out or args.data)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -156,7 +160,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     _, majority_accuracy = majority_baseline(train_set, test_set, options)
     payload = build_report(
-        report, options, len(train_set), len(test_set), params, majority_accuracy, seed=args.seed
+        report, options, len(train_set), len(test_set), params, majority_accuracy, excluded, seed=args.seed
     )
     write_report(outdir / REPORT_FILE, payload)
     print(
@@ -169,7 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    x = project_to_model(model, extract_features(_read_circuit(args.circuit)))
+    x = model_features(model, _read_circuit(args.circuit))
     top = predict_top_k(model, x, args.top_k)
     print(f"predicted: {top[0][0]}")
     for i, (label, share) in enumerate(top, start=1):
@@ -209,7 +213,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             raise PipelineError(f"option {option.option_id!r} not available on this fleet")
     elif args.model:
         model = load_model(args.model)
-        option = parse_option(predict(model, project_to_model(model, extract_features(circuit))))
+        option = parse_option(predict(model, model_features(model, circuit)))
     else:
         raise PipelineError("compile needs --option, --model, or --all")
 
@@ -239,6 +243,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     devices = _load_devices(args)
     options = enumerate_options(devices)
     samples = load_labeled_dataset(args.data, options)
+    excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
     train_set, test_set = split(samples, args.test_fraction, args.seed)
     model = load_model(args.model or Path(args.data) / MODEL_FILE)
     report = evaluate(model, test_set, options)
@@ -253,7 +258,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "min_samples_leaf": model.min_samples_leaf,
     }
     payload = build_report(
-        report, options, len(train_set), len(test_set), params, majority_accuracy, seed=args.seed
+        report, options, len(train_set), len(test_set), params, majority_accuracy, excluded, seed=args.seed
     )
     write_report(outdir / REPORT_FILE, payload)
     write_fig4_csv(outdir / FIG4_FILE, report, len(options))

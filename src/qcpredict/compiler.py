@@ -497,18 +497,23 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
     # after[i][q]: index of the next op on qubit q after op i, n after the last
     after: list[dict[int, int]] = [{}] * n
     next_on: dict[int, int] = {}
+    # last[i]: the last op of op i's kind on op i's qubits (i itself when none
+    # follows); no partner for op i lies past it, so its walk stops there
+    last = [0] * n
+    last_of: dict[tuple[str, tuple[int, ...]], int] = {}
     for i in range(n - 1, -1, -1):
-        qubits = ops[i].qubits
-        after[i] = {q: next_on.get(q, n) for q in qubits}
-        for q in qubits:
+        op = ops[i]
+        after[i] = {q: next_on.get(q, n) for q in op.qubits}
+        for q in op.qubits:
             next_on[q] = i
+        last[i] = last_of.setdefault((op.kind, op.qubits), i)
 
     alive = [True] * n
     params_now: dict[int, tuple[float, ...]] = {}
     changed = False
 
     for i, op in enumerate(ops):
-        if not alive[i] or (op.kind not in _SELF_INVERSE and op.kind not in _ROTATIONS):
+        if last[i] == i or not alive[i] or (op.kind not in _SELF_INVERSE and op.kind not in _ROTATIONS):
             continue
         nxt = dict(after[i])
         while True:
@@ -519,7 +524,7 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
                     j = after[j][q]
                 nxt[q] = j
             cand = min(nxt.values())
-            if cand == n:
+            if cand > last[i]:
                 break
             other = ops[cand]
             if other.kind == op.kind and other.qubits == op.qubits:
@@ -546,33 +551,62 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
     ], True
 
 
-def _run_stage(ops: list[Instruction], fuse: bool, commute: bool) -> list[Instruction]:
+def _run_stage(
+    ops: list[Instruction], fuse: bool, commute: bool, scanned: bool
+) -> tuple[list[Instruction], bool]:
+    """Repeat one stage's passes until a round changes nothing; returns the
+    ops and whether any pass changed them. ``scanned`` says the ops are
+    already a fixed point of the adjacent scan, so the first round skips it."""
+    changed_any = False
     while True:
-        ops, changed = _adjacent_pass(ops, fuse)
+        changed = False
+        if not scanned:
+            ops, changed = _adjacent_pass(ops, fuse)
+        scanned = False
         if commute:
             ops, commuted = _commuting_pass(ops)
             changed = changed or commuted
         if not changed:
-            return ops
+            return ops, changed_any
+        changed_any = True
 
 
-def optimize(circuit: Circuit, level: str | int) -> Circuit:
-    """Apply the graded cleanup ladder; levels build on each other, so gate
-    counts never increase with the level."""
+# (fuse, commute) of the stages O1, O2, O3
+_STAGES = ((False, False), (True, False), (True, True))
+
+
+def _level_index(level: str | int) -> int:
     if isinstance(level, str):
         if level not in OPT_LEVELS:
             raise CompileError(f"unknown optimization level {level!r}")
-        level = OPT_LEVELS.index(level)
+        return OPT_LEVELS.index(level)
     if not 0 <= level <= 3:
         raise CompileError(f"unknown optimization level {level!r}")
-    if level == 0:
-        return circuit
-    ops = _run_stage(list(circuit.ops), fuse=False, commute=False)
-    if level >= 2:
-        ops = _run_stage(ops, fuse=True, commute=False)
-    if level >= 3:
-        ops = _run_stage(ops, fuse=True, commute=True)
-    return circuit.with_ops(tuple(ops))
+    return level
+
+
+def optimize(circuit: Circuit, level: str | int, start: str | int = 0) -> Circuit:
+    """Apply the graded cleanup ladder; levels build on each other, so gate
+    counts never increase with the level.
+
+    Only the stages ``start + 1 .. level`` run: the caller vouches that
+    ``circuit`` is already ``optimize(c, start)`` of some ``c``, so
+    ``optimize(optimize(c, a), b, start=a)`` equals ``optimize(c, b)``. Every
+    stage ends on a fixed point, which is what makes resuming exact; the O3
+    stage starts on the O2 fixed point of the fusing adjacent scan and so
+    skips its first such scan. Returns ``circuit`` itself when no stage
+    changes anything.
+    """
+    level, start = _level_index(level), _level_index(start)
+    if start > level:
+        raise CompileError(f"optimization cannot start at O{start}, above the target O{level}")
+    ops = list(circuit.ops)
+    changed = False
+    for stage in range(start, level):
+        fuse, commute = _STAGES[stage]
+        ops, stage_changed = _run_stage(ops, fuse, commute, scanned=stage == 2)
+        changed = changed or stage_changed
+    return circuit.with_ops(tuple(ops)) if changed else circuit
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +630,13 @@ def _compile_on_device(
     """Route and lower once per distinct layout, then climb the optimizer
     ladder through the levels the options ask for, one rung on the last.
 
-    Climbing is exact: every optimizer stage ends on a fixed point, so
-    ``optimize(optimize(c, a), b) == optimize(c, b)`` for ``a <= b``.
+    Each climb runs only the stages above the previous rung,
+    ``optimize(rung, level, start=previous)``, so every stage runs once per
+    layout. That is exact: every optimizer stage ends on a fixed point, so
+    ``optimize(optimize(c, a), b, start=a) == optimize(c, b)`` for
+    ``a <= b``. A climb that changes nothing returns the rung itself, so
+    options that share a circuit get the same ``Circuit`` object and are
+    yielded one after another.
     """
     plans: dict[tuple, tuple[dict[int, int], list[tuple[CompilationOption, bool, int]]]] = {}
     for option in options:
@@ -608,13 +647,18 @@ def _compile_on_device(
     for layout, wanted in plans.values():
         routed, final_layout, swaps = route(expanded, device, layout)
         rung = decompose_to_native(routed, device)
+        counted, native_gates = None, 0
+        previous = 0
         for level in sorted({level for _, _, level in wanted}):
-            rung = optimize(rung, level)
+            rung = optimize(rung, level, start=previous)
+            previous = level
+            if rung is not counted:
+                counted, native_gates = rung, rung.num_gates()
             for option, fell_back, option_level in wanted:
                 if option_level == level:
                     stats = {
                         "swaps_inserted": swaps,
-                        "native_gates": rung.num_gates(),
+                        "native_gates": native_gates,
                         "placement_fallback": fell_back,
                     }
                     yield option, CompiledResult(rung, dict(final_layout), option, stats)

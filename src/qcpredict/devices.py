@@ -12,12 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import log
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .circuit import GATE_SIGNATURES
+from .circuit import GATE_SIGNATURES, MEASURE
 
 SUPERCONDUCTING = "superconducting"
 ION_TRAP = "ion-trap"
@@ -98,6 +99,16 @@ class DeviceModel:
             if len(best) == self.num_qubits:
                 break
         return best
+
+    @cached_property
+    def log_fidelity(self) -> dict[tuple[str, tuple[int, ...]], float]:
+        """``log f`` per ``(kind, qubits)``, the readout of qubit ``q`` stored
+        under ``("measure", (q,))``: one lookup per scored op. A measure only
+        ever reads the readout table, even if the gate table names it."""
+        table = {key: log(fid) for key, fid in self.calib.gate_fidelity.items() if key[0] != MEASURE}
+        for q, fid in self.calib.readout_fidelity.items():
+            table[(MEASURE, (q,))] = log(fid)
+        return table
 
     def coupled(self, a: int, b: int) -> bool:
         return (a, b) in self.coupling

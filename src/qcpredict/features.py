@@ -8,10 +8,11 @@ qubit activity but never toward gate counts or the interaction graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from .circuit import CANONICAL_GATES, Circuit, circuit_depth, interaction_graph
+from .circuit import CANONICAL_GATES, Circuit, DepthSchedule, circuit_depth, interaction_graph
 
 COMPOSITE_NAMES = (
     "program_communication",
@@ -34,15 +35,19 @@ class FeatureSchema:
         if unknown:
             raise ValueError(f"pruned names not in schema: {sorted(unknown)}")
 
-    @property
+    @cached_property
     def retained(self) -> tuple[str, ...]:
         dropped = set(self.pruned)
         return tuple(n for n in self.names if n not in dropped)
 
 
+_COUNT_COLUMNS = tuple((f"count_{g}", g) for g in CANONICAL_GATES)
+
+
+@cache
 def full_schema() -> FeatureSchema:
-    names = ("num_qubits", "depth") + tuple(f"count_{g}" for g in CANONICAL_GATES) + COMPOSITE_NAMES
-    return FeatureSchema(names)
+    """The schema of ``extract_features``; one shared (immutable) instance."""
+    return FeatureSchema(("num_qubits", "depth") + tuple(name for name, _ in _COUNT_COLUMNS) + COMPOSITE_NAMES)
 
 
 def program_communication(circuit: Circuit) -> float:
@@ -54,30 +59,20 @@ def program_communication(circuit: Circuit) -> float:
     return degree_sum / (n * (n - 1))
 
 
-def critical_depth(circuit: Circuit) -> float:
-    """Fraction of multi-qubit gates lying on a longest dependency path."""
+def critical_depth(circuit: Circuit, schedule: DepthSchedule | None = None) -> float:
+    """Fraction of multi-qubit gates lying on a longest dependency path.
+    ``schedule`` is the circuit's ``circuit_depth``, when already built."""
     ops = circuit.ops
-    count = len(ops)
     multi = [i for i, op in enumerate(ops) if op.is_gate and len(op.qubits) >= 2]
     if not multi:
         return 0.0
 
-    # longest chains through each instruction, counted in instructions
-    up = [0] * count
-    frontier: dict[int, int] = {}
-    for i, op in enumerate(ops):
-        up[i] = 1 + max((up[frontier[q]] for q in op.qubits if q in frontier), default=0)
-        for q in op.qubits:
-            frontier[q] = i
-    down = [0] * count
-    frontier.clear()
-    for i in range(count - 1, -1, -1):
-        op = ops[i]
-        down[i] = 1 + max((down[frontier[q]] for q in op.qubits if q in frontier), default=0)
-        for q in op.qubits:
-            frontier[q] = i
-    longest = max(up)
-    on_longest = sum(1 for i in multi if up[i] + down[i] - 1 == longest)
+    # the longest chain ending at an op is its ASAP layer, and the longest
+    # chain starting there is its ASAP layer in the reversed circuit
+    schedule = schedule or circuit_depth(circuit)
+    up = schedule.layer_of
+    down = circuit_depth(circuit.with_ops(ops[::-1])).layer_of[::-1]
+    on_longest = sum(1 for i in multi if up[i] + down[i] - 1 == schedule.depth)
     return on_longest / len(multi)
 
 
@@ -94,10 +89,10 @@ def entanglement_ratio(circuit: Circuit) -> float:
     return multi / total
 
 
-def parallelism(circuit: Circuit) -> float:
+def parallelism(circuit: Circuit, schedule: DepthSchedule | None = None) -> float:
     """How far the schedule packs gates side by side: (n_g/d - 1)/(n - 1), clamped."""
     n = circuit.num_qubits
-    depth = circuit_depth(circuit).depth
+    depth = (schedule or circuit_depth(circuit)).depth
     if n < 2 or depth == 0:
         return 0.0
     gates = circuit.num_gates()
@@ -105,9 +100,9 @@ def parallelism(circuit: Circuit) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def liveness(circuit: Circuit) -> float:
+def liveness(circuit: Circuit, schedule: DepthSchedule | None = None) -> float:
     """Fraction of qubit-layer cells in which the qubit is busy (measures count)."""
-    depth = circuit_depth(circuit).depth
+    depth = (schedule or circuit_depth(circuit)).depth
     if depth == 0:
         return 0.0
     # ASAP never packs two ops sharing a qubit into one layer, so each
@@ -121,17 +116,18 @@ def extract_features(circuit: Circuit, schema: FeatureSchema | None = None) -> n
     if schema is None:
         schema = full_schema()
     counts = circuit.gate_counts()
+    schedule = circuit_depth(circuit)
     values = {
         "num_qubits": float(circuit.num_qubits),
-        "depth": float(circuit_depth(circuit).depth),
+        "depth": float(schedule.depth),
         "program_communication": program_communication(circuit),
-        "critical_depth": critical_depth(circuit),
+        "critical_depth": critical_depth(circuit, schedule),
         "entanglement_ratio": entanglement_ratio(circuit),
-        "parallelism": parallelism(circuit),
-        "liveness": liveness(circuit),
+        "parallelism": parallelism(circuit, schedule),
+        "liveness": liveness(circuit, schedule),
     }
-    for kind in CANONICAL_GATES:
-        values[f"count_{kind}"] = float(counts.get(kind, 0))
+    for name, kind in _COUNT_COLUMNS:
+        values[name] = float(counts.get(kind, 0))
     return np.array([values[name] for name in schema.retained], dtype=np.float64)
 
 

@@ -169,22 +169,6 @@ def _concat_trees(tables: list[NodeTable]) -> NodeTable:
     return NodeTable(**merged)
 
 
-def _forest_leaf_labels(nodes: NodeTable, X: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) leaf label matrix via lockstep descent of every tree
-    (per-tree python loops are too slow for single-row prediction)."""
-    n = X.shape[0]
-    position = np.broadcast_to(nodes.roots, (n, nodes.roots.shape[0])).copy()
-    rows = np.arange(n)[:, None]
-    while True:
-        feature = nodes.feature[position]
-        active = feature >= 0
-        if not active.any():
-            return nodes.label[position]
-        values = X[rows, np.where(active, feature, 0)]
-        descend = np.where(values <= nodes.threshold[position], position + 1, nodes.right[position])
-        position = np.where(active, descend, position)
-
-
 @dataclass
 class ForestModel:
     nodes: NodeTable
@@ -243,14 +227,27 @@ def fit_forest(
 
 
 def _vote_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """(n_samples, n_classes) matrix of per-tree votes."""
+    """(n_samples, n_classes) matrix of per-tree votes, from a lockstep
+    descent of every tree (per-tree python loops are too slow for single-row
+    prediction); each step moves only the (row, tree) walks not yet at a leaf."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != len(model.schema.retained):
         raise ValueError(f"expected {len(model.schema.retained)} features, got {X.shape[1]}")
-    labels = _forest_leaf_labels(model.nodes, X)
-    votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
-    np.add.at(votes, (np.arange(X.shape[0])[:, None], labels), 1)
-    return votes
+    nodes = model.nodes
+    n, n_trees, k = X.shape[0], nodes.roots.shape[0], model.n_classes
+    values = X.ravel()
+    walk = np.arange(n * n_trees)  # row-major over (row, tree)
+    row, tree = np.divmod(walk, n_trees)
+    position = nodes.roots[tree]
+    offset = row * X.shape[1]  # where the walk's row starts in values
+    live = walk[nodes.feature[position] >= 0]
+    while live.size:
+        at = position[live]
+        left = values[offset[live] + nodes.feature[at]] <= nodes.threshold[at]
+        at = np.where(left, at + 1, nodes.right[at])
+        position[live] = at
+        live = live[nodes.feature[at] >= 0]
+    return np.bincount(row * k + nodes.label[position], minlength=n * k).reshape(n, k)
 
 
 def predict_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -259,7 +256,7 @@ def predict_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict(model: ForestModel, x: np.ndarray) -> str:
-    return model.label_space[int(predict_many(model, np.atleast_2d(x))[0])]
+    return model.label_space[int(predict_many(model, x)[0])]
 
 
 def predict_top_k(model: ForestModel, x: np.ndarray, k: int) -> list[tuple[str, float]]:

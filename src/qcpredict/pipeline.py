@@ -58,6 +58,7 @@ DEFAULT_FOREST_PARAMS = {
 
 LABELS_FILE = "labels.csv"
 FEATURES_FILE = "features.csv"
+EXCLUDED_FILE = "excluded.csv"
 MODEL_FILE = "model.bin"
 REPORT_FILE = "report.json"
 FIG4_FILE = "fig4_histogram.csv"
@@ -224,13 +225,24 @@ def train_model(
     return model, chosen, results
 
 
+def _require_extractor_schema(model: ForestModel) -> None:
+    if tuple(model.schema.names) != full_schema().names:
+        raise PipelineError("model schema does not match this feature extractor")
+
+
 def project_to_model(model: ForestModel, features: np.ndarray) -> np.ndarray:
     """The model's input columns of full-schema feature rows (one vector or a
     matrix), as a matrix; refuses a model built on another feature schema."""
-    schema = full_schema()
-    if tuple(model.schema.names) != schema.names:
-        raise PipelineError("model schema does not match this feature extractor")
-    return project_columns(np.atleast_2d(features), schema, model.schema)
+    _require_extractor_schema(model)
+    return project_columns(np.atleast_2d(features), full_schema(), model.schema)
+
+
+def model_features(model: ForestModel, circuit: Circuit) -> np.ndarray:
+    """One circuit's features in the model's input columns, extracted directly
+    rather than projected from the full vector; refuses a model built on
+    another feature schema."""
+    _require_extractor_schema(model)
+    return extract_features(circuit, model.schema)
 
 
 def predicted_labels(model: ForestModel, samples: list[LabeledSample]) -> list[str]:
@@ -332,7 +344,7 @@ def runtime_compare(
     brute = time.perf_counter() - started
 
     started = time.perf_counter()
-    label = predict(model, project_to_model(model, extract_features(circuit)))
+    label = predict(model, model_features(model, circuit))
     option = by_id.get(label)
     if option is None:
         raise PipelineError(f"the model predicts {label}, which is not among the {len(options)} options given")
@@ -425,6 +437,30 @@ def write_features_csv(path: str | Path, samples: list[LabeledSample]) -> None:
     for s in samples:
         lines.append(",".join([s.name] + [repr(v) for v in s.features] + [s.label]))
     _write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def write_excluded_csv(path: str | Path, excluded: list[tuple[str, str]]) -> None:
+    """The circuits labeling left out, in corpus order, with their reasons."""
+    lines = ["name,reason"] + [f"{name},{reason}" for name, reason in excluded]
+    _write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def read_excluded_csv(path: str | Path) -> list[tuple[str, str]]:
+    """Rows of ``write_excluded_csv``; a reason is the rest of its line, so it
+    may hold commas."""
+    path = Path(path)
+    if not path.is_file():
+        raise PipelineError(f"missing file {path}; re-run `qcpredict label` to write it")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "name,reason":
+        raise PipelineError(f"{path} does not start with the header name,reason")
+    excluded = []
+    for line in lines[1:]:
+        name, comma, reason = line.partition(",")
+        if not comma:
+            raise PipelineError(f"{path}: row {line!r} has no reason")
+        excluded.append((name, reason))
+    return excluded
 
 
 def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -12,8 +12,9 @@ from qcpredict import ml
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
 from qcpredict.features import FeatureSchema, extract_features
+from qcpredict.generators import generate_corpus, ghz
 from qcpredict.ml import fit_forest, load_model, predict, predict_top_k, save_model
-from qcpredict.pipeline import project_to_model
+from qcpredict.pipeline import project_to_model, write_corpus
 from qcpredict.qasm import parse_qasm
 from qcpredict.simulator import check_equivalence
 
@@ -76,9 +77,33 @@ def test_label_outputs(workdir, capfd):
     assert "labeled 20 circuits (0 excluded)" in stdout
     assert (out / "labels.csv").is_file()
     assert (out / "features.csv").is_file()
+    assert (out / "excluded.csv").read_text(encoding="utf-8") == "name,reason\n"
     header = (out / "labels.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("circuit,label,score_dev8/A/O0,")
     assert header.count("score_") == 30
+
+
+def test_report_lists_the_excluded_circuits(tmp_path, capfd):
+    data = tmp_path / "data"
+    small = generate_corpus(families=["ghz", "dj", "qft"], qubit_range=(2, 5))
+    write_corpus(data, small[:6] + [ghz(130)] + small[6:] + [ghz(128)])
+    assert main(["label", "--corpus", str(data)]) == 0
+    reason = "all 30 options infeasible: {} qubits, wider than every device"
+    excluded = [["ghz_130", reason.format(130)], ["ghz_128", reason.format(128)]]
+    # in corpus order, each reason whole although it holds a comma
+    assert (data / "excluded.csv").read_text(encoding="utf-8") == (
+        "name,reason\n" + "".join(f"{name},{why}\n" for name, why in excluded)
+    )
+    assert main(["train", "--data", str(data), "--n-trees", "15", "--max-depth", "6"]) == 0
+    assert json.loads((data / "report.json").read_text(encoding="utf-8"))["excluded_circuits"] == excluded
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", str(data), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["excluded_circuits"] == excluded
+
+    (data / "excluded.csv").unlink()
+    capfd.readouterr()
+    assert main(["train", "--data", str(data), "--n-trees", "15", "--max-depth", "6"]) == 1
+    assert "excluded.csv" in capfd.readouterr().err
 
 
 def test_label_missing_corpus(tmp_path, capfd):

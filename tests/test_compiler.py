@@ -3,6 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from qcpredict import compiler
 from qcpredict.circuit import (
     GATE_SIGNATURES,
     Circuit,
@@ -16,6 +17,7 @@ from qcpredict.compiler import (
     CompileError,
     InfeasibleError,
     compile_circuit,
+    compile_options,
     decompose_to_native,
     enumerate_options,
     expand_three_qubit,
@@ -319,6 +321,42 @@ def test_optimizer_ladder_climbs_exactly(fleet):
             for a in range(4):
                 for b in range(a, 4):
                     assert optimize(ladder[a], b).ops == ladder[b].ops, (device_id, c.name, a, b)
+                    # resuming runs only the stages above a
+                    assert optimize(ladder[a], b, start=a).ops == ladder[b].ops, (device_id, c.name, a, b)
+
+
+def test_optimize_returns_its_input_when_nothing_changes():
+    settled = _circ(2, [gate("x", (0,)), gate("cx", (0, 1)), gate("rz", (1,), (0.5,))])
+    for level in range(4):
+        assert optimize(settled, level) is settled
+    assert optimize(settled, 3, start=1) is settled
+    cancelling = _circ(1, [gate("x", (0,)), gate("x", (0,))])
+    assert optimize(cancelling, 1) is not cancelling
+    assert optimize(cancelling, 1).num_gates() == 0
+
+
+def test_optimize_refuses_to_start_above_its_level():
+    c = _circ(1, [gate("x", (0,))])
+    with pytest.raises(CompileError, match="cannot start"):
+        optimize(c, 1, start=2)
+    with pytest.raises(CompileError):
+        optimize(c, 3, start="O4")
+
+
+def test_climb_runs_each_stage_once(fleet, monkeypatch):
+    # on a circuit nothing can shorten, the climb O1 -> O2 -> O3 on one layout
+    # scans once at O1 and once at O2; O3 starts on the O2 fixed point and
+    # skips its scan. Optimizing each level from scratch scans 1 + 2 + 3 times.
+    scans = []
+    real_scan = compiler._adjacent_pass
+    monkeypatch.setattr(compiler, "_adjacent_pass", lambda ops, fuse: scans.append(fuse) or real_scan(ops, fuse))
+    settled = _circ(2, [gate("x", (0,)), gate("cx", (0, 1)), gate("rz", (1,), (0.5,))])
+    options = [parse_option(f"dev8/A/O{level}") for level in (1, 2, 3)]
+    results = [result for _, result in compile_options(settled, options, fleet)]
+    assert scans == [False, True]
+    # nothing changed, so every option holds the one lowered circuit
+    assert results[0].circuit is results[1].circuit is results[2].circuit
+    assert [r.stats["native_gates"] for r in results] == [3, 3, 3]
 
 
 def test_optimize_rejects_unknown_level():

@@ -1,8 +1,8 @@
-from math import log
+from math import exp, log
 
 import pytest
 
-from qcpredict import compiler
+from qcpredict import compiler, scoring
 from qcpredict.circuit import Circuit, gate, measure
 from qcpredict.compiler import CompiledResult, InfeasibleError, compile_circuit, compile_options, parse_option
 from qcpredict.devices import Calibration, DeviceModel
@@ -67,6 +67,35 @@ def test_missing_calibration_entry_raises():
     device = _toy_device()
     with pytest.raises(CalibrationError, match="x"):
         evaluate_score(_result(device, [gate("x", (0,), ())._replace(qubits=(5,))]), device)
+
+
+def test_calibration_error_messages():
+    device = _toy_device()
+    with pytest.raises(CalibrationError) as gate_error:
+        evaluate_score(_result(device, [gate("cx", (1, 0)), gate("x", (0,))._replace(qubits=(5,))]), device)
+    assert gate_error.value.args == ("toy: no fidelity for x on (5,)",)
+    with pytest.raises(CalibrationError) as readout_error:
+        evaluate_score(_result(device, [measure(0, 0), measure(1, 1)._replace(qubits=(7,))], clbits=2), device)
+    assert readout_error.value.args == ("toy: no readout fidelity for qubit 7",)
+
+
+def _per_op_log_score(circuit, device):
+    """The score summed from math.log of every calibration entry, op by op."""
+    total = 0.0
+    for op in circuit.ops:
+        if op.kind == "measure":
+            total += log(device.calib.readout_fidelity[op.qubits[0]])
+        elif op.kind != "barrier":
+            total += log(device.calib.gate_fidelity[(op.kind, op.qubits)])
+    return exp(total)
+
+
+def test_log_table_scores_equal_per_op_logs(devices, options):
+    fleet = {d.id: d for d in devices}
+    for circuit in (_ghz(3), _toffoli_swap(5), _ghz(9)):
+        for option, result in compile_options(circuit, options, fleet):
+            device = fleet[option.device_id]
+            assert evaluate_score(result, device).value == _per_op_log_score(result.circuit, device), option.option_id
 
 
 def test_barriers_are_free():
@@ -162,6 +191,20 @@ def test_scores_agree_with_manual_recompute(devices, options):
             assert shared[option].layout == alone.layout, where
     assert shared[parse_option("dev27/B/line")].stats["placement_fallback"]
     assert not shared[parse_option("dev80/B/line")].stats["placement_fallback"]
+
+
+def test_each_distinct_rung_is_scored_once(devices, options, monkeypatch):
+    fleet = {d.id: d for d in devices}
+    scored = []
+    real_score = scoring.evaluate_score
+    monkeypatch.setattr(scoring, "evaluate_score", lambda result, device: scored.append(result) or real_score(result, device))
+    values = rank_options(_ghz(3), options, devices)
+    compiled = list(compile_options(_ghz(3), options, fleet))  # kept alive, so ids stay distinct
+    rungs = {(option.device_id, id(result.circuit)) for option, result in compiled}
+    assert len(scored) == len(rungs) < len(options)
+    # the shared scores are the ones each option gets alone
+    for option, value in zip(options, values):
+        assert value == real_score(compile_circuit(_ghz(3), option, fleet), fleet[option.device_id]).value
 
 
 def test_ranks_from_values():
