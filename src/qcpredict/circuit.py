@@ -157,7 +157,7 @@ def circuit_depth(circuit: Circuit) -> DepthSchedule:
     layers: list[int] = []
     for op in circuit.ops:
         qubits = op.qubits
-        if len(qubits) == 1:  # most ops; the general branch gives the same layer
+        if len(qubits) == 1:  # same layer as the general branch, without a comprehension per op
             (q,) = qubits
             layer = frontier[q] = frontier[q] + 1
         else:

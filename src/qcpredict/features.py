@@ -41,13 +41,11 @@ class FeatureSchema:
         return tuple(n for n in self.names if n not in dropped)
 
 
-_COUNT_COLUMNS = tuple((f"count_{g}", g) for g in CANONICAL_GATES)
-
-
 @cache
 def full_schema() -> FeatureSchema:
     """The schema of ``extract_features``; one shared (immutable) instance."""
-    return FeatureSchema(("num_qubits", "depth") + tuple(name for name, _ in _COUNT_COLUMNS) + COMPOSITE_NAMES)
+    names = ("num_qubits", "depth") + tuple(f"count_{g}" for g in CANONICAL_GATES) + COMPOSITE_NAMES
+    return FeatureSchema(names)
 
 
 def program_communication(circuit: Circuit) -> float:
@@ -126,8 +124,8 @@ def extract_features(circuit: Circuit, schema: FeatureSchema | None = None) -> n
         "parallelism": parallelism(circuit, schedule),
         "liveness": liveness(circuit, schedule),
     }
-    for name, kind in _COUNT_COLUMNS:
-        values[name] = float(counts.get(kind, 0))
+    for kind in CANONICAL_GATES:
+        values[f"count_{kind}"] = float(counts.get(kind, 0))
     return np.array([values[name] for name in schema.retained], dtype=np.float64)
 
 

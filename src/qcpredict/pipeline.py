@@ -225,23 +225,25 @@ def train_model(
     return model, chosen, results
 
 
-def _require_extractor_schema(model: ForestModel) -> None:
-    if tuple(model.schema.names) != full_schema().names:
+def _extractor_schema(model: ForestModel) -> FeatureSchema:
+    """The full schema, once the model is known to be built on it."""
+    schema = full_schema()
+    if tuple(model.schema.names) != schema.names:
         raise PipelineError("model schema does not match this feature extractor")
+    return schema
 
 
 def project_to_model(model: ForestModel, features: np.ndarray) -> np.ndarray:
-    """The model's input columns of full-schema feature rows (one vector or a
-    matrix), as a matrix; refuses a model built on another feature schema."""
-    _require_extractor_schema(model)
-    return project_columns(np.atleast_2d(features), full_schema(), model.schema)
+    """The model's input columns of a matrix of full-schema feature rows;
+    refuses a model built on another feature schema."""
+    return project_columns(features, _extractor_schema(model), model.schema)
 
 
 def model_features(model: ForestModel, circuit: Circuit) -> np.ndarray:
-    """One circuit's features in the model's input columns, extracted directly
-    rather than projected from the full vector; refuses a model built on
-    another feature schema."""
-    _require_extractor_schema(model)
+    """One circuit's features, extracted in the model's input columns rather
+    than projected from the full vector (a projection costs predict-then-
+    compile about 5%); refuses a model built on another feature schema."""
+    _extractor_schema(model)
     return extract_features(circuit, model.schema)
 
 
@@ -445,12 +447,13 @@ def write_excluded_csv(path: str | Path, excluded: list[tuple[str, str]]) -> Non
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def read_excluded_csv(path: str | Path) -> list[tuple[str, str]]:
+def read_excluded_csv(path: str | Path) -> list[tuple[str, str]] | None:
     """Rows of ``write_excluded_csv``; a reason is the rest of its line, so it
-    may hold commas."""
+    may hold commas. None when the file is missing (a data directory labeled
+    before labeling wrote it): which circuits were left out is unknown."""
     path = Path(path)
     if not path.is_file():
-        raise PipelineError(f"missing file {path}; re-run `qcpredict label` to write it")
+        return None
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "name,reason":
         raise PipelineError(f"{path} does not start with the header name,reason")
@@ -560,7 +563,8 @@ def build_report(
     seed: int = 0,
 ) -> dict:
     """Assemble the JSON report. Deliberately excludes wall-clock timings so
-    reruns with one seed are byte-identical."""
+    reruns with one seed are byte-identical. ``excluded`` None (unknown) is
+    written as null, not as an empty list."""
     return {
         "accuracy": report.accuracy,
         "top3": report.top3,
@@ -571,6 +575,6 @@ def build_report(
         "majority_baseline_accuracy": majority_accuracy,
         "classifier_params": {k: params[k] for k in sorted(params)},
         "seed": seed,
-        "excluded_circuits": [list(e) for e in (excluded or [])],
+        "excluded_circuits": None if excluded is None else [list(e) for e in excluded],
         "external_reference": EXTERNAL_REFERENCE,
     }

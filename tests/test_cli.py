@@ -11,10 +11,10 @@ import qcpredict
 from qcpredict import ml
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
-from qcpredict.features import FeatureSchema, extract_features
+from qcpredict.features import FeatureSchema
 from qcpredict.generators import generate_corpus, ghz
 from qcpredict.ml import fit_forest, load_model, predict, predict_top_k, save_model
-from qcpredict.pipeline import project_to_model, write_corpus
+from qcpredict.pipeline import model_features, write_corpus
 from qcpredict.qasm import parse_qasm
 from qcpredict.simulator import check_equivalence
 
@@ -83,7 +83,7 @@ def test_label_outputs(workdir, capfd):
     assert header.count("score_") == 30
 
 
-def test_report_lists_the_excluded_circuits(tmp_path, capfd):
+def test_report_lists_the_excluded_circuits(tmp_path):
     data = tmp_path / "data"
     small = generate_corpus(families=["ghz", "dj", "qft"], qubit_range=(2, 5))
     write_corpus(data, small[:6] + [ghz(130)] + small[6:] + [ghz(128)])
@@ -100,10 +100,11 @@ def test_report_lists_the_excluded_circuits(tmp_path, capfd):
     assert main(["evaluate", "--data", str(data), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["excluded_circuits"] == excluded
 
+    # a directory labeled before excluded.csv existed still trains; its
+    # excluded circuits are unknown, not none
     (data / "excluded.csv").unlink()
-    capfd.readouterr()
-    assert main(["train", "--data", str(data), "--n-trees", "15", "--max-depth", "6"]) == 1
-    assert "excluded.csv" in capfd.readouterr().err
+    assert main(["train", "--data", str(data), "--n-trees", "15", "--max-depth", "6"]) == 0
+    assert json.loads((data / "report.json").read_text(encoding="utf-8"))["excluded_circuits"] is None
 
 
 def test_label_missing_corpus(tmp_path, capfd):
@@ -167,7 +168,7 @@ def test_predict_prints_choice_and_shares(workdir, capfd):
 def test_predict_votes_once(workdir, capfd, monkeypatch):
     model = load_model(workdir / "model.bin")
     qasm = workdir / "circuits" / "qft_004.qasm"
-    x = project_to_model(model, extract_features(parse_qasm(qasm.read_text(encoding="utf-8"))))
+    x = model_features(model, parse_qasm(qasm.read_text(encoding="utf-8")))
     expected = [f"predicted: {predict(model, x)}"]
     expected += [f"  {i}. {label}  vote share {share:.3f}"
                  for i, (label, share) in enumerate(predict_top_k(model, x, 3), start=1)]
