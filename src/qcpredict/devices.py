@@ -257,12 +257,28 @@ def load_device(path: str | Path) -> DeviceModel:
     for entry in doc.get("gate_fidelities") or []:
         kind = str(entry["gate"])
         qubits = tuple(int(q) for q in entry["qubits"])
+        if kind == MEASURE:
+            raise DeviceError(
+                f"{path}: gate_fidelities entry for measure{qubits}; "
+                "measurements are scored from readout_fidelities"
+            )
         if kind not in native:
             raise DeviceError(f"{path}: fidelity entry for non-native gate {kind!r}")
+        if len(qubits) != GATE_SIGNATURES[kind][0]:
+            raise DeviceError(
+                f"{path}: fidelity entry {kind}{qubits} names {len(qubits)} qubits, "
+                f"{kind} acts on {GATE_SIGNATURES[kind][0]}"
+            )
+        if not all(0 <= q < n for q in qubits):
+            raise DeviceError(f"{path}: fidelity entry {kind}{qubits} has a qubit out of range")
+        if len(qubits) == 2 and qubits not in coupling:
+            raise DeviceError(f"{path}: fidelity entry {kind}{qubits} is not a coupling pair")
         gate_fidelity[(kind, qubits)] = _check_fidelity(entry["fidelity"], f"gate {kind}{qubits}")
     readout: dict[int, float] = {}
     for entry in doc.get("readout_fidelities") or []:
         q = int(entry["qubit"])
+        if not 0 <= q < n:
+            raise DeviceError(f"{path}: readout fidelity for qubit {q} out of range")
         readout[q] = _check_fidelity(entry["fidelity"], f"readout {q}")
 
     # every native gate needs an entry on every legal qubit tuple

@@ -61,47 +61,41 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(
-    X: np.ndarray, onehot: np.ndarray, parent_gini: float, min_leaf: int, feature_indices: np.ndarray
+def _split_search(
+    X: np.ndarray, onehot: np.ndarray, idx: np.ndarray, candidates: np.ndarray,
+    parent_gini: float, min_leaf: int,
 ) -> tuple[int, float] | None:
-    """Scan candidate thresholds (midpoints between distinct sorted values).
-
-    Minimizes the weighted child gini; ties keep the lowest feature index and
-    then the lowest threshold. Returns None when no split improves impurity.
+    """Best (feature, threshold) over the block of rows ``idx`` x the sorted
+    ``candidates`` (see ``fit_tree``). Thresholds are midpoints between
+    distinct sorted values. Returns None when no split leaves both sides
+    ``min_leaf`` rows and lowers the gini by more than ``_MIN_DECREASE``.
     """
-    n = X.shape[0]
+    n = idx.shape[0]
     if n < 2 * min_leaf:
         return None
-    left_count = np.arange(1, n, dtype=np.float64)
+    left_count = np.arange(1, n, dtype=np.float64)[:, None]
     right_count = n - left_count
     size_ok = (left_count >= min_leaf) & (right_count >= min_leaf)
 
-    best_score = np.inf
-    best: tuple[int, float] | None = None
-    for f in feature_indices:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        if xs[0] == xs[-1]:
-            continue
-        valid = (xs[:-1] < xs[1:]) & size_ok
-        if not valid.any():
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left = cum[:-1]
-        right = cum[-1] - left
-        sumsq_left = np.einsum("ij,ij->i", left, left)
-        sumsq_right = np.einsum("ij,ij->i", right, right)
-        weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / n
-        weighted[~valid] = np.inf
-        i = int(np.argmin(weighted))
-        score = weighted[i]
-        if score < best_score:
-            best_score = score
-            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
-    if best is None or parent_gini - best_score <= _MIN_DECREASE:
+    order = np.argsort(X[idx[:, None], candidates], axis=0, kind="stable")
+    rows = idx[order]  # (n, k) training rows, each column sorted by its feature
+    xs = X[rows, candidates]
+    valid = (xs[:-1] < xs[1:]) & size_ok
+    if not valid.any():
         return None
-    return best
+    # integer counts in float64: cumsum and sums of squares are exact
+    cum = np.cumsum(onehot[rows], axis=0)
+    left = cum[:-1]
+    right = cum[-1] - left
+    sumsq_left = np.einsum("ijk,ijk->ij", left, left)
+    sumsq_right = np.einsum("ijk,ijk->ij", right, right)
+    weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / n
+    weighted[~valid] = np.inf
+    # feature-major: the first minimum is the lowest feature, then threshold
+    f, i = divmod(int(np.argmin(weighted.T)), n - 1)
+    if parent_gini - weighted[i, f] <= _MIN_DECREASE:
+        return None
+    return int(candidates[f]), float((xs[i, f] + xs[i + 1, f]) / 2.0)
 
 
 def fit_tree(
@@ -115,7 +109,18 @@ def fit_tree(
 ) -> NodeTable:
     """Grow one CART tree into a one-root node table. ``max_features`` with
     an rng samples a fresh feature subset at every node (forest mode);
-    otherwise all features are candidates."""
+    otherwise all features are candidates.
+
+    The tree grows depth-first, left child first. Every impure node above
+    ``max_depth`` draws its subset from the rng in that preorder, even when
+    it is too small to split, so a seed fixes the tree. Each node runs one
+    batched split search over its rows x candidate features: one stable
+    argsort along the rows, one gather of the sorted values, one cumsum of
+    the class one-hots, and the weighted child gini of every (feature,
+    threshold) pair as one matrix. Class counts are integers held in
+    float64, so every sum is exact in any order. The matrix is scanned
+    feature-major for its first minimum: ties go to the lowest candidate
+    feature, then to the lowest threshold within it."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
@@ -128,7 +133,7 @@ def fit_tree(
     nodes: dict[str, list] = {name: [] for name in _NODE_DTYPES if name != "roots"}
 
     def grow(idx: np.ndarray, depth: int) -> None:
-        counts = onehot[idx].sum(axis=0)
+        counts = np.bincount(y[idx], minlength=n_classes)
         impurity = _gini(counts)
         split = None
         if impurity > 0.0 and (max_depth is None or depth < max_depth):
@@ -136,7 +141,7 @@ def fit_tree(
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
                 candidates = np.arange(n_features)
-            split = _best_split(X[idx], onehot[idx], impurity, min_samples_leaf, candidates)
+            split = _split_search(X, onehot, idx, candidates, impurity, min_samples_leaf)
         node = len(nodes["feature"])
         feature, threshold = split if split is not None else (-1, 0.0)
         nodes["feature"].append(feature)

@@ -194,3 +194,27 @@ def test_load_device_rejects_missing_required_key(tmp_path):
     _write_yaml(path, doc)
     with pytest.raises(DeviceError, match="coupling"):
         load_device(path)
+
+
+_CHAIN3 = {"num_qubits": 3, "coupling": [[0, 1], [1, 0], [1, 2], [2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"gate_fidelities": [{"gate": "measure", "qubits": [0], "fidelity": 0.5}]}, "readout_fidelities"),
+        ({"gate_fidelities": [{"gate": "x", "qubits": [9], "fidelity": 0.5}]}, r"x\(9,\) has a qubit out of range"),
+        ({"gate_fidelities": [{"gate": "cx", "qubits": [0], "fidelity": 0.5}]}, r"cx\(0,\) names 1 qubits"),
+        ({"gate_fidelities": [{"gate": "x", "qubits": [0, 1], "fidelity": 0.5}]}, r"x\(0, 1\) names 2 qubits"),
+        (
+            dict(_CHAIN3, gate_fidelities=[{"gate": "cx", "qubits": [0, 2], "fidelity": 0.5}]),
+            r"cx\(0, 2\) is not a coupling pair",
+        ),
+        ({"readout_fidelities": [{"qubit": 7, "fidelity": 0.5}]}, "qubit 7 out of range"),
+    ],
+)
+def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides, match):
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(**overrides))
+    with pytest.raises(DeviceError, match=match):
+        load_device(path)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from qcpredict.ml import (
     MODEL_VERSION,
     ForestModel,
     ModelFormatError,
+    NodeTable,
     feature_importance,
     fit_forest,
     fit_tree,
@@ -120,6 +122,111 @@ def test_fit_tree_rejects_bad_input():
         fit_tree(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
     with pytest.raises(ValueError):
         fit_tree(np.zeros((3, 2)), np.array([0, 1, 2]), 2)  # label out of range
+
+
+def _reference_best_split(X, onehot, parent_gini, min_leaf, feature_indices):
+    """Reference: one sort and scan per candidate feature, a later feature
+    winning only with a strictly smaller weighted gini."""
+    n = X.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    left_count = np.arange(1, n, dtype=np.float64)
+    right_count = n - left_count
+    size_ok = (left_count >= min_leaf) & (right_count >= min_leaf)
+    best_score = np.inf
+    best = None
+    for f in feature_indices:
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        valid = (xs[:-1] < xs[1:]) & size_ok
+        if not valid.any():
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left = cum[:-1]
+        right = cum[-1] - left
+        sumsq_left = np.einsum("ij,ij->i", left, left)
+        sumsq_right = np.einsum("ij,ij->i", right, right)
+        weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / n
+        weighted[~valid] = np.inf
+        i = int(np.argmin(weighted))
+        if weighted[i] < best_score:
+            best_score = weighted[i]
+            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
+    if best is None or parent_gini - best_score <= 1e-12:
+        return None
+    return best
+
+
+def _reference_fit_tree(X, y, n_classes, max_depth, min_samples_leaf, rng=None, max_features=None):
+    """Reference: depth-first growth over ``_reference_best_split``, drawing
+    a feature subset at every impure node above ``max_depth`` in preorder."""
+    n_features = X.shape[1]
+    onehot = np.zeros((X.shape[0], n_classes))
+    onehot[np.arange(X.shape[0]), y] = 1.0
+    nodes = {name: [] for name in ("feature", "threshold", "right", "label", "n_samples", "impurity")}
+
+    def grow(idx, depth):
+        counts = onehot[idx].sum(axis=0)
+        p = counts / counts.sum()
+        impurity = float(1.0 - (p * p).sum())
+        split = None
+        if impurity > 0.0 and (max_depth is None or depth < max_depth):
+            if max_features is not None:
+                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            else:
+                candidates = np.arange(n_features)
+            split = _reference_best_split(X[idx], onehot[idx], impurity, min_samples_leaf, candidates)
+        node = len(nodes["feature"])
+        feature, threshold = split if split is not None else (-1, 0.0)
+        for name, value in (
+            ("feature", feature), ("threshold", threshold), ("right", -1),
+            ("label", int(np.argmax(counts)) if split is None else -1),
+            ("n_samples", idx.shape[0]), ("impurity", impurity),
+        ):
+            nodes[name].append(value)
+        if split is not None:
+            mask = X[idx, feature] <= threshold
+            grow(idx[mask], depth + 1)
+            nodes["right"][node] = len(nodes["feature"])
+            grow(idx[~mask], depth + 1)
+
+    grow(np.arange(X.shape[0]), 0)
+    return NodeTable(
+        **{name: np.array(values, dtype=np.float64 if name in ("threshold", "impurity") else np.int64)
+           for name, values in nodes.items()},
+        roots=np.zeros(1, dtype=np.int64),
+    )
+
+
+def _tie_heavy_matrix(seed, n=90):
+    """Few distinct values per column, a constant column, and column 4 an
+    exact copy of column 1, so thresholds and whole features tie."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(n, 6)).astype(np.float64)
+    X[:, 3] = 2.0
+    X[:, 4] = X[:, 1]
+    X[:, 5] = rng.uniform(size=n).round(1)
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 2, size=n)).astype(np.int64) % 3
+    return X, y
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("min_leaf", [1, 2, 4])
+@pytest.mark.parametrize("max_depth", [None, 3])
+@pytest.mark.parametrize("max_features", [None, 2])
+def test_split_search_matches_the_per_feature_reference(seed, min_leaf, max_depth, max_features):
+    X, y = _tie_heavy_matrix(seed)
+    fast_rng = np.random.Generator(np.random.Philox(seed))
+    ref_rng = np.random.Generator(np.random.Philox(seed))
+    tree = fit_tree(X, y, 3, max_depth, min_leaf, rng=fast_rng, max_features=max_features)
+    ref = _reference_fit_tree(X, y, 3, max_depth, min_leaf, rng=ref_rng, max_features=max_features)
+    assert tree == ref
+    assert tree.feature.shape[0] > 1
+    # both growers left each generator at the same point of its stream
+    assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +575,19 @@ def test_load_rejects_truncated_trees(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="corrupt"):
         load_model(path)
+
+
+# sha256 of model.bin for the forest of ``test_saved_forest_is_pinned``;
+# a change means the forest or its file format moved
+PINNED_FOREST_SHA256 = "6fe9406744758dbe64d80ab7bd0b4444796ea6756c2410bb20ff34c4d3f93f8e"
+
+
+def test_saved_forest_is_pinned(tmp_path):
+    rng = np.random.default_rng(2024)
+    X = rng.integers(0, 6, size=(150, 8)).astype(np.float64)
+    X = np.column_stack([X, X[:, 2]])  # an exact copy of column 2
+    y = (X[:, 0] + X[:, 2] + rng.integers(0, 3, size=150)) % 4
+    model = fit_forest(X, y, _schema(9), ("a", "b", "c", "d"), n_trees=40, seed=5)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FOREST_SHA256
