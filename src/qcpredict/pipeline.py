@@ -410,7 +410,7 @@ def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
 
 
 def read_corpus(outdir: str | Path) -> list[Circuit]:
-    """Load circuits back in manifest order."""
+    """Load circuits back in manifest order, checking each file's hash and width."""
     outdir = Path(outdir)
     manifest_path = outdir / MANIFEST_FILE
     if not manifest_path.is_file():
@@ -421,7 +421,14 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
         path = outdir / CIRCUITS_DIR / f"{entry['name']}.qasm"
         if not path.is_file():
             raise PipelineError(f"manifest references missing file {path}")
-        circuits.append(parse_qasm(path.read_text(encoding="utf-8"), name=entry["name"]))
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
+            raise PipelineError(f"{path} does not match the sha256 in {manifest_path}")
+        circuit = parse_qasm(data.decode("utf-8"), name=entry["name"])
+        if circuit.num_qubits != entry.get("qubits"):
+            raise PipelineError(
+                f"{path} has {circuit.num_qubits} qubits, but {manifest_path} records {entry.get('qubits')}")
+        circuits.append(circuit)
     return circuits
 
 

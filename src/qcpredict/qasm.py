@@ -4,24 +4,19 @@ Supported statements: the version header, the standard include, qreg/creg
 declarations, standard-header gate applications, measure, and barrier.
 Registers are flattened to global indices in declaration order. Angle
 expressions are evaluated to doubles at parse time (pi, + - * /, parentheses,
-unary minus). User-defined gates, if, opaque, and reset are rejected by name.
+unary minus) and must come out finite. User-defined gates, if, opaque, and
+reset are rejected by name.
+
+Parsing is one linear pass over the statements, carrying the line number
+from one ';' to the next, so its cost grows with the size of the source.
 """
 from __future__ import annotations
 
 import re
-from math import pi
+from itertools import accumulate, repeat
+from math import isfinite, pi
 
-from .circuit import (
-    BARRIER,
-    GATE_SIGNATURES,
-    MEASURE,
-    Circuit,
-    Instruction,
-    barrier,
-    gate,
-    measure,
-    validate,
-)
+from .circuit import BARRIER, GATE_SIGNATURES, MEASURE, Circuit, Instruction, validate
 
 
 class QasmError(ValueError):
@@ -37,16 +32,28 @@ _ALIASES = {"u": "u3", "U": "u3", "CX": "cx", "cu1": "cp", "p": "u1"}
 
 _FORBIDDEN = ("gate", "if", "opaque", "reset")
 
-_TOKEN_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|pi|[+\-*/()]")
+# angle tokens (group `ok`), the item separator ',', and any other non-blank
+# character as a token of its own that makes its item a bad expression
+_TOKEN_RE = re.compile(
+    r"(?P<ok>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|pi|[+\-*/()])|,|\S"
+)
+# `name(params) args`: the parameters run to the last ')', as arguments never contain one
+_GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?(.*)", re.S)
 _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 _DECL_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_PAREN_STEP = {"(": 1, ")": -1}
 
 
-def _eval_angle(text: str, line: int) -> float:
-    """Recursive-descent evaluation of a constant angle expression."""
-    tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", text):
-        raise QasmError(f"bad angle expression {text!r}", line)
+def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
+    """Evaluate a comma-separated list of constant angle expressions.
+
+    Items are split at commas outside parentheses, blank items are skipped,
+    and each item is evaluated by recursive descent and must be finite. A ')'
+    outside parentheses ends the list early. Returns the values and the
+    offset in ``text`` where the list ended.
+    """
+    tokens: list[str] = []  # the current item's tokens
+    item = ""  # the current item's text
     pos = 0
 
     def peek() -> str | None:
@@ -54,19 +61,18 @@ def _eval_angle(text: str, line: int) -> float:
 
     def take() -> str:
         nonlocal pos
-        tok = tokens[pos]
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
     def atom() -> float:
         tok = peek()
         if tok is None:
-            raise QasmError(f"truncated angle expression {text!r}", line)
+            raise QasmError(f"truncated angle expression {item!r}", line)
         if tok == "(":
             take()
             value = expr()
             if peek() != ")":
-                raise QasmError(f"unbalanced parentheses in {text!r}", line)
+                raise QasmError(f"unbalanced parentheses in {item!r}", line)
             take()
             return value
         if tok == "pi":
@@ -85,6 +91,8 @@ def _eval_angle(text: str, line: int) -> float:
         while peek() in ("*", "/"):
             op = take()
             rhs = atom()
+            if op == "/" and rhs == 0:
+                raise QasmError(f"division by zero in angle expression {item!r}", line)
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -96,10 +104,34 @@ def _eval_angle(text: str, line: int) -> float:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    result = expr()
-    if pos != len(tokens):
-        raise QasmError(f"trailing tokens in angle expression {text!r}", line)
-    return result
+    def finish(end: int) -> None:
+        nonlocal item, pos
+        item, pos = text[start:end], 0
+        if not clean:
+            raise QasmError(f"bad angle expression {item!r}", line)
+        if tokens:
+            value = expr()
+            if pos != len(tokens):
+                raise QasmError(f"trailing tokens in angle expression {item!r}", line)
+            if not isfinite(value):
+                raise QasmError(f"angle expression {item!r} is not a finite number", line)
+            values.append(value)
+
+    values: list[float] = []
+    start, depth, clean = 0, 0, True  # where the item begins, its open '(' count, no bad token yet
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if depth == 0 and tok in (",", ")"):
+            finish(m.start())
+            if tok == ")":
+                return tuple(values), m.start()
+            tokens, start, clean = [], m.end(), True
+            continue
+        depth += (tok == "(") - (tok == ")")
+        clean = clean and m.lastgroup == "ok"
+        tokens.append(tok)
+    finish(len(text))
+    return tuple(values), len(text)
 
 
 def _strip_comments(source: str) -> str:
@@ -111,28 +143,15 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
     text = _strip_comments(source)
 
     for word in _FORBIDDEN:
-        m = re.search(rf"(^|[;\s]){word}\b", text)
+        m = word in text and re.search(rf"(^|[;\s]){word}\b", text)
         if m:
             line = text.count("\n", 0, m.start() + len(m.group(1))) + 1
             raise QasmError(f"unsupported construct '{word}'", line)
 
-    # statements end with ';'; line numbers recovered from offsets
-    statements: list[tuple[str, int]] = []
-    start = 0
-    for m in re.finditer(";", text):
-        stmt = text[start:m.start()].strip()
-        if stmt:
-            statements.append((stmt, text.count("\n", 0, start) + 1 + _leading_newlines(text, start, m.start())))
-        start = m.end()
-    tail = text[start:].strip()
-    if tail:
-        raise QasmError(f"statement missing ';': {tail!r}", text.count("\n", 0, start) + 1)
-
-    if not statements or not re.match(r"^OPENQASM\s+2\.0$", statements[0][0]):
-        raise QasmError("expected 'OPENQASM 2.0;' header", statements[0][1] if statements else 1)
-    body = statements[1:]
-    if body and re.match(r"^include\s+\"qelib1\.inc\"$", body[0][0]):
-        body = body[1:]
+    # statements end with ';'; text after the last one must be blank
+    body, _, tail = text.rpartition(";")
+    if tail.strip():
+        raise QasmError(f"statement missing ';': {tail.strip()!r}", body.count("\n") + 1)
 
     qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
     cregs: dict[str, tuple[int, int]] = {}
@@ -155,7 +174,23 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
             raise QasmError(f"index {i} out of range for {reg}[{size}]", line)
         return [offset + i]
 
-    for stmt, line in body:
+    seen = 0  # statements read so far
+    next_line = 1  # the line on which the next segment starts
+    for segment in body.split(";"):
+        stmt = segment.strip()
+        if not stmt:
+            next_line += segment.count("\n")
+            continue
+        # a statement's line is the line of its first non-blank character
+        line = next_line + segment.count("\n", 0, segment.find(stmt[0]))
+        next_line += segment.count("\n")
+        seen += 1
+        if seen <= 2:
+            if seen == 1 and not re.match(r"^OPENQASM\s+2\.0$", stmt):
+                raise QasmError("expected 'OPENQASM 2.0;' header", line)
+            if seen == 1 or re.match(r"^include\s+\"qelib1\.inc\"$", stmt):
+                continue
+
         m = _DECL_RE.match(stmt)
         if m:
             which, reg, size = m.group(1), m.group(2), int(m.group(3))
@@ -182,7 +217,7 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
             cs = resolve(m.group(2), cregs, "classical", line)
             if len(qs) != len(cs):
                 raise QasmError("measure arity mismatch between registers", line)
-            ops.extend(measure(q, c) for q, c in zip(qs, cs))
+            ops.extend(Instruction(MEASURE, (q,), (), c) for q, c in zip(qs, cs))
             continue
 
         if stmt == "barrier" or stmt.startswith("barrier ") or stmt.startswith("barrier\t"):
@@ -195,93 +230,54 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
                     qs.extend(resolve(arg, qregs, "quantum", line))
             if not qs:
                 raise QasmError("barrier on empty register set", line)
-            ops.append(barrier(qs))
+            if len(set(qs)) != len(qs):
+                raise QasmError("barrier applied to duplicate qubits", line)
+            ops.append(Instruction(BARRIER, tuple(qs)))
             continue
 
-        raw_kind, raw_params, raw_args = _split_gate_statement(stmt, line)
+        m = _GATE_RE.match(stmt)
+        if not m:
+            raise QasmError(f"unparseable statement {stmt!r}", line)
+        raw_kind, raw_params, raw_args = m.groups()
+        unclosed = raw_params is None and raw_args.startswith("(")
+        if raw_params and "(" in raw_params:
+            # a ')' too many ends the list early; without one, a '(' left open never closes
+            depths = list(accumulate(map(_PAREN_STEP.get, raw_params, repeat(0)), initial=0))
+            unclosed = min(depths) == 0 < depths[-1]
+        if unclosed:
+            raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
         kind = _ALIASES.get(raw_kind, raw_kind)
         if kind not in GATE_SIGNATURES:
             raise QasmError(f"unknown gate {raw_kind!r}", line)
         arity, nparams = GATE_SIGNATURES[kind]
-        params = []
+        params: tuple[float, ...] = ()
         if raw_params is not None:
-            parts = _split_params(raw_params)
-            params = [_eval_angle(p, line) for p in parts if p.strip()]
+            params, end = _eval_angles(raw_params, line)
+            if end < len(raw_params):  # the rest of a list closed early joins the arguments
+                raw_args = raw_params[end + 1:] + ")" + raw_args
         if len(params) != nparams:
             raise QasmError(f"{raw_kind} expects {nparams} parameter(s), got {len(params)}", line)
         args = [a for a in raw_args.split(",") if a.strip()]
         if len(args) != arity:
             raise QasmError(f"{raw_kind} expects {arity} argument(s), got {len(args)}", line)
-        groups = [resolve(a, qregs, "quantum", line) for a in args]
         if arity == 1:
             # whole-register form broadcasts a single-qubit gate
-            for q in groups[0]:
-                ops.append(gate(kind, (q,), params))
-        else:
-            if any(len(g) != 1 for g in groups):
-                raise QasmError("register broadcast is only supported for single-qubit gates", line)
-            qs = tuple(g[0] for g in groups)
-            if len(set(qs)) != len(qs):
-                raise QasmError(f"{raw_kind} applied to duplicate qubits", line)
-            ops.append(gate(kind, qs, params))
+            ops.extend(Instruction(kind, (q,), params) for q in resolve(args[0], qregs, "quantum", line))
+            continue
+        qs = tuple(q for a in args for q in resolve(a, qregs, "quantum", line))
+        if len(qs) != arity:
+            raise QasmError("register broadcast is only supported for single-qubit gates", line)
+        if len(set(qs)) != arity:
+            raise QasmError(f"{raw_kind} applied to duplicate qubits", line)
+        ops.append(Instruction(kind, qs, params))
 
+    if not seen:
+        raise QasmError("expected 'OPENQASM 2.0;' header", 1)
     if num_qubits == 0:
         raise QasmError("no qreg declared", 1)
     circuit = Circuit(num_qubits, num_clbits, tuple(ops), name)
     validate(circuit)
     return circuit
-
-
-def _split_gate_statement(stmt: str, line: int) -> tuple[str, str | None, str]:
-    """Split ``name(params) args`` with paren-aware parameter extraction
-    (angle expressions may nest parentheses)."""
-    m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*", stmt)
-    if not m:
-        raise QasmError(f"unparseable statement {stmt!r}", line)
-    rest = stmt[m.end():]
-    raw_params = None
-    if rest.startswith("("):
-        depth = 0
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        else:
-            raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
-        raw_params = rest[1:i]
-        rest = rest[i + 1:]
-    return m.group(1), raw_params, rest.strip()
-
-
-def _leading_newlines(text: str, start: int, end: int) -> int:
-    # statements may begin after newlines that sit between ';' and the text
-    segment = text[start:end]
-    prefix = segment[: len(segment) - len(segment.lstrip())]
-    return prefix.count("\n")
-
-
-def _split_params(raw: str) -> list[str]:
-    """Split a parameter list on commas not nested in parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in raw:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _fmt(value: float) -> str:
-    return repr(value)
 
 
 def to_qasm(circuit: Circuit) -> str:
@@ -296,7 +292,7 @@ def to_qasm(circuit: Circuit) -> str:
         elif op.kind == BARRIER:
             lines.append(f"barrier {args};")
         elif op.params:
-            lines.append(f"{op.kind}({','.join(_fmt(p) for p in op.params)}) {args};")
+            lines.append(f"{op.kind}({','.join(map(repr, op.params))}) {args};")
         else:
             lines.append(f"{op.kind} {args};")
     return "\n".join(lines) + "\n"

@@ -120,6 +120,15 @@ def test_label_reruns_byte_identical(workdir, tmp_path):
     assert (a / "features.csv").read_bytes() == (b / "features.csv").read_bytes()
 
 
+def test_label_refuses_a_circuit_edited_after_generate(tmp_path, capfd):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--families", "ghz", "--qubits", "2..3"]) == 0
+    edited = data / "circuits" / "ghz_003.qasm"
+    edited.write_text(edited.read_text(encoding="utf-8") + "x q[0];\n", encoding="utf-8")
+    assert main(["label", "--corpus", str(data)]) == 1
+    assert f"error: {edited} does not match the sha256 in" in capfd.readouterr().err
+
+
 def test_train_forest_outputs(workdir):
     assert (workdir / "model.bin").is_file()
     report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
@@ -337,3 +346,24 @@ def test_console_script_help():
     assert proc.returncode == 0
     for sub in ("generate", "label", "train", "predict", "compile", "evaluate"):
         assert sub in proc.stdout
+
+
+def test_compile_refuses_a_non_finite_angle_without_a_traceback(tmp_path):
+    src = tmp_path / "bad.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONWARNINGS="ignore", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(qcpredict.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcpredict.cli", "compile", str(src), "--option", "dev8/A/O3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 3: division by zero in angle expression '1/0'\n"
+
+
+@pytest.mark.parametrize("angle", ["1e999", "1e999-1e999"])
+def test_compile_refuses_an_overflowing_angle(tmp_path, capfd, angle):
+    src = tmp_path / "bad.qasm"
+    src.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n", encoding="utf-8")
+    assert main(["compile", str(src), "--option", "dev8/A/O3"]) == 1
+    assert capfd.readouterr().err == f"error: line 3: angle expression '{angle}' is not a finite number\n"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 
 import numpy as np
@@ -406,6 +407,23 @@ def test_corpus_manifest_hashes_stable(tmp_path, small_corpus):
     a = (tmp_path / "one" / "manifest.json").read_bytes()
     b = (tmp_path / "two" / "manifest.json").read_bytes()
     assert a == b
+
+
+def test_read_corpus_checks_the_manifest(tmp_path, small_corpus):
+    write_corpus(tmp_path, small_corpus)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    first = tmp_path / "circuits" / f"{manifest['files'][0]['name']}.qasm"
+    manifest["files"][0]["qubits"] += 1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"{re.escape(str(first))} has .* qubits, but"):
+        read_corpus(tmp_path)
+    manifest["files"][0]["qubits"] -= 1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    read_corpus(tmp_path)
+    first.write_text(first.read_text(encoding="utf-8").replace("\n", "\r\n"), encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"{re.escape(str(first))} does not match the sha256"):
+        read_corpus(tmp_path)
 
 
 def test_read_corpus_missing_manifest(tmp_path):

@@ -3,7 +3,9 @@ from math import pi
 import numpy as np
 import pytest
 
-from qcpredict.generators import random_circuit
+from qcpredict import qasm
+from qcpredict.circuit import Instruction
+from qcpredict.generators import FAMILIES, generate_corpus, random_circuit
 from qcpredict.qasm import QasmError, parse_qasm, to_qasm
 
 GHZ3 = """OPENQASM 2.0;
@@ -188,3 +190,115 @@ def test_round_trip_angle_bits():
     src = "OPENQASM 2.0;\nqreg q[1];\n" + "".join(f"rz({float(a)!r}) q[0];\n" for a in angles)
     c = parse_qasm(src)
     assert [op.params[0] for op in c.ops] == list(angles)
+
+
+# Each message and line below was recorded from the earlier parser, which
+# split statements and parameter lists with their own helpers; the one-pass
+# parser must report the same.
+HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
+LONG = "OPENQASM 2.0;\nqreg q[2];\n" + "h q[0];\n" * 4999 + "h q[2];\n"
+
+ERROR_TABLE = [
+    ("split_over_lines", HEAD + "cx q[0],\n   q[0];\n", "line 5: cx applied to duplicate qubits"),
+    ("split_after_blank_lines", HEAD + "h q[0];\n\n\n  cx\n  q[1],\n  q[7];\n", "line 8: index 7 out of range for q[3]"),
+    ("comments_and_blanks_before", HEAD + "// a comment\n\n   // another\n\nblorp q[0];\n", "line 9: unknown gate 'blorp'"),
+    ("after_comment_on_same_line", HEAD + "h q[0]; // x\n  \n  h q[9];\n", "line 7: index 9 out of range for q[3]"),
+    ("second_statement_on_line", HEAD + "h q[0]; h q[5];\n", "line 5: index 5 out of range for q[3]"),
+    ("missing_semicolon", HEAD + "h q[0];\nh q[1]\n", "line 5: statement missing ';': 'h q[1]'"),
+    ("missing_semicolon_after_blanks", HEAD + "h q[0];\n\n\n  h q[1]\n\n", "line 5: statement missing ';': 'h q[1]'"),
+    ("no_semicolon_at_all", "\n\nOPENQASM 2.0\n", "line 1: statement missing ';': 'OPENQASM 2.0'"),
+    ("last_of_5000_statements", LONG, "line 5002: index 2 out of range for q[2]"),
+    ("empty_param_item", HEAD + "u3(0.1,,0.3) q[0];\n", "line 5: u3 expects 3 parameter(s), got 2"),
+    ("unclosed_param_paren", HEAD + "rz((pi) q[0];\n", "line 5: unbalanced parentheses in 'rz((pi) q[0]'"),
+    ("junk_in_angle", HEAD + "rz(pi foo) q[0];\n", "line 5: bad angle expression 'pi foo'"),
+    ("forbidden_gate", HEAD + "gate mygate a { h a; }\n", "line 5: unsupported construct 'gate'"),
+    ("forbidden_if", HEAD + "if (c == 1) x q[0];\n", "line 5: unsupported construct 'if'"),
+    ("forbidden_opaque", HEAD + "opaque noisy q;\n", "line 5: unsupported construct 'opaque'"),
+    ("forbidden_reset", HEAD + "reset q[0];\n", "line 5: unsupported construct 'reset'"),
+    ("forbidden_in_word_order", HEAD + "reset q[0];\n\ngate g a { h a; }\n", "line 7: unsupported construct 'gate'"),
+    ("no_header", "qreg q[2];\nh q[0];\n", "line 1: expected 'OPENQASM 2.0;' header"),
+    ("empty_source", "", "line 1: expected 'OPENQASM 2.0;' header"),
+    ("only_semicolons", "\n;;\n;", "line 1: expected 'OPENQASM 2.0;' header"),
+    ("wrong_version", "\n\n  OPENQASM 3.0;\nqreg q[1];\n", "line 3: expected 'OPENQASM 2.0;' header"),
+    ("no_qreg", 'OPENQASM 2.0;\ninclude "qelib1.inc";\n', "line 1: no qreg declared"),
+    ("other_include", HEAD + 'include "other.inc";\n', "line 5: unsupported include: 'include \"other.inc\"'"),
+    ("unknown_gate_with_params", HEAD + "mygate(theta) q[0];\n", "line 5: unknown gate 'mygate'"),
+    ("unparseable", HEAD + "3x q[0];\n", "line 5: unparseable statement '3x q[0]'"),
+    ("params_never_closed", HEAD + "rz(pi q[0];\n", "line 5: unbalanced parentheses in 'rz(pi q[0]'"),
+    ("stray_close_paren", HEAD + "rz(pi)) q[0];\n", "line 5: bad quantum argument ') q[0]'"),
+    ("stray_close_then_open", HEAD + "rz(1)+((2) q[0];\n", "line 5: bad quantum argument '+((2) q[0]'"),
+    ("trailing_tokens", HEAD + "rz(1 2) q[0];\n", "line 5: trailing tokens in angle expression '1 2'"),
+    ("truncated", HEAD + "rz(1+) q[0];\n", "line 5: truncated angle expression '1+'"),
+    ("bad_token", HEAD + "rz(*1) q[0];\n", "line 5: bad token '*' in angle expression"),
+    ("comma_inside_parens", HEAD + "rz((1,2)) q[0];\n", "line 5: bad angle expression '(1,2)'"),
+    ("bad_second_item", HEAD + "u3(0.1, foo, 0.3) q[0];\n", "line 5: bad angle expression ' foo'"),
+    ("inf_literal", HEAD + "rz(inf) q[0];\n", "line 5: bad angle expression 'inf'"),
+    ("empty_parens", HEAD + "rz() q[0];\n", "line 5: rz expects 1 parameter(s), got 0"),
+    ("params_on_h", HEAD + "h(0.5) q[0];\n", "line 5: h expects 0 parameter(s), got 1"),
+    ("too_few_args", HEAD + "cx q[0];\n", "line 5: cx expects 2 argument(s), got 1"),
+    ("args_over_lines", HEAD + "u3(0.1,\n  0.2,\n  0.3 ) q[0],\n q[1];\n", "line 5: u3 expects 1 argument(s), got 2"),
+    ("bad_arg", HEAD + "h q[0;\n", "line 5: bad quantum argument 'q[0'"),
+    ("undeclared", HEAD + "h r[0];\n", "line 5: undeclared quantum register 'r'"),
+    ("two_qubit_broadcast", HEAD + "cx q,q[1];\n", "line 5: register broadcast is only supported for single-qubit gates"),
+    ("bad_measure", HEAD + "measure q[0];\n", "line 5: bad measure statement 'measure q[0]'"),
+    ("measure_arity", HEAD + "qreg r[2];\nmeasure r -> c;\n", "line 6: measure arity mismatch between registers"),
+    ("measure_undeclared", HEAD + "measure q[0] -> d[0];\n", "line 5: undeclared classical register 'd'"),
+    ("zero_size_register", "OPENQASM 2.0;\nqreg q[0];\n", "line 2: register 'q' must have positive size"),
+    ("redeclared", "OPENQASM 2.0;\nqreg q[1];\ncreg q[1];\n", "line 3: register 'q' redeclared"),
+    ("malformed_decl", "OPENQASM 2.0;\nqreg q;\n", "line 2: unknown gate 'qreg'"),
+    ("barrier_before_qreg", "OPENQASM 2.0;\nbarrier;\nqreg q[1];\n", "line 2: barrier on empty register set"),
+    ("barrier_empty_arg", HEAD + "barrier q[0],;\n", "line 5: bad quantum argument ''"),
+]
+
+
+@pytest.mark.parametrize("source,message", [row[1:] for row in ERROR_TABLE], ids=[row[0] for row in ERROR_TABLE])
+def test_error_messages_and_lines(source, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(source)
+    assert str(info.value) == message
+    assert info.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+@pytest.mark.parametrize(
+    "stmt,message",
+    [
+        ("rz(1/0) q[0];", "division by zero in angle expression '1/0'"),
+        ("rz(1e999) q[0];", "angle expression '1e999' is not a finite number"),
+        ("rz(1e999-1e999) q[0];", "angle expression '1e999-1e999' is not a finite number"),
+        ("u3(0.1, 2*1e308, 0.3) q[0];", "angle expression ' 2*1e308' is not a finite number"),
+        ("barrier q[0],q[0];", "barrier applied to duplicate qubits"),
+        ("barrier q,q[1];", "barrier applied to duplicate qubits"),
+    ],
+)
+def test_non_finite_angles_and_duplicate_barrier_qubits_rejected_with_line(stmt, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(HEAD + "h q[0];\n" + stmt + "\n")
+    assert str(info.value) == f"line 6: {message}"
+
+
+def test_empty_argument_items_are_skipped():
+    c = parse_qasm(HEAD + "cx q[0],,q[1],;\n")
+    assert c.ops == (Instruction("cx", (0, 1)),)
+
+
+def test_parameters_may_span_lines_and_nest():
+    c = parse_qasm(HEAD + "u3(0.1,\n  (0.2 + pi) * 2,\n  -.3e1) q[2];\n")
+    assert c.ops == (Instruction("u3", (2,), (0.1, (0.2 + pi) * 2, -3.0)),)
+
+
+def test_validate_runs_once_per_parse(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qasm, "validate", lambda circuit: calls.append(circuit))
+    c = parse_qasm(GHZ3)
+    assert calls == [c]
+
+
+def test_round_trip_130_qubit_member_of_every_family_bit_exact():
+    corpus = generate_corpus(qubit_range=(130, 130))
+    assert {c.name.split("_")[0] for c in corpus} == set(FAMILIES) - {"grover"}  # grover stops at 3 qubits
+    for c in corpus:
+        back = parse_qasm(to_qasm(c), name=c.name)
+        assert (back.num_qubits, back.num_clbits, back.name) == (c.num_qubits, c.num_clbits, c.name)
+        assert back.ops == c.ops
+        # hex tells -0.0 from 0.0, which == does not
+        assert [p.hex() for op in back.ops for p in op.params] == [p.hex() for op in c.ops for p in op.params]
