@@ -91,6 +91,15 @@ class CompiledResult:
 # decomposition tables (all identities verified against the dense simulator)
 
 # 1q gate -> u3 angles, up to global phase
+_U3_ANGLES = {
+    "x": (pi, 0.0, pi),
+    "y": (pi, pi / 2, pi / 2),
+    "h": (pi / 2, 0.0, pi),
+    "sx": (pi / 2, -pi / 2, pi / 2),
+    "sxdg": (pi / 2, pi / 2, -pi / 2),
+}
+
+
 def _u3_angles(kind: str, params: tuple[float, ...]) -> tuple[float, float, float]:
     if kind == "u3":
         return params  # type: ignore[return-value]
@@ -100,14 +109,7 @@ def _u3_angles(kind: str, params: tuple[float, ...]) -> tuple[float, float, floa
         return (params[0], -pi / 2, pi / 2)
     if kind == "ry":
         return (params[0], 0.0, 0.0)
-    table = {
-        "x": (pi, 0.0, pi),
-        "y": (pi, pi / 2, pi / 2),
-        "h": (pi / 2, 0.0, pi),
-        "sx": (pi / 2, -pi / 2, pi / 2),
-        "sxdg": (pi / 2, pi / 2, -pi / 2),
-    }
-    return table[kind]
+    return _U3_ANGLES[kind]
 
 
 # diagonal 1q gates collapse to a single rz, phase-free
@@ -272,11 +274,60 @@ def _lower(op: Instruction, device: DeviceModel, out: list[Instruction]) -> None
         raise CompileError(f"decompose_to_native expects gates on at most two qubits; expand {kind} first")
 
 
+# where each gate of a rewrite lands, as positions in the qubits (a, b) of
+# the op it replaces: slot code c stands for _SLOTS[c], so the codes 0..3 mean
+# (a, b), (a,), (b,) and (b, a); a one-qubit op uses code 1 only
+_SLOTS = ((0, 1), (0,), (1,), (1, 0))
+# builds an Instruction from its four fields at half the cost of the
+# NamedTuple constructor, which lowering calls once per gate it emits
+_new_tuple = tuple.__new__
+
+
+def _rewrite(op: Instruction, device: DeviceModel) -> tuple[tuple[str, int, tuple[float, ...]], ...] | None:
+    """Lower ``op`` placed on the qubits ``0..arity-1``: None when the op is
+    kept as it is, else its rewrite as ``(kind, slot code, params)`` triples
+    (empty for an op that is dropped)."""
+    placed = op._replace(qubits=tuple(range(len(op.qubits))))
+    lowered: list[Instruction] = []
+    _lower(placed, device, lowered)
+    if len(lowered) == 1 and lowered[0] is placed:  # _lower appends a kept op itself
+        return None
+    return tuple((sub.kind, _SLOTS.index(sub.qubits), sub.params) for sub in lowered)
+
+
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
-    """Rewrite every gate over the device's native set; native gates pass through."""
+    """Rewrite every gate over the device's native set; native gates pass through.
+
+    Each distinct gate, a kind with its params, is lowered once per call and
+    every later op of that gate substitutes its own qubits into the rewrite.
+    Params that compare equal but lower differently, such as ``0.0`` and
+    ``-0.0`` or ``1`` and ``1.0``, never share a rewrite: only nonzero floats
+    are keyed by value, anything else also by its repr.
+    """
     out: list[Instruction] = []
+    rewrites: dict[tuple, tuple | None] = {}
     for op in circuit.ops:
-        _lower(op, device, out)
+        kind, params = op.kind, op.params
+        key = (kind, params)
+        for p in params:
+            if type(p) is not float or not p:
+                key = (kind, params, repr(params))
+                break
+        if key in rewrites:
+            rewrite = rewrites[key]
+        else:
+            rewrite = rewrites[key] = _rewrite(op, device)
+        if rewrite is None:
+            out.append(op)
+        elif rewrite:  # a dropped op, such as a barrier on any number of qubits, has none
+            qubits = op.qubits
+            if len(qubits) == 1:
+                picks = (None, qubits)
+            else:
+                a, b = qubits
+                picks = (qubits, (a,), (b,), (b, a))
+            for sub_kind, code, sub_params in rewrite:
+                out.append(_new_tuple(Instruction, (sub_kind, picks[code], sub_params, None)))
     return circuit.with_ops(tuple(out))
 
 
@@ -426,6 +477,8 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
 
 _SELF_INVERSE = frozenset({"x", "y", "z", "h", "cx", "cy", "cz", "ch", "swap", "ccx", "cswap"})
 _ROTATIONS = frozenset({"rx", "ry", "rz", "u1", "crx", "cry", "crz", "cp", "rxx", "rzz"})
+# kinds whose later copies the commuting pass looks for
+_WALKERS = _SELF_INVERSE | _ROTATIONS
 
 # per-qubit commutation basis: gates block-diagonal in the same basis on every
 # shared qubit commute; None marks positions with no single basis
@@ -437,19 +490,6 @@ _BASIS: dict[str, tuple] = {
     "crx": ("z", "x"), "cry": ("z", "y"), "cu3": ("z", None), "ch": ("z", None),
     "rxx": ("x", "x"), "rzz": ("z", "z"), "ccx": ("z", "z", "x"),
 }
-
-
-def _commutes(a: Instruction, b: Instruction) -> bool:
-    basis_a = _BASIS.get(a.kind)
-    basis_b = _BASIS.get(b.kind)
-    if basis_a is None or basis_b is None:
-        return False
-    for q in set(a.qubits) & set(b.qubits):
-        xa = basis_a[a.qubits.index(q)]
-        xb = basis_b[b.qubits.index(q)]
-        if xa is None or xb is None or xa != xb:
-            return False
-    return True
 
 
 def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool]:
@@ -494,41 +534,59 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
 def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
     """Cancel or fuse gate pairs separated only by commuting neighbors."""
     n = len(ops)
-    # after[i][q]: index of the next op on qubit q after op i, n after the last
-    after: list[dict[int, int]] = [{}] * n
+    # nxt[i][s]: index of the next op on op i's qubit s after op i, n after the last
+    nxt: list[tuple[int, ...]] = [()] * n
     next_on: dict[int, int] = {}
-    # last[i]: the last op of op i's kind on op i's qubits (i itself when none
-    # follows); no partner for op i lies past it, so its walk stops there
-    last = [0] * n
-    last_of: dict[tuple[str, tuple[int, ...]], int] = {}
+    # last[(kind, qubits)]: the last op of that gate; no partner for an
+    # earlier one lies past it, so its walk stops there
+    last: dict[tuple[str, tuple[int, ...]], int] = {}
+    walks: list[tuple[int, int]] = []  # (op, stop) for each op with a later copy, last op first
     for i in range(n - 1, -1, -1):
         op = ops[i]
-        after[i] = {q: next_on.get(q, n) for q in op.qubits}
-        for q in op.qubits:
+        qubits = op.qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+            nxt[i] = (next_on.get(q, n),)
             next_on[q] = i
-        last[i] = last_of.setdefault((op.kind, op.qubits), i)
+        elif len(qubits) == 2:
+            a, b = qubits
+            nxt[i] = (next_on.get(a, n), next_on.get(b, n))
+            next_on[a] = next_on[b] = i
+        else:
+            nxt[i] = tuple([next_on.get(q, n) for q in qubits])
+            for q in qubits:
+                next_on[q] = i
+        if op.kind in _WALKERS:
+            stop = last.setdefault((op.kind, qubits), i)
+            if stop != i:
+                walks.append((i, stop))
 
-    alive = [True] * n
+    alive = [True] * (n + 1)  # alive[n] stands for the end of every qubit's list
     params_now: dict[int, tuple[float, ...]] = {}
     changed = False
 
-    for i, op in enumerate(ops):
-        if last[i] == i or not alive[i] or (op.kind not in _SELF_INVERSE and op.kind not in _ROTATIONS):
+    for i, stop in reversed(walks):
+        if not alive[i]:
             continue
-        nxt = dict(after[i])
+        op = ops[i]
+        kind, qubits = op.kind, op.qubits
+        basis = _BASIS.get(kind)
+        # ptr[s]: the next op on qubit slot s not yet walked past
+        ptr = list(nxt[i])
         while True:
-            # the next live op on each qubit; the earliest of them is the candidate
-            for q in op.qubits:
-                j = nxt[q]
-                while j < n and not alive[j]:
-                    j = after[j][q]
-                nxt[q] = j
-            cand = min(nxt.values())
-            if cand > last[i]:
+            # the next live op in each slot; the earliest of them is the candidate
+            for s, j in enumerate(ptr):
+                if not alive[j]:
+                    q = qubits[s]
+                    while not alive[j]:
+                        j = nxt[j][ops[j].qubits.index(q)]
+                    ptr[s] = j
+            cand = min(ptr)
+            if cand > stop:
                 break
             other = ops[cand]
-            if other.kind == op.kind and other.qubits == op.qubits:
-                if op.kind in _SELF_INVERSE:
+            if other.kind == kind and other.qubits == qubits:
+                if kind in _SELF_INVERSE:
                     alive[cand] = False
                 else:
                     merged = params_now.get(i, op.params)[0] + params_now.get(cand, other.params)[0]
@@ -536,11 +594,22 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
                 alive[i] = False
                 changed = True
                 break
-            if not _commutes(op, other):
+            # the candidate shares exactly the slots whose pointer is on it;
+            # the two commute when they agree on a basis in each of those
+            other_basis = _BASIS.get(other.kind)
+            if basis is None or other_basis is None:
                 break
-            for q in op.qubits:
-                if nxt[q] == cand:
-                    nxt[q] = after[cand][q]
+            after = nxt[cand]
+            for s, j in enumerate(ptr):
+                if j == cand:
+                    slot = other.qubits.index(qubits[s])
+                    x = basis[s]
+                    if x is None or x != other_basis[slot]:
+                        break
+                    ptr[s] = after[slot]
+            else:
+                continue
+            break
 
     if not changed:
         return ops, False

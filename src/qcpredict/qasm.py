@@ -42,6 +42,9 @@ _GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?(.*)", re.S)
 _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 _DECL_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _PAREN_STEP = {"(": 1, ")": -1}
+# a list whose every item is one decimal literal, optionally signed
+_NUMBER = r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*"
+_PLAIN_LIST_RE = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*")
 
 
 def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
@@ -50,8 +53,14 @@ def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
     Items are split at commas outside parentheses, blank items are skipped,
     and each item is evaluated by recursive descent and must be finite. A ')'
     outside parentheses ends the list early. Returns the values and the
-    offset in ``text`` where the list ended.
+    offset in ``text`` where the list ended. A list of finite, optionally
+    signed decimal literals and nothing else is read by ``float()`` alone,
+    which gives each item the value the descent would.
     """
+    if _PLAIN_LIST_RE.fullmatch(text):
+        plain = tuple(map(float, text.split(",")))
+        if all(map(isfinite, plain)):
+            return plain, len(text)
     tokens: list[str] = []  # the current item's tokens
     item = ""  # the current item's text
     pos = 0

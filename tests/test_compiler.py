@@ -1,3 +1,4 @@
+import hashlib
 from math import pi
 
 import numpy as np
@@ -7,6 +8,7 @@ from qcpredict import compiler
 from qcpredict.circuit import (
     GATE_SIGNATURES,
     Circuit,
+    Instruction,
     barrier,
     gate,
     interaction_graph,
@@ -30,7 +32,8 @@ from qcpredict.compiler import (
     route,
 )
 from qcpredict.devices import Calibration, DeviceModel
-from qcpredict.generators import grover, qaoa, qft, random_circuit
+from qcpredict.generators import dj, ghz, grover, qaoa, qft, random_circuit, wstate
+from qcpredict.qasm import to_qasm
 from qcpredict.simulator import check_equivalence
 
 
@@ -230,6 +233,55 @@ def test_lowering_rejects_wide_gates(fleet):
             decompose_to_native(c, fleet["dev8"])
 
 
+def _exact(ops):
+    """Ops with each param as its type and bit pattern, so 0.0 != -0.0 and 1 != 1.0."""
+    return [
+        (op.kind, op.qubits, tuple((type(p), float.hex(float(p))) for p in op.params), op.clbit)
+        for op in ops
+    ]
+
+
+def _reference_lowering(circuit, device):
+    # one _lower call per op, the way every op was lowered before the table
+    out = []
+    for op in circuit.ops:
+        compiler._lower(op, device, out)
+    return out
+
+
+def test_lowering_table_matches_lowering_each_op(devices):
+    rng = np.random.default_rng(11)
+    ops = []
+    for kind, (arity, n_params) in sorted(GATE_SIGNATURES.items()):
+        if arity > 2:
+            continue
+        shared = tuple(float(a) for a in rng.uniform(-6.0, 6.0, size=n_params))
+        for qubits in ((0, 1), (2, 0), (1, 3)) if arity == 2 else ((0,), (3,), (1,)):
+            ops.append(gate(kind, qubits, shared))  # one gate on several qubits
+            fresh = tuple(float(a) for a in rng.uniform(-6.0, 6.0, size=n_params))
+            ops.append(gate(kind, qubits[::-1], fresh))
+        ops.append(gate(kind, (2, 3)[:arity], (0.0,) * n_params))
+        ops.append(gate(kind, (3, 2)[:arity], (-0.0,) * n_params))
+    ops += [barrier((0, 1, 2)), measure(2, 0), barrier((3,)), measure(0, 1)]
+    # hand-built ops whose params compare equal to a float but print differently
+    ops += [Instruction("u1", (1,), (1,)), Instruction("u1", (2,), (1.0,)), Instruction("rz", (0,), (True,))]
+    ops += [Instruction("cp", (0, 2), (2,)), Instruction("cp", (2, 0), (2.0,)), Instruction("u3", (1,), (1, 0, 0.0))]
+    circuit = _circ(4, ops, clbits=2)
+    for device in devices:
+        lowered = decompose_to_native(circuit, device)
+        assert _exact(lowered.ops) == _exact(_reference_lowering(circuit, device)), device.id
+
+
+def test_lowering_keeps_the_sign_of_a_zero_angle(fleet):
+    # 0.0 == -0.0, so a table keyed by value alone would reuse the first rewrite
+    c = _circ(1, [gate("u3", (0,), (0.5, 0.0, 0.0)), gate("u3", (0,), (0.5, -0.0, -0.0))])
+    lowered = decompose_to_native(c, fleet["dev27"])
+    first, second = lowered.ops[0], lowered.ops[5]
+    assert (first.kind, second.kind) == ("rz", "rz")
+    assert float.hex(first.params[0]) == float.hex(0.0)
+    assert float.hex(second.params[0]) == float.hex(-0.0)
+
+
 # ---------------------------------------------------------------------------
 # optimization ladder
 
@@ -275,6 +327,145 @@ def test_commutation_unlocks_distant_cancellation():
 def test_barrier_blocks_cancellation():
     c = _circ(1, [gate("x", (0,)), barrier((0,)), gate("x", (0,))])
     assert optimize(c, "O3").num_gates() == 2
+
+
+# the commuting pass as it was before each walk kept one pointer per qubit
+# slot, kept as the reference the pass must reproduce op for op
+
+
+def _reference_commutes(a, b):
+    basis_a = compiler._BASIS.get(a.kind)
+    basis_b = compiler._BASIS.get(b.kind)
+    if basis_a is None or basis_b is None:
+        return False
+    for q in set(a.qubits) & set(b.qubits):
+        xa = basis_a[a.qubits.index(q)]
+        xb = basis_b[b.qubits.index(q)]
+        if xa is None or xb is None or xa != xb:
+            return False
+    return True
+
+
+def _reference_commuting_pass(ops):
+    n = len(ops)
+    after = [{}] * n
+    next_on = {}
+    last = [0] * n
+    last_of = {}
+    for i in range(n - 1, -1, -1):
+        op = ops[i]
+        after[i] = {q: next_on.get(q, n) for q in op.qubits}
+        for q in op.qubits:
+            next_on[q] = i
+        last[i] = last_of.setdefault((op.kind, op.qubits), i)
+
+    alive = [True] * n
+    params_now = {}
+    changed = False
+
+    for i, op in enumerate(ops):
+        if last[i] == i or not alive[i] or (op.kind not in compiler._SELF_INVERSE and op.kind not in compiler._ROTATIONS):
+            continue
+        nxt = dict(after[i])
+        while True:
+            for q in op.qubits:
+                j = nxt[q]
+                while j < n and not alive[j]:
+                    j = after[j][q]
+                nxt[q] = j
+            cand = min(nxt.values())
+            if cand > last[i]:
+                break
+            other = ops[cand]
+            if other.kind == op.kind and other.qubits == op.qubits:
+                if op.kind in compiler._SELF_INVERSE:
+                    alive[cand] = False
+                else:
+                    merged = params_now.get(i, op.params)[0] + params_now.get(cand, other.params)[0]
+                    params_now[cand] = (merged,)
+                alive[i] = False
+                changed = True
+                break
+            if not _reference_commutes(op, other):
+                break
+            for q in op.qubits:
+                if nxt[q] == cand:
+                    nxt[q] = after[cand][q]
+
+    if not changed:
+        return ops, False
+    return [
+        op._replace(params=params_now[i]) if i in params_now else op
+        for i, op in enumerate(ops)
+        if alive[i]
+    ], True
+
+
+_ALL_KINDS = sorted(GATE_SIGNATURES) + ["measure", "barrier"]
+
+
+def _random_op_list(rng, n, length, kinds):
+    ops = []
+    for _ in range(length):
+        if ops and rng.random() < 0.3:
+            # a copy of an earlier op, with a fresh angle for a rotation, so
+            # that pairs cancel or fuse across whatever lies between them
+            kind, qubits = ops[int(rng.integers(len(ops)))][:2]
+        else:
+            kind = kinds[int(rng.integers(len(kinds)))]
+            if kind == "barrier":
+                arity = int(rng.integers(1, n + 1))
+            else:
+                arity = GATE_SIGNATURES.get(kind, (1,))[0]  # a measure reads one qubit
+            qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+        if kind == "measure":
+            ops.append(measure(qubits[0], 0))
+        elif kind == "barrier":
+            ops.append(barrier(qubits))
+        else:
+            ops.append(gate(kind, qubits, rng.uniform(-pi, pi, GATE_SIGNATURES[kind][1])))
+    return ops
+
+
+def _check_against_reference(ops):
+    got, got_changed = compiler._commuting_pass(list(ops))
+    want, want_changed = _reference_commuting_pass(list(ops))
+    assert got_changed == want_changed, ops
+    assert _exact(got) == _exact(want), ops
+    return want_changed
+
+
+def test_commuting_pass_matches_reference_on_random_op_lists():
+    rng = np.random.default_rng(2024)
+    seen, changed = set(), 0
+    for trial in range(600):
+        # a few kinds on few qubits make the copies, chains and blockers meet
+        kinds = [_ALL_KINDS[k] for k in rng.choice(len(_ALL_KINDS), size=int(rng.integers(2, 7)), replace=False)]
+        ops = _random_op_list(rng, int(rng.integers(3, 6)), int(rng.integers(1, 40)), kinds)
+        seen.update(op.kind for op in ops)
+        changed += _check_against_reference(ops)
+    assert seen == set(_ALL_KINDS)
+    assert changed > 100
+
+
+def test_commuting_pass_matches_reference_on_chosen_lists():
+    cases = [
+        # the cx pair cancels across rz(0), which kills the later cx; the walk
+        # from rz(0) then steps over the dead cx to fuse with the last rz(0)
+        [gate("cx", (0, 1)), gate("rz", (0,), (0.25,)), gate("cx", (0, 1)), gate("rz", (0,), (0.5,))],
+        # a rotation chain: each walk fuses into the next copy
+        [gate("rz", (1,), (0.1 * k,)) if k % 2 else gate("cz", (0, 1)) for k in range(1, 12)],
+        # a measure or a barrier blocks; a three-qubit pair cancels
+        [gate("x", (0,)), measure(0, 0), gate("x", (0,)), barrier((0, 1)), gate("x", (0,))],
+        [gate("ccx", (0, 1, 2)), gate("rz", (0,), (0.3,)), gate("ccx", (0, 1, 2))],
+        [gate("cswap", (0, 1, 2)), gate("cswap", (0, 1, 2)), gate("swap", (1, 2)), gate("z", (0,)), gate("swap", (1, 2))],
+        [],
+    ]
+    results = [_check_against_reference(ops) for ops in cases]
+    assert results == [True, True, False, True, True, False]
+    fused, _ = compiler._commuting_pass(cases[0])
+    assert [op.kind for op in fused] == ["rz"]
+    assert fused[0].params == (0.25 + 0.5,)
 
 
 def _random_native_circuit(rng, n, length, device):
@@ -375,6 +566,40 @@ def _ghz(n):
     ops = [gate("h", (0,))] + [gate("cx", (i, i + 1)) for i in range(n - 1)]
     ops += [measure(i, i) for i in range(n)]
     return Circuit(n, n, tuple(ops), f"ghz{n}")
+
+
+# sha256 over the lines "<option id> <sha256 of to_qasm(result)>" of every
+# option compile_options yields, in order: one circuit per family (grover
+# exists at 2 and 3 qubits only) and qft(30), which routes on dev80/dev127.
+# Scores cannot tell rz(-0.0) from rz(0.0); the emitted text can.
+_PINNED_COMPILES = {
+    "ghz_007": "31eb3b06545dbc9bb8f33058d4aa5f5922f06f2d990fb1d7afd2a71c2a6a8152",
+    "wstate_006": "3559e57bf80a726f7837deca3607c7b790146d42f38eafd195b201700f54fe91",
+    "dj_008_v1": "2f6653e875cace77ab190dcba2cc7d574f0052329597b48bdc5bdbead6c6ecd4",
+    "qft_008": "12ce85a4fc9dab4f2d28f07d19daedd1bda49a7933fc5d343e19bff0ea6e3884",
+    "grover_003": "e31402251e4caa7a2671fca37f40fb665a204faf095ba89cde0008cd609046fc",
+    "qaoa_006_p2": "c7b3f6ea411cf0676f71d059a8986d409c837a24cafde5c3d2c9119f8aa84b68",
+    "random_008_v3": "68103c8d0277bf0ec5de6f1963fb36a8bb4c71c93fec0bf1626d93d4a0dc2a4e",
+    "qft_030": "9443e143269fc63eba4f5278c5b5105212bdf73d928260303aa334653624b2bd",
+}
+
+
+def test_compiled_output_is_pinned(devices, options):
+    circuits = [
+        ghz(7), wstate(6), dj(8, variant=1), qft(8), grover(3), qaoa(6, layers=2),
+        random_circuit(8, seed=0, variant=3), qft(30),
+    ]
+    digests, counts = {}, {}
+    for c in circuits:
+        h = hashlib.sha256()
+        counts[c.name] = 0
+        for option, result in compile_options(c, options, devices):
+            qasm_digest = hashlib.sha256(to_qasm(result.circuit).encode()).hexdigest()
+            h.update(f"{option.option_id} {qasm_digest}\n".encode())
+            counts[c.name] += 1
+        digests[c.name] = h.hexdigest()
+    assert counts == {**{name: 30 for name in _PINNED_COMPILES}, "qft_030": 12}
+    assert digests == _PINNED_COMPILES
 
 
 def test_compile_every_option_is_legal_and_equivalent(devices, options):

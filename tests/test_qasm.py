@@ -276,6 +276,28 @@ def test_non_finite_angles_and_duplicate_barrier_qubits_rejected_with_line(stmt,
     assert str(info.value) == f"line 6: {message}"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "-0.0", "+0", "0", "1.", ".25", "-.3e1", "1E-3", "  7 ", "0.1, -2.5e+2,3", "1e308", "5e-324", "\n0.2,\t-0.0 "],
+)
+def test_plain_literal_lists_read_as_the_expression_parser_reads_them(text):
+    # parentheses around each item send it through the recursive descent
+    wrapped = ",".join(f"({item})" for item in text.split(","))
+    values, end = qasm._eval_angles(text, 1)
+    assert end == len(text)
+    assert [float.hex(v) for v in values] == [float.hex(v) for v in qasm._eval_angles(wrapped, 1)[0]]
+    assert all(type(v) is float for v in values)
+
+
+def test_literal_lists_that_are_not_plain_keep_their_errors():
+    with pytest.raises(QasmError, match="'1e999' is not a finite number"):
+        qasm._eval_angles("0.5,1e999", 3)
+    with pytest.raises(QasmError, match="bad angle expression '1_0'"):
+        qasm._eval_angles("1_0", 3)
+    assert qasm._eval_angles("0.5,,1", 3) == ((0.5, 1.0), 6)
+    assert qasm._eval_angles("- 1", 3) == ((-1.0,), 3)
+
+
 def test_empty_argument_items_are_skipped():
     c = parse_qasm(HEAD + "cx q[0],,q[1],;\n")
     assert c.ops == (Instruction("cx", (0, 1)),)
