@@ -120,7 +120,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     outdir = Path(args.out or args.corpus)
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(outdir / LABELS_FILE, samples, options)
-    write_features_csv(outdir / FEATURES_FILE, samples)
+    write_features_csv(outdir / FEATURES_FILE, samples, options)
     write_excluded_csv(outdir / EXCLUDED_FILE, excluded)
     print(f"labeled {len(samples)} circuits ({len(excluded)} excluded) -> {outdir}")
     return 0
@@ -262,7 +262,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     write_report(outdir / REPORT_FILE, payload)
     write_fig4_csv(outdir / FIG4_FILE, report, len(options))
-    write_fig5_csv(outdir / FIG5_FILE, export_dot_graph(test_set, model, options))
+    write_fig5_csv(outdir / FIG5_FILE, export_dot_graph(test_set, report, options))
     write_fig6_csv(outdir / FIG6_FILE, model)
     print(
         f"accuracy {report.accuracy:.4f}, top3 {report.top3:.4f}, worst rank {report.worst_rank}; "

@@ -561,7 +561,7 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
             if stop != i:
                 walks.append((i, stop))
 
-    alive = [True] * (n + 1)  # alive[n] stands for the end of every qubit's list
+    alive = [True] * n
     params_now: dict[int, tuple[float, ...]] = {}
     changed = False
 
@@ -574,13 +574,9 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
         # ptr[s]: the next op on qubit slot s not yet walked past
         ptr = list(nxt[i])
         while True:
-            # the next live op in each slot; the earliest of them is the candidate
-            for s, j in enumerate(ptr):
-                if not alive[j]:
-                    q = qubits[s]
-                    while not alive[j]:
-                        j = nxt[j][ops[j].qubits.index(q)]
-                    ptr[s] = j
+            # the earliest pointer is the candidate. A dead one is the
+            # cancelled later copy of an earlier walker that stepped over this
+            # op, so it commutes with this op and is stepped over like a live one
             cand = min(ptr)
             if cand > stop:
                 break

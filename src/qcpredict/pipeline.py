@@ -82,28 +82,46 @@ class PipelineError(Exception):
     """Orchestration-level failure (bad dataset, schema mismatch, missing file)."""
 
 
+_QUBIT_COLUMN = full_schema().names.index("num_qubits")
+
+
 @dataclass(frozen=True)
 class LabeledSample:
-    """One corpus circuit with its features and ground-truth option ranking.
+    """One corpus circuit: its features and its score under each option.
 
-    ``features`` follows the full (unpruned) schema; ``scores`` and ``ranks``
-    follow the canonical option order. ``label`` is the rank-1 option id.
+    ``features`` follows the full (unpruned) schema; ``scores`` follows the
+    canonical option order. Ranks, label and width are derived from these.
     """
 
     name: str
-    num_qubits: int
     features: tuple[float, ...]
-    label: str
     scores: tuple[float, ...]
-    ranks: tuple[int, ...]
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Ground-truth rank of each option; ties go to the earlier option."""
+        return ranks_from_values(self.scores)
+
+    @property
+    def best(self) -> int:
+        """The position of the rank-1 option: the label."""
+        return self.ranks.index(1)
+
+    @property
+    def num_qubits(self) -> int:
+        return int(self.features[_QUBIT_COLUMN])
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Rank measures of one prediction per test row; ``predicted`` holds the
+    option position of each prediction and ``ranks`` its ground-truth rank."""
+
     accuracy: float
     top3: float
     worst_rank: int
     ranks: tuple[int, ...]
+    predicted: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +132,12 @@ def label_dataset(
     options: list[CompilationOption],
     devices: list[DeviceModel] | dict[str, DeviceModel],
 ) -> tuple[list[LabeledSample], list[tuple[str, str]]]:
-    """Brute-force label every circuit; returns (samples, excluded).
+    """Brute-force score every circuit; returns (samples, excluded).
 
-    The label is the rank-1 option of the circuit's score vector. A circuit
-    whose best score is below ``sys.float_info.min`` is excluded and logged,
-    not an error: either it is wider than every device, or every feasible
-    score underflows.
+    A sample keeps the circuit's score vector, whose rank-1 option is its
+    label. A circuit whose best score is below ``sys.float_info.min`` is
+    excluded and logged, not an error: either it is wider than every device,
+    or every feasible score underflows.
     """
     if not circuits or not options:
         raise PipelineError("label_dataset needs circuits and options")
@@ -131,32 +149,23 @@ def label_dataset(
             raise PipelineError(f"duplicate circuit name {c.name!r}")
         seen.add(c.name)
 
+    fleet = fleet_by_id(devices)
     schema = full_schema()
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
     for c in circuits:
-        scores = rank_options(c, options, devices)
-        ranks = ranks_from_values(scores)
-        best = ranks.index(1)
-        if scores[best] < sys.float_info.min:
-            fleet = fleet_by_id(devices)
+        scores = rank_options(c, options, fleet)
+        best = max(scores)
+        if best < sys.float_info.min:
             if all(c.num_qubits > fleet[opt.device_id].num_qubits for opt in options):
                 reason = f"all {len(options)} options infeasible: {c.num_qubits} qubits, wider than every device"
             else:
-                reason = f"every feasible score underflows: the best is {scores[best]!r}"
+                reason = f"every feasible score underflows: the best is {best!r}"
             logger.info("excluding %s: %s", c.name, reason)
             excluded.append((c.name, reason))
             continue
-        samples.append(
-            LabeledSample(
-                name=c.name,
-                num_qubits=c.num_qubits,
-                features=tuple(float(v) for v in extract_features(c, schema)),
-                label=options[best].option_id,
-                scores=scores,
-                ranks=ranks,
-            )
-        )
+        features = tuple(float(v) for v in extract_features(c, schema))
+        samples.append(LabeledSample(c.name, features, scores))
     return samples, excluded
 
 
@@ -183,11 +192,10 @@ def _full_matrix(samples: list[LabeledSample]) -> np.ndarray:
 
 
 def _label_indices(samples: list[LabeledSample], options: list[CompilationOption]) -> np.ndarray:
-    position = {opt.option_id: i for i, opt in enumerate(options)}
-    try:
-        return np.array([position[s.label] for s in samples], dtype=np.int64)
-    except KeyError as exc:
-        raise PipelineError(f"sample label {exc} is not among the configured options") from exc
+    for s in samples:
+        if len(s.scores) != len(options):
+            raise PipelineError(f"sample {s.name!r} has {len(s.scores)} scores, not {len(options)}")
+    return np.array([s.best for s in samples], dtype=np.int64)
 
 
 def train_model(
@@ -207,7 +215,7 @@ def train_model(
     """
     if not train:
         raise PipelineError("empty training set")
-    if len({s.label for s in train}) < 2:
+    if len({s.best for s in train}) < 2:
         raise PipelineError("degenerate training labels: need at least 2 classes")
     schema = full_schema()
     X_full = _full_matrix(train)
@@ -247,26 +255,15 @@ def model_features(model: ForestModel, circuit: Circuit) -> np.ndarray:
     return extract_features(circuit, model.schema)
 
 
-def predicted_labels(model: ForestModel, samples: list[LabeledSample]) -> list[str]:
-    X = project_to_model(model, _full_matrix(samples))
-    return [model.label_space[int(i)] for i in predict_many(model, X)]
-
-
-def _report_from_predictions(
-    predictions: list[str], samples: list[LabeledSample], options: list[CompilationOption]
-) -> EvalReport:
-    position = {opt.option_id: i for i, opt in enumerate(options)}
-    ranks = []
-    for pred, sample in zip(predictions, samples):
-        if pred not in position:
-            raise PipelineError(f"predicted option {pred!r} missing from the ranking")
-        ranks.append(sample.ranks[position[pred]])
-    ranks_t = tuple(ranks)
+def _report(predicted: list[int], samples: list[LabeledSample]) -> EvalReport:
+    """The ground-truth rank of each predicted option position, aggregated."""
+    ranks = tuple(s.ranks[p] for p, s in zip(predicted, samples))
     return EvalReport(
-        accuracy=sum(r == 1 for r in ranks_t) / len(ranks_t),
-        top3=sum(r <= 3 for r in ranks_t) / len(ranks_t),
-        worst_rank=max(ranks_t),
-        ranks=ranks_t,
+        accuracy=sum(r == 1 for r in ranks) / len(ranks),
+        top3=sum(r <= 3 for r in ranks) / len(ranks),
+        worst_rank=max(ranks),
+        ranks=ranks,
+        predicted=tuple(predicted),
     )
 
 
@@ -276,7 +273,14 @@ def evaluate(
     """Ground-truth rank of each prediction, aggregated into the three measures."""
     if not test:
         raise PipelineError("empty test set")
-    return _report_from_predictions(predicted_labels(model, test), test, options)
+    position = {opt.option_id: i for i, opt in enumerate(options)}
+    predicted = []
+    for c in predict_many(model, project_to_model(model, _full_matrix(test))):
+        label = model.label_space[int(c)]
+        if label not in position:
+            raise PipelineError(f"predicted option {label!r} missing from the ranking")
+        predicted.append(position[label])
+    return _report(predicted, test)
 
 
 def evaluate_baseline(
@@ -308,21 +312,18 @@ def evaluate_baseline(
             c = knn_fit_predict(X_train, y, row, min(k, X_train.shape[0]), n_classes)
         else:
             c = naive_bayes_fit_predict(X_train, y, row, n_classes)
-        predictions.append(options[c].option_id)
-    return _report_from_predictions(predictions, test, options)
+        predictions.append(c)
+    return _report(predictions, test)
 
 
 def majority_baseline(
     train: list[LabeledSample], test: list[LabeledSample], options: list[CompilationOption]
 ) -> tuple[str, float]:
-    """Most frequent training label and its rank-1 accuracy on the test rows."""
-    position = {opt.option_id: i for i, opt in enumerate(options)}
-    counts: dict[str, int] = {}
-    for s in train:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    majority = min(counts, key=lambda lab: (-counts[lab], position[lab]))
-    accuracy = sum(s.ranks[position[majority]] == 1 for s in test) / len(test)
-    return majority, accuracy
+    """Most frequent training label and its rank-1 accuracy on the test rows;
+    a tie goes to the earlier option."""
+    majority = int(np.argmax(np.bincount(_label_indices(train, options))))
+    accuracy = sum(s.best == majority for s in test) / len(test)
+    return options[majority].option_id, accuracy
 
 
 def rank_histogram(report: EvalReport, n_options: int) -> list[tuple[int, float]]:
@@ -362,24 +363,19 @@ def runtime_compare(
 
 
 def export_dot_graph(
-    test: list[LabeledSample], model: ForestModel, options: list[CompilationOption]
+    test: list[LabeledSample], report: EvalReport, options: list[CompilationOption]
 ) -> list[tuple[str, int, str, float, int]]:
-    """Rows (circuit, qubits, option, score/best, predicted flag), sorted by
-    qubit count; exactly one flagged row per circuit."""
-    predictions = predicted_labels(model, test)
+    """Rows (circuit, qubits, option, score/best, predicted flag) for the test
+    rows ``report`` was made on, sorted by qubit count; exactly one flagged
+    row per circuit."""
+    if len(report.predicted) != len(test):
+        raise PipelineError(f"the report predicts {len(report.predicted)} rows, not the {len(test)} test rows")
     rows: list[tuple[str, int, str, float, int]] = []
-    for sample, pred in zip(test, predictions):
+    for sample, pred in zip(test, report.predicted):
         best = max(sample.scores)
+        qubits = sample.num_qubits
         for i, opt in enumerate(options):
-            rows.append(
-                (
-                    sample.name,
-                    sample.num_qubits,
-                    opt.option_id,
-                    sample.scores[i] / best,
-                    1 if opt.option_id == pred else 0,
-                )
-            )
+            rows.append((sample.name, qubits, opt.option_id, sample.scores[i] / best, 1 if i == pred else 0))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows
 
@@ -436,15 +432,15 @@ def write_labels_csv(path: str | Path, samples: list[LabeledSample], options: li
     header = ["circuit", "label"] + [f"score_{opt.option_id}" for opt in options]
     lines = [",".join(header)]
     for s in samples:
-        lines.append(",".join([s.name, s.label] + [repr(v) for v in s.scores]))
+        lines.append(",".join([s.name, options[s.best].option_id] + [repr(v) for v in s.scores]))
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def write_features_csv(path: str | Path, samples: list[LabeledSample]) -> None:
+def write_features_csv(path: str | Path, samples: list[LabeledSample], options: list[CompilationOption]) -> None:
     header = ["circuit"] + list(full_schema().names) + ["label"]
     lines = [",".join(header)]
     for s in samples:
-        lines.append(",".join([s.name] + [repr(v) for v in s.features] + [s.label]))
+        lines.append(",".join([s.name] + [repr(v) for v in s.features] + [options[s.best].option_id]))
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -499,35 +495,24 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
     if l_header != expected:
         raise PipelineError("labels.csv header does not match the configured options")
 
-    by_name: dict[str, tuple[str, tuple[float, ...], tuple[int, ...]]] = {}
+    by_name: dict[str, tuple[str, tuple[float, ...]]] = {}
     for row in l_rows:
         if len(row) != len(expected):
             raise PipelineError(f"labels.csv row {row[0]!r} has {len(row) - 2} scores, not {len(options)}")
         scores = tuple(float(v) for v in row[2:])
-        ranks = ranks_from_values(scores)
-        label = options[ranks.index(1)].option_id
+        label = options[ranks_from_values(scores).index(1)].option_id
         if row[1] != label:
             raise PipelineError(f"labels.csv labels {row[0]!r} {row[1]}, but its scores rank {label} first")
-        by_name[row[0]] = (label, scores, ranks)
+        by_name[row[0]] = (label, scores)
     samples = []
-    qubit_column = names.index("num_qubits") + 1
     for row in f_rows:
         name = row[0]
         if name not in by_name:
             raise PipelineError(f"circuit {name!r} in features.csv but not labels.csv")
-        label, scores, ranks = by_name[name]
+        label, scores = by_name[name]
         if label != row[-1]:
             raise PipelineError(f"label mismatch for {name!r} between the two CSV files")
-        samples.append(
-            LabeledSample(
-                name=name,
-                num_qubits=int(float(row[qubit_column])),
-                features=tuple(float(v) for v in row[1:-1]),
-                label=label,
-                scores=scores,
-                ranks=ranks,
-            )
-        )
+        samples.append(LabeledSample(name, tuple(float(v) for v in row[1:-1]), scores))
     return samples
 
 

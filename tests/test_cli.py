@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcpredict
-from qcpredict import ml
+from qcpredict import ml, pipeline
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
 from qcpredict.features import FeatureSchema
@@ -291,6 +291,15 @@ def test_evaluate_writes_report_and_figures(workdir, tmp_path):
     assert main(["evaluate", "--data", str(workdir), "--out", str(again)]) == 0
     for name in ("report.json", "fig4_histogram.csv", "fig5_dots.csv", "fig6_importance.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_evaluate_votes_once(workdir, tmp_path, monkeypatch):
+    # the report and the fig5 dots share one forest vote over the test rows
+    calls = []
+    real_predict_many = pipeline.predict_many
+    monkeypatch.setattr(pipeline, "predict_many", lambda *a: calls.append(a) or real_predict_many(*a))
+    assert main(["evaluate", "--data", str(workdir), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_custom_device_directory(workdir, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -9,7 +11,7 @@ import pytest
 from qcpredict.circuit import Circuit, gate
 from qcpredict.cli import main
 from qcpredict.compiler import enumerate_options, parse_option
-from qcpredict.devices import Calibration, DeviceModel, write_device
+from qcpredict.devices import Calibration, DeviceModel, builtin_devices, write_device
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
 from qcpredict.ml import ForestModel, fit_tree
@@ -25,7 +27,6 @@ from qcpredict.pipeline import (
     label_dataset,
     load_labeled_dataset,
     majority_baseline,
-    predicted_labels,
     rank_histogram,
     read_corpus,
     runtime_compare,
@@ -55,16 +56,17 @@ def labeled(small_corpus, options, devices):
     return samples
 
 
+_OPTION_IDS = tuple(opt.option_id for opt in enumerate_options(builtin_devices()))
+
+
 def _fake_sample(name, qubits, label, scores):
-    features = tuple(float(i) for i in range(len(full_schema().names)))
-    return LabeledSample(
-        name=name,
-        num_qubits=qubits,
-        features=features,
-        label=label,
-        scores=tuple(scores),
-        ranks=ranks_from_values(scores),
-    )
+    """A sample of ``qubits`` qubits (the first feature); ``label`` must be
+    the option its scores rank first."""
+    features = (float(qubits),) + tuple(float(i) for i in range(1, len(full_schema().names)))
+    sample = LabeledSample(name=name, features=features, scores=tuple(scores))
+    assert sample.num_qubits == qubits
+    assert _OPTION_IDS[sample.best] == label, (name, label, _OPTION_IDS[sample.best])
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +80,16 @@ def test_labels_agree_with_brute_force(labeled, small_corpus, options, devices):
         s = by_name[c.name]
         assert s.scores == values
         assert s.ranks == ranks_from_values(values)
-        assert s.label == options[s.ranks.index(1)].option_id
+        assert s.best == values.index(max(values))  # the first of the best scores
         assert s.num_qubits == c.num_qubits
         assert len(s.features) == len(full_schema().names)
+    assert [f.name for f in dataclasses.fields(LabeledSample)] == ["name", "features", "scores"]
 
 
-def test_label_is_rank_one(labeled, options):
-    position = {opt.option_id: i for i, opt in enumerate(options)}
+def test_label_is_rank_one(labeled):
     for s in labeled:
-        assert s.ranks[position[s.label]] == 1
+        assert s.ranks[s.best] == 1
+        assert s.scores[s.best] == max(s.scores)
 
 
 def test_oversized_circuits_are_excluded(options, devices):
@@ -220,15 +223,15 @@ def test_train_model_defaults_and_schema(labeled, options):
     assert model.min_samples_leaf == DEFAULT_FOREST_PARAMS["min_samples_leaf"]
     assert model.label_space == tuple(opt.option_id for opt in options)
     assert model.schema.names == full_schema().names
-    preds = predicted_labels(model, test)
-    assert len(preds) == len(test)
-    assert all(p in model.label_space for p in preds)
+    report = evaluate(model, test, options)
+    assert len(report.predicted) == len(test)
+    assert all(0 <= p < len(options) for p in report.predicted)
 
 
 def test_train_model_uses_default_params(labeled, options):
     train, _ = split(labeled, 0.3, seed=0)
     short = train[:12]
-    if len({s.label for s in short}) < 2:
+    if len({s.best for s in short}) < 2:
         short = train
     _, chosen, _ = train_model(short, options, params=None)
     assert chosen == DEFAULT_FOREST_PARAMS == {"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2}
@@ -246,6 +249,16 @@ def test_train_model_rejects_single_class(options):
     data = _fake_dataset(10)
     with pytest.raises(PipelineError, match="degenerate"):
         train_model(data, options)
+
+
+def test_train_model_refuses_a_score_vector_of_another_length(options):
+    # two classes, so only the length of the score vectors is wrong
+    short = [
+        LabeledSample("a", tuple(range(len(full_schema().names))), tuple([1.0] + [0.5] * 28)),
+        LabeledSample("b", tuple(range(len(full_schema().names))), tuple([0.5, 1.0] + [0.5] * 27)),
+    ]
+    with pytest.raises(PipelineError, match="'a' has 29 scores, not 30"):
+        train_model(short, options)
 
 
 def test_train_model_grid_search(labeled, options):
@@ -298,7 +311,7 @@ def test_evaluate_rejects_empty(options):
 
 
 def test_rank_histogram_sums_to_one():
-    report = EvalReport(accuracy=0.5, top3=0.75, worst_rank=5, ranks=(1, 2, 5, 1))
+    report = EvalReport(accuracy=0.5, top3=0.75, worst_rank=5, ranks=(1, 2, 5, 1), predicted=(0, 0, 0, 0))
     hist = rank_histogram(report, 30)
     assert len(hist) == 30
     assert sum(f for _, f in hist) == pytest.approx(1.0)
@@ -310,12 +323,12 @@ def test_rank_histogram_sums_to_one():
 
 def test_majority_baseline_counts_and_ties(options):
     train = [
-        _fake_sample("a", 2, "dev8/A/O1", _scores_with_rank_at_zero(1)),
-        _fake_sample("b", 2, "dev8/A/O1", _scores_with_rank_at_zero(1)),
+        _fake_sample("a", 2, "dev8/A/O1", _scores_with_rank_at_zero(2)),
+        _fake_sample("b", 2, "dev8/A/O1", _scores_with_rank_at_zero(2)),
         _fake_sample("c", 2, "dev8/A/O0", _scores_with_rank_at_zero(1)),
     ]
     test = [
-        _fake_sample("d", 2, "dev8/A/O0", _scores_with_rank_at_zero(2)),  # rank of O1 here is 1
+        _fake_sample("d", 2, "dev8/A/O1", _scores_with_rank_at_zero(2)),  # rank of O1 here is 1
         _fake_sample("e", 2, "dev8/A/O0", _scores_with_rank_at_zero(1)),  # rank of O1 here is 2
     ]
     label, accuracy = majority_baseline(train, test, options)
@@ -373,7 +386,7 @@ def test_export_dot_graph_rows(options):
         _fake_sample("zeta", 4, "dev8/A/O0", _scores_with_rank_at_zero(1)),
         _fake_sample("alpha", 2, "dev8/A/O1", _scores_with_rank_at_zero(2)),
     ]
-    rows = export_dot_graph(samples, model, options)
+    rows = export_dot_graph(samples, evaluate(model, samples, options), options)
     assert len(rows) == 60
     # sorted by qubit count first
     assert [r[0] for r in rows[:30]] == ["alpha"] * 30
@@ -384,6 +397,8 @@ def test_export_dot_graph_rows(options):
         circuit_rows = [r for r in rows if r[0] == name]
         assert max(r[3] for r in circuit_rows) == 1.0
         assert all(0.0 <= r[3] <= 1.0 for r in circuit_rows)
+    with pytest.raises(PipelineError, match="predicts 2 rows, not the 1 test rows"):
+        export_dot_graph(samples[:1], evaluate(model, samples, options), options)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +448,14 @@ def test_read_corpus_missing_manifest(tmp_path):
 
 def test_labeled_dataset_round_trip(tmp_path, labeled, options):
     write_labels_csv(tmp_path / "labels.csv", labeled, options)
-    write_features_csv(tmp_path / "features.csv", labeled)
+    write_features_csv(tmp_path / "features.csv", labeled, options)
     back = load_labeled_dataset(tmp_path, options)
     assert back == labeled
 
 
 def test_load_labeled_dataset_header_checks(tmp_path, labeled, options):
     write_labels_csv(tmp_path / "labels.csv", labeled, options)
-    write_features_csv(tmp_path / "features.csv", labeled)
+    write_features_csv(tmp_path / "features.csv", labeled, options)
     reordered = list(options)[::-1]
     with pytest.raises(PipelineError, match="labels.csv"):
         load_labeled_dataset(tmp_path, reordered)
@@ -453,8 +468,8 @@ def test_load_labeled_dataset_header_checks(tmp_path, labeled, options):
 
 def test_load_labeled_dataset_derives_labels_from_scores(tmp_path, labeled, options):
     write_labels_csv(tmp_path / "labels.csv", labeled, options)
-    write_features_csv(tmp_path / "features.csv", labeled)
-    name, label = labeled[0].name, labeled[0].label
+    write_features_csv(tmp_path / "features.csv", labeled, options)
+    name, label = labeled[0].name, options[labeled[0].best].option_id
     wrong = next(o.option_id for o in options if o.option_id != label)
     # relabel the circuit in both files: they agree, but not with the scores
     for csv in ("labels.csv", "features.csv"):
@@ -486,7 +501,7 @@ def test_figure_csvs_parse_clean(tmp_path, labeled, options):
     freqs = [float(line.split(",")[1]) for line in lines[1:]]
     assert sum(freqs) == pytest.approx(1.0)
 
-    rows = export_dot_graph(test, model, options)
+    rows = export_dot_graph(test, report, options)
     write_fig5_csv(tmp_path / "fig5.csv", rows)
     lines = (tmp_path / "fig5.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "circuit,num_qubits,option,normalized_score,predicted"
@@ -504,7 +519,7 @@ def test_figure_csvs_parse_clean(tmp_path, labeled, options):
 
 
 def test_report_payload_and_determinism(tmp_path):
-    report = EvalReport(accuracy=0.75, top3=0.9, worst_rank=4, ranks=(1, 1, 4, 1))
+    report = EvalReport(accuracy=0.75, top3=0.9, worst_rank=4, ranks=(1, 1, 4, 1), predicted=(0, 0, 1, 0))
     from qcpredict.compiler import parse_option
 
     options = [parse_option("dev8/A/O0"), parse_option("dev8/A/O1")]
@@ -525,3 +540,31 @@ def test_report_payload_and_determinism(tmp_path):
     write_report(tmp_path / "b.json", payload)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8")) == payload
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+# sha256 of each file that `label`, `train --n-trees 20` and `evaluate` write
+# for `generate --families ghz,dj,qft --qubits 2..6 --seed 0`; a change means
+# a score, the split, the forest or a file format moved
+PINNED_OUTPUT_SHA256 = {
+    "labels.csv": "a9dc0945e43601a50feb610b86b70934875b3fa42d1bdf2e7a599ddfbd0a61db",
+    "features.csv": "9742ef190db4150f1ac6f17c29cf439a954d4629171415f14e7a65fa92d01721",
+    "report.json": "548063b202c0416b0a5a02c66e70cc6a0536990af91f590075389ec5145a6708",
+    "fig4_histogram.csv": "c2bb54ad0342315281a5c52fee482d4f7984f906d8ab437233133317b551d132",
+    "fig5_dots.csv": "cd6169cde872433b3795f9fd73e9e97df698beb3c8652417e851e9eb26169d46",
+    "fig6_importance.csv": "4a966dc9537a1d645f79bc5d8dad7e51df5e9b2549dd10fcdf55c3c71e5a78f7",
+}
+
+
+def test_pipeline_outputs_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--families", "ghz,dj,qft", "--qubits", "2..6", "--seed", "0"]) == 0
+    assert main(["label", "--corpus", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--n-trees", "20"]) == 0
+    trained = (data / "report.json").read_bytes()
+    assert main(["evaluate", "--data", str(data)]) == 0
+    assert (data / "report.json").read_bytes() == trained  # evaluate rewrites the report train wrote
+    digests = {name: hashlib.sha256((data / name).read_bytes()).hexdigest() for name in PINNED_OUTPUT_SHA256}
+    assert digests == PINNED_OUTPUT_SHA256
