@@ -38,7 +38,6 @@ from .pipeline import (
     export_dot_graph,
     label_dataset,
     load_labeled_dataset,
-    majority_baseline,
     model_features,
     read_corpus,
     read_excluded_csv,
@@ -131,7 +130,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     options = enumerate_options(devices)
     samples = load_labeled_dataset(args.data, options)
     excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
-    train_set, test_set = split(samples, args.test_fraction, args.seed)
+    train_set, test_set = split(samples, DEFAULT_TEST_FRACTION, args.seed)
     outdir = Path(args.out or args.data)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -141,7 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "max_depth": args.max_depth,
             "min_samples_leaf": args.min_samples_leaf,
         }
-        model, chosen, _ = train_model(
+        model, _, _ = train_model(
             train_set,
             options,
             seed=args.seed,
@@ -151,22 +150,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         save_model(model, outdir / MODEL_FILE)
         report = evaluate(model, test_set, options)
-        params = {"classifier": "forest", **chosen}
+        params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
     else:
         report = evaluate_baseline(args.classifier, train_set, test_set, options, k=args.knn_k)
         params = {"classifier": args.classifier}
         if args.classifier == "knn":
             params["k"] = args.knn_k
 
-    _, majority_accuracy = majority_baseline(train_set, test_set, options)
-    payload = build_report(
-        report, options, len(train_set), len(test_set), params, majority_accuracy, excluded, seed=args.seed
-    )
+    payload = build_report(report, options, train_set, test_set, params, excluded, seed=args.seed)
     write_report(outdir / REPORT_FILE, payload)
     print(
         f"{args.classifier}: accuracy {report.accuracy:.4f}, top3 {report.top3:.4f}, "
         f"worst rank {report.worst_rank} of {len(options)} "
-        f"(majority baseline {majority_accuracy:.4f})"
+        f"(majority baseline {payload['majority_baseline_accuracy']:.4f})"
     )
     return 0
 
@@ -244,22 +240,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     options = enumerate_options(devices)
     samples = load_labeled_dataset(args.data, options)
     excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
-    train_set, test_set = split(samples, args.test_fraction, args.seed)
     model = load_model(args.model or Path(args.data) / MODEL_FILE)
+    # `train --seed` seeds both the split and the forest, and the model keeps
+    # that seed, so this is the split the model was trained on
+    train_set, test_set = split(samples, DEFAULT_TEST_FRACTION, model.seed)
     report = evaluate(model, test_set, options)
-    _, majority_accuracy = majority_baseline(train_set, test_set, options)
 
     outdir = Path(args.out or args.data)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = {
-        "classifier": "forest",
-        "n_trees": model.n_trees,
-        "max_depth": model.max_depth,
-        "min_samples_leaf": model.min_samples_leaf,
-    }
-    payload = build_report(
-        report, options, len(train_set), len(test_set), params, majority_accuracy, excluded, seed=args.seed
-    )
+    params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
+    payload = build_report(report, options, train_set, test_set, params, excluded, seed=model.seed)
     write_report(outdir / REPORT_FILE, payload)
     write_fig4_csv(outdir / FIG4_FILE, report, len(options))
     write_fig5_csv(outdir / FIG5_FILE, export_dot_graph(test_set, report, options))
@@ -303,8 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory holding labels.csv and features.csv")
     p.add_argument("--out", help="output directory (default: the data directory)")
     add_devices(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
+    p.add_argument("--seed", type=int, default=0, help="seeds both the train/test split and the forest")
     p.add_argument("--classifier", choices=("forest", "knn", "nb"), default="forest")
     p.add_argument("--grid-search", action="store_true", help="cross-validated hyperparameter search")
     p.add_argument("--folds", type=int, default=5)
@@ -332,13 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="write compile stats JSON here")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("evaluate", help="evaluate a trained model and export figure data")
+    p = sub.add_parser("evaluate", help="re-score a model on its own held-out split and export figure data")
     p.add_argument("--data", required=True, help="directory holding labels.csv and features.csv")
     p.add_argument("--model", help="model file (default: <data>/model.bin)")
     p.add_argument("--out", help="output directory (default: the data directory)")
     add_devices(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -483,7 +483,8 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
 
     Ranks and labels are derived from the stored scores with the tie rule of
     labeling, so the round trip is exact; a stored label that disagrees with
-    its scores is refused.
+    its scores is refused, and so are a row of the wrong width, a circuit
+    listed twice in one file and a circuit missing from either file.
     """
     outdir = Path(outdir)
     f_header, f_rows = _read_csv_rows(outdir / FEATURES_FILE)
@@ -499,20 +500,31 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
     for row in l_rows:
         if len(row) != len(expected):
             raise PipelineError(f"labels.csv row {row[0]!r} has {len(row) - 2} scores, not {len(options)}")
+        if row[0] in by_name:
+            raise PipelineError(f"labels.csv lists circuit {row[0]!r} twice")
         scores = tuple(float(v) for v in row[2:])
         label = options[ranks_from_values(scores).index(1)].option_id
         if row[1] != label:
             raise PipelineError(f"labels.csv labels {row[0]!r} {row[1]}, but its scores rank {label} first")
         by_name[row[0]] = (label, scores)
     samples = []
+    seen: set[str] = set()
     for row in f_rows:
         name = row[0]
+        if len(row) != len(f_header):
+            raise PipelineError(f"features.csv row {name!r} has {len(row) - 2} features, not {len(names)}")
         if name not in by_name:
             raise PipelineError(f"circuit {name!r} in features.csv but not labels.csv")
+        if name in seen:
+            raise PipelineError(f"features.csv lists circuit {name!r} twice")
+        seen.add(name)
         label, scores = by_name[name]
         if label != row[-1]:
             raise PipelineError(f"label mismatch for {name!r} between the two CSV files")
         samples.append(LabeledSample(name, tuple(float(v) for v in row[1:-1]), scores))
+    for name in by_name:
+        if name not in seen:
+            raise PipelineError(f"circuit {name!r} in labels.csv but not features.csv")
     return samples
 
 
@@ -547,23 +559,24 @@ def write_report(path: str | Path, payload: dict) -> None:
 def build_report(
     report: EvalReport,
     options: list[CompilationOption],
-    n_train: int,
-    n_test: int,
+    train_set: list[LabeledSample],
+    test_set: list[LabeledSample],
     params: dict,
-    majority_accuracy: float,
     excluded: list[tuple[str, str]] | None = None,
     seed: int = 0,
 ) -> dict:
-    """Assemble the JSON report. Deliberately excludes wall-clock timings so
-    reruns with one seed are byte-identical. ``excluded`` None (unknown) is
-    written as null, not as an empty list."""
+    """Assemble the JSON report of ``report``, the predictions on
+    ``test_set``. Deliberately excludes wall-clock timings so reruns with one
+    seed are byte-identical. ``excluded`` None (unknown) is written as null,
+    not as an empty list."""
+    _, majority_accuracy = majority_baseline(train_set, test_set, options)
     return {
         "accuracy": report.accuracy,
         "top3": report.top3,
         "worst_rank": report.worst_rank,
         "n_options": len(options),
-        "n_train": n_train,
-        "n_test": n_test,
+        "n_train": len(train_set),
+        "n_test": len(test_set),
         "majority_baseline_accuracy": majority_accuracy,
         "classifier_params": {k: params[k] for k in sorted(params)},
         "seed": seed,

@@ -185,9 +185,9 @@ def test_end_to_end_desk_scale_beats_majority_baseline(desk, options):
     assert 1 <= report.worst_rank <= len(options)
 
     payload = build_report(
-        report, options, len(desk["train"]), len(desk["test"]),
-        {"classifier": "forest", **desk["params"]}, majority_accuracy, seed=0,
+        report, options, desk["train"], desk["test"], {"classifier": "forest", **desk["params"]}, seed=0
     )
+    assert payload["majority_baseline_accuracy"] == majority_accuracy
     assert payload["external_reference"] == EXTERNAL_REFERENCE
     assert payload["external_reference"]["accuracy"] == 0.75
     assert payload["external_reference"]["top3"] == 0.90
@@ -227,7 +227,7 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
             "train", "--data", str(d), "--seed", "0",
             "--n-trees", "120", "--max-depth", "20", "--min-samples-leaf", "2",
         ]) == 0
-        assert main(["evaluate", "--data", str(d), "--seed", "0"]) == 0
+        assert main(["evaluate", "--data", str(d)]) == 0
 
     a, b = dirs
     names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())

@@ -293,6 +293,23 @@ def test_evaluate_writes_report_and_figures(workdir, tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_evaluate_rescores_the_split_train_made(workdir, tmp_path):
+    # evaluate reads the split seed from model.bin, so it rewrites the report
+    # of a non-default seed byte for byte, wherever the model file lives
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("labels.csv", "features.csv", "excluded.csv"):
+        (data / name).write_bytes((workdir / name).read_bytes())
+    assert main(["train", "--data", str(data), "--seed", "3", "--n-trees", "20"]) == 0
+    trained = (data / "report.json").read_bytes()
+    assert json.loads(trained)["seed"] == 3
+    assert main(["evaluate", "--data", str(data)]) == 0
+    assert (data / "report.json").read_bytes() == trained
+    other = tmp_path / "other"
+    assert main(["evaluate", "--data", str(data), "--model", str(data / "model.bin"), "--out", str(other)]) == 0
+    assert (other / "report.json").read_bytes() == trained
+
+
 def test_evaluate_votes_once(workdir, tmp_path, monkeypatch):
     # the report and the fig5 dots share one forest vote over the test rows
     calls = []
@@ -340,6 +357,11 @@ def test_argparse_errors_exit_two(tmp_path):
     for command in (["label", "--corpus", str(tmp_path)], ["compile", str(tmp_path / "c.qasm"), "--all"]):
         with pytest.raises(SystemExit) as exc:
             main(command + ["--timeout", "1"])  # no wall-clock limit exists
+        assert exc.value.code == 2
+    # the split is fixed by train --seed alone; evaluate reads it from the model
+    for command, option in (("train", "--test-fraction"), ("evaluate", "--test-fraction"), ("evaluate", "--seed")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(tmp_path), option, "1"])
         assert exc.value.code == 2
 
 

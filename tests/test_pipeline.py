@@ -489,6 +489,23 @@ def test_load_labeled_dataset_derives_labels_from_scores(tmp_path, labeled, opti
         load_labeled_dataset(tmp_path, options)
 
 
+@pytest.mark.parametrize("csv, edit, message", [
+    ("features.csv", lambda rows: rows[:1] + rows[2:], "circuit {name!r} in labels.csv but not features.csv"),
+    ("features.csv", lambda rows: rows[:1] + [re.sub(",[^,]*", "", rows[1], count=1)] + rows[2:],
+     "features.csv row {name!r} has 37 features, not 38"),
+    ("features.csv", lambda rows: rows + rows[1:2], "features.csv lists circuit {name!r} twice"),
+    ("labels.csv", lambda rows: rows + rows[1:2], "labels.csv lists circuit {name!r} twice"),
+], ids=["missing-features-row", "short-features-row", "duplicate-features-row", "duplicate-labels-row"])
+def test_load_labeled_dataset_refuses_a_malformed_directory(tmp_path, labeled, options, csv, edit, message):
+    """Each refusal names the file and the circuit, here the first data row's."""
+    write_labels_csv(tmp_path / "labels.csv", labeled, options)
+    write_features_csv(tmp_path / "features.csv", labeled, options)
+    path = tmp_path / csv
+    path.write_text("\n".join(edit(path.read_text(encoding="utf-8").splitlines())) + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=re.escape(message.format(name=labeled[0].name))):
+        load_labeled_dataset(tmp_path, options)
+
+
 def test_figure_csvs_parse_clean(tmp_path, labeled, options):
     train, test = split(labeled, 0.3, seed=0)
     model, _, _ = train_model(train, options, params={"n_trees": 10, "max_depth": 6})
@@ -523,12 +540,18 @@ def test_report_payload_and_determinism(tmp_path):
     from qcpredict.compiler import parse_option
 
     options = [parse_option("dev8/A/O0"), parse_option("dev8/A/O1")]
+    features = tuple(float(i) for i in range(len(full_schema().names)))
+    first, second = (0.9, 0.1), (0.1, 0.9)  # scores that rank each option first
+    train_set = [LabeledSample(f"t{i}", features, first) for i in range(10)]
+    test_set = [LabeledSample(f"e{i}", features, s) for i, s in enumerate((first, second, second, second))]
     payload = build_report(
-        report, options, n_train=10, n_test=4, params={"n_trees": 5, "max_depth": 2},
-        majority_accuracy=0.25, excluded=[("huge", "all 2 options infeasible")], seed=3,
+        report, options, train_set, test_set, params={"n_trees": 5, "max_depth": 2},
+        excluded=[("huge", "all 2 options infeasible")], seed=3,
     )
     assert payload["accuracy"] == 0.75
     assert payload["n_options"] == 2
+    assert (payload["n_train"], payload["n_test"]) == (10, 4)
+    assert payload["majority_baseline_accuracy"] == 0.25
     assert payload["excluded_circuits"] == [["huge", "all 2 options infeasible"]]
     assert payload["seed"] == 3
     assert "external_reference" in payload
