@@ -8,7 +8,6 @@ progress and exclusions go to stderr via logging so files stay deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
@@ -21,7 +20,9 @@ from .devices import DeviceError, builtin_devices, fleet_by_id, load_device_dir
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
 from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict, predict_top_k, save_model
 from .pipeline import (
+    DEFAULT_FOLDS,
     DEFAULT_FOREST_PARAMS,
+    DEFAULT_KNN_K,
     DEFAULT_TEST_FRACTION,
     FIG4_FILE,
     FIG5_FILE,
@@ -33,9 +34,11 @@ from .pipeline import (
     REPORT_FILE,
     PipelineError,
     build_report,
+    csv_text,
     evaluate,
     evaluate_baseline,
     export_dot_graph,
+    json_text,
     label_dataset,
     load_labeled_dataset,
     model_features,
@@ -51,6 +54,7 @@ from .pipeline import (
     write_fig6_csv,
     write_labels_csv,
     write_report,
+    write_text,
 )
 from .qasm import QasmError, parse_qasm, to_qasm
 from .scoring import CalibrationError, evaluate_score, rank_options, ranks_from_values
@@ -125,7 +129,24 @@ def cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_ignored_train_flags(args: argparse.Namespace) -> None:
+    """Refuse a train flag that the chosen mode would not read, naming it."""
+    forest, grid = args.classifier == "forest", args.grid_search
+    scopes = {
+        "grid_search": (forest, "applies only to --classifier forest"),
+        "folds": (grid, "applies only with --grid-search"),
+        "knn_k": (args.classifier == "knn", "applies only to --classifier knn"),
+        **{k: (forest and not grid, "applies only to --classifier forest without --grid-search")
+           for k in DEFAULT_FOREST_PARAMS},
+    }
+    given = set(vars(args)) - (set() if grid else {"grid_search"})
+    for dest, (applies, scope) in scopes.items():
+        if dest in given and not applies:
+            raise ValueError(f"--{dest.replace('_', '-')} {scope}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    _refuse_ignored_train_flags(args)
     devices = _load_devices(args)
     options = enumerate_options(devices)
     samples = load_labeled_dataset(args.data, options)
@@ -134,28 +155,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     outdir = Path(args.out or args.data)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    given = vars(args)
     if args.classifier == "forest":
-        fixed = {
-            "n_trees": args.n_trees,
-            "max_depth": args.max_depth,
-            "min_samples_leaf": args.min_samples_leaf,
-        }
         model, _, _ = train_model(
             train_set,
             options,
             seed=args.seed,
-            params=fixed,
+            params={k: given[k] for k in DEFAULT_FOREST_PARAMS if k in given},
             grid=DEFAULT_GRID if args.grid_search else None,
-            folds=args.folds,
+            folds=given.get("folds", DEFAULT_FOLDS),
         )
         save_model(model, outdir / MODEL_FILE)
         report = evaluate(model, test_set, options)
         params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
     else:
-        report = evaluate_baseline(args.classifier, train_set, test_set, options, k=args.knn_k)
+        k = given.get("knn_k", DEFAULT_KNN_K)
+        report = evaluate_baseline(args.classifier, train_set, test_set, options, k=k)
         params = {"classifier": args.classifier}
         if args.classifier == "knn":
-            params["k"] = args.knn_k
+            params["k"] = k
 
     payload = build_report(report, options, train_set, test_set, params, excluded, seed=args.seed)
     write_report(outdir / REPORT_FILE, payload)
@@ -183,6 +201,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit(text: str, path: str | None, stream) -> None:
+    """Write ``text`` to the file at ``path``, or unchanged to ``stream``."""
+    if path:
+        write_text(path, text)
+    else:
+        stream.write(text)
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     devices = _load_devices(args)
     fleet = fleet_by_id(devices)
@@ -192,15 +218,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.all:
         scores = rank_options(circuit, options, fleet)
         ranks = ranks_from_values(scores)
-        lines = ["rank,option,score"]
-        for i in sorted(range(len(options)), key=ranks.__getitem__):
-            lines.append(f"{ranks[i]},{options[i].option_id},{scores[i]!r}")
-        text = "\n".join(lines) + "\n"
+        order = sorted(range(len(options)), key=ranks.__getitem__)
+        rows = ((ranks[i], options[i].option_id, scores[i]) for i in order)
+        _emit(csv_text(("rank", "option", "score"), rows), args.out, sys.stdout)
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
             print(f"wrote ranking for {len(options)} options to {args.out}")
-        else:
-            print(text, end="")
         return 0
 
     if args.option:
@@ -215,23 +237,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     result = compile_circuit(circuit, option, fleet)
     score = evaluate_score(result, fleet[option.device_id])
-    text = to_qasm(result.circuit)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        print(text, end="")
+    _emit(to_qasm(result.circuit), args.out, sys.stdout)
     stats = {
         "option": option.option_id,
         "score": score.value,
         "layout": [result.layout[q] for q in sorted(result.layout)],
         **result.stats,
     }
-    if args.stats:
-        Path(args.stats).write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
-    else:
-        print(json.dumps(stats, indent=2, sort_keys=True), file=sys.stderr)
+    _emit(json_text(stats), args.stats, sys.stderr)
     return 0
 
 
@@ -296,12 +309,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seeds both the train/test split and the forest")
     p.add_argument("--classifier", choices=("forest", "knn", "nb"), default="forest")
     p.add_argument("--grid-search", action="store_true", help="cross-validated hyperparameter search")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--n-trees", type=int, default=DEFAULT_FOREST_PARAMS["n_trees"])
-    p.add_argument("--max-depth", type=lambda v: None if v == "none" else int(v),
-                   default=DEFAULT_FOREST_PARAMS["max_depth"], help="int or 'none'")
-    p.add_argument("--min-samples-leaf", type=int, default=DEFAULT_FOREST_PARAMS["min_samples_leaf"])
-    p.add_argument("--knn-k", type=int, default=5)
+    # argparse.SUPPRESS leaves a flag unset unless given, so cmd_train can
+    # refuse one that the chosen mode would ignore
+    p.add_argument("--folds", type=int, default=argparse.SUPPRESS,
+                   help=f"cross-validation folds of --grid-search (default {DEFAULT_FOLDS})")
+    p.add_argument("--n-trees", type=int, default=argparse.SUPPRESS,
+                   help=f"forest size (default {DEFAULT_FOREST_PARAMS['n_trees']})")
+    p.add_argument("--max-depth", type=lambda v: None if v == "none" else int(v), default=argparse.SUPPRESS,
+                   help=f"int or 'none' (default {DEFAULT_FOREST_PARAMS['max_depth']})")
+    p.add_argument("--min-samples-leaf", type=int, default=argparse.SUPPRESS,
+                   help=f"fewest rows in a leaf (default {DEFAULT_FOREST_PARAMS['min_samples_leaf']})")
+    p.add_argument("--knn-k", type=int, default=argparse.SUPPRESS,
+                   help=f"neighbors of --classifier knn (default {DEFAULT_KNN_K})")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict the best option for one circuit")

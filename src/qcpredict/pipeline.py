@@ -16,7 +16,7 @@ import logging
 import sys
 import time
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,8 @@ from .scoring import rank_options, ranks_from_values
 logger = logging.getLogger(__name__)
 
 DEFAULT_TEST_FRACTION = 0.3
+DEFAULT_FOLDS = 5
+DEFAULT_KNN_K = 5
 # the forest defaults live in fit_forest's signature
 DEFAULT_FOREST_PARAMS = {
     name: inspect.signature(fit_forest).parameters[name].default
@@ -204,7 +206,7 @@ def train_model(
     seed: int = 0,
     params: dict | None = None,
     grid: list[dict] | None = None,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
 ) -> tuple[ForestModel, dict, list[tuple[dict, float]] | None]:
     """Fit the forest on the training rows.
 
@@ -288,7 +290,7 @@ def evaluate_baseline(
     train: list[LabeledSample],
     test: list[LabeledSample],
     options: list[CompilationOption],
-    k: int = 5,
+    k: int = DEFAULT_KNN_K,
 ) -> EvalReport:
     """Nearest-neighbor or Gaussian Bayes baseline through the same harness.
 
@@ -383,8 +385,28 @@ def export_dot_graph(
 # ---------------------------------------------------------------------------
 # disk formats (all byte-deterministic)
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+EXCLUDED_HEADER = ("name", "reason")
+FEATURES_HEADER = ("circuit",) + full_schema().names + ("label",)
+
+
+def labels_header(options: list[CompilationOption]) -> tuple[str, ...]:
+    return ("circuit", "label") + tuple(f"score_{opt.option_id}" for opt in options)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line ends, as every output file is."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def csv_text(header: tuple[str, ...], rows) -> str:
+    """The header line, then one line per row; cells are joined by commas
+    unquoted, and a float cell is its repr (``str`` of a float)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def json_text(payload: dict) -> str:
+    """Indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
@@ -397,11 +419,11 @@ def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
         if not c.name:
             raise PipelineError("cannot write an unnamed circuit")
         text = to_qasm(c)
-        _write_text(cdir / f"{c.name}.qasm", text)
+        write_text(cdir / f"{c.name}.qasm", text)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         entries.append({"name": c.name, "qubits": c.num_qubits, "sha256": digest})
     manifest = {"count": len(circuits), "files": entries}
-    _write_text(outdir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(outdir / MANIFEST_FILE, json_text(manifest))
     return manifest
 
 
@@ -411,9 +433,17 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
     manifest_path = outdir / MANIFEST_FILE
     if not manifest_path.is_file():
         raise PipelineError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PipelineError(f"{manifest_path} is not JSON: {exc}") from None
+    entries = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise PipelineError(f"{manifest_path} has no list of circuit files")
     circuits = []
-    for entry in manifest["files"]:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise PipelineError(f"{manifest_path}: circuit file entry {i} has no name")
         path = outdir / CIRCUITS_DIR / f"{entry['name']}.qasm"
         if not path.is_file():
             raise PipelineError(f"manifest references missing file {path}")
@@ -429,25 +459,30 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
 
 
 def write_labels_csv(path: str | Path, samples: list[LabeledSample], options: list[CompilationOption]) -> None:
-    header = ["circuit", "label"] + [f"score_{opt.option_id}" for opt in options]
-    lines = [",".join(header)]
-    for s in samples:
-        lines.append(",".join([s.name, options[s.best].option_id] + [repr(v) for v in s.scores]))
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    rows = ((s.name, options[s.best].option_id, *s.scores) for s in samples)
+    write_text(path, csv_text(labels_header(options), rows))
 
 
 def write_features_csv(path: str | Path, samples: list[LabeledSample], options: list[CompilationOption]) -> None:
-    header = ["circuit"] + list(full_schema().names) + ["label"]
-    lines = [",".join(header)]
-    for s in samples:
-        lines.append(",".join([s.name] + [repr(v) for v in s.features] + [options[s.best].option_id]))
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    rows = ((s.name, *s.features, options[s.best].option_id) for s in samples)
+    write_text(path, csv_text(FEATURES_HEADER, rows))
 
 
 def write_excluded_csv(path: str | Path, excluded: list[tuple[str, str]]) -> None:
     """The circuits labeling left out, in corpus order, with their reasons."""
-    lines = ["name,reason"] + [f"{name},{reason}" for name, reason in excluded]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    write_text(path, csv_text(EXCLUDED_HEADER, excluded))
+
+
+def _read_csv_rows(path: Path, header: tuple[str, ...], maxsplit: int = -1) -> list[list[str]]:
+    """The rows under ``header`` of a CSV file, each split at its first
+    ``maxsplit`` commas (at all of them by default)."""
+    if not path.is_file():
+        raise PipelineError(f"missing file {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or tuple(lines[0].split(",")) != header:
+        raise PipelineError(
+            f"{path} does not start with the header that label writes for this fleet and feature schema")
+    return [line.split(",", maxsplit) for line in lines[1:] if line]
 
 
 def read_excluded_csv(path: str | Path) -> list[tuple[str, str]] | None:
@@ -457,25 +492,26 @@ def read_excluded_csv(path: str | Path) -> list[tuple[str, str]] | None:
     path = Path(path)
     if not path.is_file():
         return None
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "name,reason":
-        raise PipelineError(f"{path} does not start with the header name,reason")
-    excluded = []
-    for line in lines[1:]:
-        name, comma, reason = line.partition(",")
-        if not comma:
-            raise PipelineError(f"{path}: row {line!r} has no reason")
-        excluded.append((name, reason))
-    return excluded
+    rows = _read_csv_rows(path, EXCLUDED_HEADER, maxsplit=1)
+    for row in rows:
+        if len(row) != 2:
+            raise PipelineError(f"{path}: row {row[0]!r} has no reason")
+    return [tuple(row) for row in rows]
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    if not path.is_file():
-        raise PipelineError(f"missing file {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise PipelineError(f"empty file {path}")
-    return lines[0].split(","), [line.split(",") for line in lines[1:] if line]
+def _numbers(path: Path, name: str, columns: tuple[str, ...], cells: list[str]) -> tuple[float, ...]:
+    """The cells of one row as floats; refuses a cell that is not a finite
+    number, naming the file, the circuit and the column."""
+    values = []
+    for column, cell in zip(columns, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = float("nan")
+        if not isfinite(value):
+            raise PipelineError(f"{path}: the {column} of circuit {name!r} is {cell!r}, not a finite number")
+        values.append(value)
+    return tuple(values)
 
 
 def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -> list[LabeledSample]:
@@ -483,26 +519,23 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
 
     Ranks and labels are derived from the stored scores with the tie rule of
     labeling, so the round trip is exact; a stored label that disagrees with
-    its scores is refused, and so are a row of the wrong width, a circuit
-    listed twice in one file and a circuit missing from either file.
+    its scores is refused, and so are a row of the wrong width, a cell that is
+    not a finite number, a circuit listed twice in one file and a circuit
+    missing from either file.
     """
     outdir = Path(outdir)
-    f_header, f_rows = _read_csv_rows(outdir / FEATURES_FILE)
-    l_header, l_rows = _read_csv_rows(outdir / LABELS_FILE)
-    names = full_schema().names
-    if tuple(f_header) != ("circuit",) + names + ("label",):
-        raise PipelineError("features.csv header does not match the feature schema")
-    expected = ["circuit", "label"] + [f"score_{opt.option_id}" for opt in options]
-    if l_header != expected:
-        raise PipelineError("labels.csv header does not match the configured options")
+    features_path, labels_path = outdir / FEATURES_FILE, outdir / LABELS_FILE
+    f_rows = _read_csv_rows(features_path, FEATURES_HEADER)
+    l_header = labels_header(options)
+    l_rows = _read_csv_rows(labels_path, l_header)
 
     by_name: dict[str, tuple[str, tuple[float, ...]]] = {}
     for row in l_rows:
-        if len(row) != len(expected):
+        if len(row) != len(l_header):
             raise PipelineError(f"labels.csv row {row[0]!r} has {len(row) - 2} scores, not {len(options)}")
         if row[0] in by_name:
             raise PipelineError(f"labels.csv lists circuit {row[0]!r} twice")
-        scores = tuple(float(v) for v in row[2:])
+        scores = _numbers(labels_path, row[0], l_header[2:], row[2:])
         label = options[ranks_from_values(scores).index(1)].option_id
         if row[1] != label:
             raise PipelineError(f"labels.csv labels {row[0]!r} {row[1]}, but its scores rank {label} first")
@@ -511,8 +544,9 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
     seen: set[str] = set()
     for row in f_rows:
         name = row[0]
-        if len(row) != len(f_header):
-            raise PipelineError(f"features.csv row {name!r} has {len(row) - 2} features, not {len(names)}")
+        if len(row) != len(FEATURES_HEADER):
+            raise PipelineError(
+                f"features.csv row {name!r} has {len(row) - 2} features, not {len(FEATURES_HEADER) - 2}")
         if name not in by_name:
             raise PipelineError(f"circuit {name!r} in features.csv but not labels.csv")
         if name in seen:
@@ -521,7 +555,7 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
         label, scores = by_name[name]
         if label != row[-1]:
             raise PipelineError(f"label mismatch for {name!r} between the two CSV files")
-        samples.append(LabeledSample(name, tuple(float(v) for v in row[1:-1]), scores))
+        samples.append(LabeledSample(name, _numbers(features_path, name, FEATURES_HEADER[1:-1], row[1:-1]), scores))
     for name in by_name:
         if name not in seen:
             raise PipelineError(f"circuit {name!r} in labels.csv but not features.csv")
@@ -529,31 +563,23 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
 
 
 def write_fig4_csv(path: str | Path, report: EvalReport, n_options: int) -> None:
-    lines = ["rank,frequency"]
-    for rank, freq in rank_histogram(report, n_options):
-        lines.append(f"{rank},{freq!r}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    write_text(path, csv_text(("rank", "frequency"), rank_histogram(report, n_options)))
 
 
 def write_fig5_csv(path: str | Path, rows: list[tuple[str, int, str, float, int]]) -> None:
-    lines = ["circuit,num_qubits,option,normalized_score,predicted"]
-    for name, qubits, option, score, flag in rows:
-        lines.append(f"{name},{qubits},{option},{score!r},{flag}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    write_text(path, csv_text(("circuit", "num_qubits", "option", "normalized_score", "predicted"), rows))
 
 
 def write_fig6_csv(path: str | Path, model: ForestModel) -> None:
     mean, std, degenerate = feature_importance(model)
-    lines = ["feature,importance_mean,importance_std"]
-    for name, m, s in zip(model.schema.retained, mean, std):
-        lines.append(f"{name},{float(m)!r},{float(s)!r}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    rows = ((name, float(m), float(s)) for name, m, s in zip(model.schema.retained, mean, std))
+    write_text(path, csv_text(("feature", "importance_mean", "importance_std"), rows))
     if degenerate:
         logger.warning("all trees are single leaves; importances are zero")
 
 
 def write_report(path: str | Path, payload: dict) -> None:
-    _write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json_text(payload))
 
 
 def build_report(

@@ -164,6 +164,19 @@ def test_train_max_depth_none(workdir, tmp_path):
     assert report["classifier_params"]["max_depth"] is None
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--classifier", "knn", "--n-trees", "5"], "--n-trees applies only to --classifier forest without --grid-search"),
+    (["--grid-search", "--max-depth", "3"], "--max-depth applies only to --classifier forest without --grid-search"),
+    (["--classifier", "nb", "--grid-search"], "--grid-search applies only to --classifier forest"),
+    (["--n-trees", "5", "--folds", "3"], "--folds applies only with --grid-search"),
+    (["--n-trees", "5", "--knn-k", "3"], "--knn-k applies only to --classifier knn"),
+], ids=["knn-n-trees", "grid-max-depth", "nb-grid-search", "folds-without-grid", "forest-knn-k"])
+def test_train_refuses_a_flag_its_mode_ignores(workdir, tmp_path, capfd, flags, message):
+    assert main(["train", "--data", str(workdir), "--out", str(tmp_path)] + flags) == 1
+    assert capfd.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_predict_prints_choice_and_shares(workdir, capfd):
     qasm = workdir / "circuits" / "ghz_004.qasm"
     assert main(["predict", str(qasm), "--model", str(workdir / "model.bin")]) == 0

@@ -441,6 +441,18 @@ def test_read_corpus_checks_the_manifest(tmp_path, small_corpus):
         read_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "is not JSON"),
+    ('{"count": 0}', "has no list of circuit files"),
+    ('{"count": 1, "files": [{"qubits": 2}]}', "circuit file entry 0 has no name"),
+], ids=["not-json", "no-files", "entry-without-name"])
+def test_read_corpus_refuses_a_malformed_manifest(tmp_path, text, message):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(text, encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"{re.escape(str(manifest_path))}.* {message}"):
+        read_corpus(tmp_path)
+
+
 def test_read_corpus_missing_manifest(tmp_path):
     with pytest.raises(PipelineError, match="manifest"):
         read_corpus(tmp_path)
@@ -506,6 +518,29 @@ def test_load_labeled_dataset_refuses_a_malformed_directory(tmp_path, labeled, o
         load_labeled_dataset(tmp_path, options)
 
 
+@pytest.mark.parametrize("csv, value", [
+    ("features.csv", "nan"), ("features.csv", "abc"), ("labels.csv", "inf"), ("labels.csv", "abc"),
+])
+def test_load_labeled_dataset_refuses_a_cell_that_is_not_a_finite_number(tmp_path, labeled, options, csv, value):
+    """The edited cell is the first row's num_qubits in features.csv, and in
+    labels.csv the score of its label, so the ranking does not change."""
+    write_labels_csv(tmp_path / "labels.csv", labeled, options)
+    write_features_csv(tmp_path / "features.csv", labeled, options)
+    sample = labeled[0]
+    column = "num_qubits" if csv == "features.csv" else f"score_{options[sample.best].option_id}"
+    path = tmp_path / csv
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    cells = lines[1].split(",")
+    assert cells[0] == sample.name
+    cells[at] = value
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"{path}: the {column} of circuit {sample.name!r} is {value!r}, not a finite number"
+    with pytest.raises(PipelineError, match=re.escape(message)):
+        load_labeled_dataset(tmp_path, options)
+
+
 def test_figure_csvs_parse_clean(tmp_path, labeled, options):
     train, test = split(labeled, 0.3, seed=0)
     model, _, _ = train_model(train, options, params={"n_trees": 10, "max_depth": 6})
@@ -568,20 +603,27 @@ def test_report_payload_and_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 # pinned outputs
 
-# sha256 of each file that `label`, `train --n-trees 20` and `evaluate` write
-# for `generate --families ghz,dj,qft --qubits 2..6 --seed 0`; a change means
-# a score, the split, the forest or a file format moved
+# sha256 of each file that `generate`, `label`, `train --n-trees 20` and
+# `evaluate` write for `generate --families ghz,dj,qft --qubits 2..6 --seed 0`,
+# and of what `compile --all --out ranking.csv` and `compile --option
+# dev27/A/O3 --out compiled.qasm --stats stats.json` write for its qft_005; a
+# change means a score, the split, the forest or a file format moved
 PINNED_OUTPUT_SHA256 = {
+    "manifest.json": "f0946378c513902082c9df7a65a3962935bbc184a016f7f484f77690a58cb610",
     "labels.csv": "a9dc0945e43601a50feb610b86b70934875b3fa42d1bdf2e7a599ddfbd0a61db",
     "features.csv": "9742ef190db4150f1ac6f17c29cf439a954d4629171415f14e7a65fa92d01721",
+    "excluded.csv": "b5e1192ccafe47df648303f57dc522fff58a48cb89920ddd9cc6e067f83b9769",
     "report.json": "548063b202c0416b0a5a02c66e70cc6a0536990af91f590075389ec5145a6708",
     "fig4_histogram.csv": "c2bb54ad0342315281a5c52fee482d4f7984f906d8ab437233133317b551d132",
     "fig5_dots.csv": "cd6169cde872433b3795f9fd73e9e97df698beb3c8652417e851e9eb26169d46",
     "fig6_importance.csv": "4a966dc9537a1d645f79bc5d8dad7e51df5e9b2549dd10fcdf55c3c71e5a78f7",
+    "ranking.csv": "b22712e7351f68f2ee34298c294a54162d4f2506cb47ee6cf3c3356c660d670f",
+    "compiled.qasm": "4da56a51c4bea5f7da7e6707e14013d786be0a00d380d6c8de9f253fda7cd855",
+    "stats.json": "ae51eea3aef09a8ba4c6ae521e914d816dea2e065204c545a3f63346d0c90ca0",
 }
 
 
-def test_pipeline_outputs_are_pinned(tmp_path):
+def test_pipeline_outputs_are_pinned(tmp_path, capfd):
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data), "--families", "ghz,dj,qft", "--qubits", "2..6", "--seed", "0"]) == 0
     assert main(["label", "--corpus", str(data)]) == 0
@@ -589,5 +631,19 @@ def test_pipeline_outputs_are_pinned(tmp_path):
     trained = (data / "report.json").read_bytes()
     assert main(["evaluate", "--data", str(data)]) == 0
     assert (data / "report.json").read_bytes() == trained  # evaluate rewrites the report train wrote
+
+    circuit = str(data / "circuits" / "qft_005.qasm")
+    assert main(["compile", circuit, "--all", "--out", str(data / "ranking.csv")]) == 0
+    assert main(["compile", circuit, "--option", "dev27/A/O3",
+                 "--out", str(data / "compiled.qasm"), "--stats", str(data / "stats.json")]) == 0
     digests = {name: hashlib.sha256((data / name).read_bytes()).hexdigest() for name in PINNED_OUTPUT_SHA256}
     assert digests == PINNED_OUTPUT_SHA256
+
+    # without a file, each payload goes to its stream unchanged
+    capfd.readouterr()
+    assert main(["compile", circuit, "--all"]) == 0
+    assert capfd.readouterr().out == (data / "ranking.csv").read_text(encoding="utf-8")
+    assert main(["compile", circuit, "--option", "dev27/A/O3"]) == 0
+    streams = capfd.readouterr()
+    assert streams.out == (data / "compiled.qasm").read_text(encoding="utf-8")
+    assert streams.err == (data / "stats.json").read_text(encoding="utf-8")
