@@ -279,7 +279,7 @@ def _lower(op: Instruction, device: DeviceModel, out: list[Instruction]) -> None
 # (a, b), (a,), (b,) and (b, a); a one-qubit op uses code 1 only
 _SLOTS = ((0, 1), (0,), (1,), (1, 0))
 # builds an Instruction from its four fields at half the cost of the
-# NamedTuple constructor, which lowering calls once per gate it emits
+# NamedTuple constructor, which routing and lowering call once per op they emit
 _new_tuple = tuple.__new__
 
 
@@ -295,6 +295,21 @@ def _rewrite(op: Instruction, device: DeviceModel) -> tuple[tuple[str, int, tupl
     return tuple((sub.kind, _SLOTS.index(sub.qubits), sub.params) for sub in lowered)
 
 
+def _place(op: Instruction, rewrite: tuple | None) -> tuple[Instruction, ...]:
+    """The native ops of ``op``: its rewrite on ``op``'s own qubits."""
+    if rewrite is None:
+        return (op,)
+    if not rewrite:  # a dropped op, such as a barrier on any number of qubits
+        return ()
+    qubits = op.qubits
+    if len(qubits) == 1:
+        picks = (None, qubits)
+    else:
+        a, b = qubits
+        picks = (qubits, (a,), (b,), (b, a))
+    return tuple([_new_tuple(Instruction, (kind, picks[code], params, None)) for kind, code, params in rewrite])
+
+
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     """Rewrite every gate over the device's native set; native gates pass through.
 
@@ -302,12 +317,22 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     every later op of that gate substitutes its own qubits into the rewrite.
     Params that compare equal but lower differently, such as ``0.0`` and
     ``-0.0`` or ``1`` and ``1.0``, never share a rewrite: only nonzero floats
-    are keyed by value, anything else also by its repr.
+    are keyed by value, anything else also by its repr. Each distinct op
+    without params (a swap, cx, h or measure on its qubits and clbit) also
+    keeps its native ops for its later copies; an op with params builds its
+    own, since most of those are distinct.
     """
     out: list[Instruction] = []
     rewrites: dict[tuple, tuple | None] = {}
+    lowered: dict[Instruction, tuple[Instruction, ...]] = {}
     for op in circuit.ops:
-        kind, params = op.kind, op.params
+        params = op.params
+        if not params:
+            native = lowered.get(op)
+            if native is not None:
+                out.extend(native)
+                continue
+        kind = op.kind
         key = (kind, params)
         for p in params:
             if type(p) is not float or not p:
@@ -317,17 +342,10 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
             rewrite = rewrites[key]
         else:
             rewrite = rewrites[key] = _rewrite(op, device)
-        if rewrite is None:
-            out.append(op)
-        elif rewrite:  # a dropped op, such as a barrier on any number of qubits, has none
-            qubits = op.qubits
-            if len(qubits) == 1:
-                picks = (None, qubits)
-            else:
-                a, b = qubits
-                picks = (qubits, (a,), (b,), (b, a))
-            for sub_kind, code, sub_params in rewrite:
-                out.append(_new_tuple(Instruction, (sub_kind, picks[code], sub_params, None)))
+        native = _place(op, rewrite)
+        if not params:
+            lowered[op] = native
+        out.extend(native)
     return circuit.with_ops(tuple(out))
 
 
@@ -440,24 +458,25 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
     out: list[Instruction] = []
     swaps = 0
     for op in circuit.ops:
-        if op.kind == MEASURE:
-            out.append(Instruction(MEASURE, (cur[op.qubits[0]],), (), op.clbit))
+        kind, qubits = op.kind, op.qubits
+        if kind == MEASURE:
+            out.append(_new_tuple(Instruction, (MEASURE, (cur[qubits[0]],), (), op.clbit)))
             continue
-        if op.kind == BARRIER:
-            out.append(Instruction(BARRIER, tuple(sorted(cur[q] for q in op.qubits))))
+        if kind == BARRIER:
+            out.append(_new_tuple(Instruction, (BARRIER, tuple(sorted(cur[q] for q in qubits)), (), None)))
             continue
-        if len(op.qubits) == 1:
-            out.append(Instruction(op.kind, (cur[op.qubits[0]],), op.params))
+        if len(qubits) == 1:
+            out.append(_new_tuple(Instruction, (kind, (cur[qubits[0]],), op.params, None)))
             continue
-        if len(op.qubits) > 2:
-            raise CompileError(f"route expects gates on at most two qubits; expand {op.kind} first")
-        a, b = op.qubits
+        if len(qubits) > 2:
+            raise CompileError(f"route expects gates on at most two qubits; expand {kind} first")
+        a, b = qubits
         pa, pb = cur[a], cur[b]
         while dist[pa][pb] > 1:
             hop = next((nb for nb in neighbors[pa] if dist[nb][pb] == dist[pa][pb] - 1), None)
             if hop is None:
                 raise CompileError(f"qubits {pa} and {pb} are not connected on {device.id}")
-            out.append(Instruction("swap", (pa, hop)))
+            out.append(_new_tuple(Instruction, ("swap", (pa, hop), (), None)))
             swaps += 1
             rider = seat.pop(pa)
             sitter = seat.pop(hop, None)
@@ -467,7 +486,7 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
                 seat[pa] = sitter
                 cur[sitter] = pa
             pa = hop
-        out.append(Instruction(op.kind, (pa, pb), op.params))
+        out.append(_new_tuple(Instruction, (kind, (pa, pb), op.params, None)))
     routed = Circuit(device.num_qubits, circuit.num_clbits, tuple(out), circuit.name)
     return routed, cur, swaps
 
@@ -492,11 +511,21 @@ _BASIS: dict[str, tuple] = {
 }
 
 
-def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool]:
-    """One scan of adjacent cancellation, identity dropping, optional fusion."""
+def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool, bool]:
+    """One scan of adjacent cancellation, identity dropping, optional fusion.
+
+    Returns the ops, whether the scan changed them, and whether it was clean:
+    it cancelled no pair and fused no angle to below ``_EPS``. The output of a
+    clean scan is a fixed point of the scan. Drops and fusions keep each
+    qubit's true predecessor in ``last``, so the next scan meets the ops it
+    kept with the same predecessors and decides alike; only a cancellation
+    loses it, and only a near-zero fused angle is left for the next scan to
+    drop.
+    """
     out: list[Instruction | None] = []
     last: dict[int, int | None] = {}
     changed = False
+    clean = True
     for op in ops:
         kind, qubits = op.kind, op.qubits
         if kind in GATE_SIGNATURES:
@@ -519,16 +548,20 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
                         for q in qubits:
                             last[q] = None  # true predecessor unknown; next pass catches follow-ups
                         changed = True
+                        clean = False
                         continue
                     if fuse and kind in _ROTATIONS:
-                        out[k] = prev._replace(params=(prev.params[0] + op.params[0],))
+                        angle = prev.params[0] + op.params[0]
+                        out[k] = prev._replace(params=(angle,))
                         changed = True
+                        if abs(angle) < _EPS:
+                            clean = False
                         continue
         idx = len(out)
         out.append(op)
         for q in qubits:
             last[q] = idx
-    return [op for op in out if op is not None], changed
+    return [op for op in out if op is not None], changed, clean
 
 
 def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
@@ -620,17 +653,22 @@ def _run_stage(
     ops: list[Instruction], fuse: bool, commute: bool, scanned: bool
 ) -> tuple[list[Instruction], bool]:
     """Repeat one stage's passes until a round changes nothing; returns the
-    ops and whether any pass changed them. ``scanned`` says the ops are
-    already a fixed point of the adjacent scan, so the first round skips it."""
+    ops and whether any pass changed them.
+
+    ``scanned`` says the ops are already a fixed point of the adjacent scan.
+    A clean scan leaves one, and the O2 stage hands one to O3, so the scan is
+    skipped until a commuting pass changes the ops again. Skipping a scan
+    that would change nothing leaves every op as scanning every round does.
+    """
     changed_any = False
     while True:
         changed = False
         if not scanned:
-            ops, changed = _adjacent_pass(ops, fuse)
-        scanned = False
+            ops, changed, scanned = _adjacent_pass(ops, fuse)
         if commute:
             ops, commuted = _commuting_pass(ops)
-            changed = changed or commuted
+            if commuted:
+                changed, scanned = True, False
         if not changed:
             return ops, changed_any
         changed_any = True
@@ -690,7 +728,7 @@ def _layout_and_level(
 
 
 def _compile_on_device(
-    expanded: Circuit, options: list[CompilationOption], device: DeviceModel
+    expanded: Circuit, measures: int, options: list[CompilationOption], device: DeviceModel
 ) -> Iterator[tuple[CompilationOption, CompiledResult]]:
     """Route and lower once per distinct layout, then climb the optimizer
     ladder through the levels the options ask for, one rung on the last.
@@ -702,6 +740,10 @@ def _compile_on_device(
     ``a <= b``. A climb that changes nothing returns the rung itself, so
     options that share a circuit get the same ``Circuit`` object and are
     yielded one after another.
+
+    ``measures`` is the number of measures in ``expanded``. Lowering drops
+    every barrier and keeps every measure, and no optimizer stage touches a
+    measure, so every op of a rung but those measures is a native gate.
     """
     plans: dict[tuple, tuple[dict[int, int], list[tuple[CompilationOption, bool, int]]]] = {}
     for option in options:
@@ -712,18 +754,15 @@ def _compile_on_device(
     for layout, wanted in plans.values():
         routed, final_layout, swaps = route(expanded, device, layout)
         rung = decompose_to_native(routed, device)
-        counted, native_gates = None, 0
         previous = 0
         for level in sorted({level for _, _, level in wanted}):
             rung = optimize(rung, level, start=previous)
             previous = level
-            if rung is not counted:
-                counted, native_gates = rung, rung.num_gates()
             for option, fell_back, option_level in wanted:
                 if option_level == level:
                     stats = {
                         "swaps_inserted": swaps,
-                        "native_gates": native_gates,
+                        "native_gates": len(rung.ops) - measures,
                         "placement_fallback": fell_back,
                     }
                     yield option, CompiledResult(rung, dict(final_layout), option, stats)
@@ -756,7 +795,8 @@ def compile_options(
             continue
         if expanded is None:
             expanded = expand_three_qubit(circuit)
-        yield from _compile_on_device(expanded, wanted, device)
+            measures = [op.kind for op in expanded.ops].count(MEASURE)
+        yield from _compile_on_device(expanded, measures, wanted, device)
 
 
 def compile_circuit(

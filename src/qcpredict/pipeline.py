@@ -450,7 +450,10 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
             raise PipelineError(f"{path} does not match the sha256 in {manifest_path}")
-        circuit = parse_qasm(data.decode("utf-8"), name=entry["name"])
+        try:
+            circuit = parse_qasm(data.decode("utf-8"), name=entry["name"])
+        except ValueError as exc:  # a parse error names its line; a decode error its byte
+            raise PipelineError(f"{path}: {exc}") from None
         if circuit.num_qubits != entry.get("qubits"):
             raise PipelineError(
                 f"{path} has {circuit.num_qubits} qubits, but {manifest_path} records {entry.get('qubits')}")

