@@ -5,6 +5,12 @@ baselines, stratified cross-validated grid search, and model persistence.
 Labels are class indices into an ordered label space. Determinism contract:
 all randomness flows from one seed through spawned counter-based generators,
 and every tie (splits, votes, neighbors) breaks toward the lowest index.
+
+The forest's trees grow together, one node per tree per step, with one
+batched split search over the step's nodes. Each tree still grows in its own
+preorder and draws from its own generator in that order, and each node still
+takes the first best split, so a seed gives the forest a tree grown alone
+would: growing together changes only how many numpy calls a node costs.
 """
 from __future__ import annotations
 
@@ -22,6 +28,16 @@ MODEL_FORMAT = "qcpredict-forest"
 MODEL_VERSION = 2
 
 _MIN_DECREASE = 1e-12
+# trees grown in lockstep at once, and training rows one batched split search
+# holds (plus the rows of the node that crosses the bound): both bound the
+# arrays of a step, which sets the memory training peaks at
+_GROUP_TREES = 100
+_SEARCH_ROWS = 1024
+# a tree grows this deep only through splits that send every row of a node
+# one way (a midpoint next to an infinity, or rounded onto the value above
+# it), which can repeat forever; Python's default recursion limit kept a
+# recursive grower from ever passing it
+_DEPTH_LIMIT = 1000
 
 
 class ModelFormatError(ValueError):
@@ -53,49 +69,193 @@ _NODE_DTYPES = {
 }
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+def _check_input(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, f) with one label per row and n > 0")
+    if n_classes < 1 or y.min() < 0 or y.max() >= n_classes:
+        raise ValueError("labels must be indices into [0, n_classes)")
+    return X, y
 
 
-def _split_search(
-    X: np.ndarray, onehot: np.ndarray, idx: np.ndarray, candidates: np.ndarray,
-    parent_gini: float, min_leaf: int,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) over the block of rows ``idx`` x the sorted
-    ``candidates`` (see ``fit_tree``). Thresholds are midpoints between
-    distinct sorted values. Returns None when no split leaves both sides
-    ``min_leaf`` rows and lowers the gini by more than ``_MIN_DECREASE``.
-    """
-    n = idx.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    left_count = np.arange(1, n, dtype=np.float64)[:, None]
-    right_count = n - left_count
-    size_ok = (left_count >= min_leaf) & (right_count >= min_leaf)
+def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among the distinct numbers of its column, and a
+    (features, width) table of those numbers by rank. NaN ranks ``width``,
+    above every number, as a sort puts it last."""
+    nan = np.isnan(X)
+    columns = [np.unique(X[~nan[:, j], j]) for j in range(X.shape[1])]
+    values = np.full((X.shape[1], max((c.size for c in columns), default=0)), np.nan)
+    ranks = np.empty(X.shape, dtype=np.int64)
+    for j, distinct in enumerate(columns):
+        values[j, : distinct.size] = distinct
+        ranks[:, j] = np.searchsorted(distinct, X[:, j])
+    ranks[nan] = values.shape[1]
+    return ranks, values
 
-    order = np.argsort(X[idx[:, None], candidates], axis=0, kind="stable")
-    rows = idx[order]  # (n, k) training rows, each column sorted by its feature
-    xs = X[rows, candidates]
-    valid = (xs[:-1] < xs[1:]) & size_ok
-    if not valid.any():
-        return None
-    # integer counts in float64: cumsum and sums of squares are exact
-    cum = np.cumsum(onehot[rows], axis=0)
-    left = cum[:-1]
-    right = cum[-1] - left
-    sumsq_left = np.einsum("ijk,ijk->ij", left, left)
-    sumsq_right = np.einsum("ijk,ijk->ij", right, right)
-    weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / n
+
+def _batch_split_search(
+    ranks: np.ndarray, values: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+    candidates: np.ndarray, counts: np.ndarray, parent_gini: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of every node of a batch, -1 where a node
+    stays a leaf. ``rows`` holds the nodes' training rows one node after the
+    other, ``sizes`` their counts, ``candidates`` each node's sorted
+    candidate features and ``counts`` its class counts.
+
+    One sort of packed integer keys (node, candidate, value rank, class)
+    orders every node's rows by every candidate feature at once, with no
+    padding; row order within a node never matters. Thresholds are
+    midpoints between distinct sorted values. The child sums of squared
+    class counts are exact integers: to the left, the running sum of
+    ``2 * occ + 1``, where ``occ`` counts the earlier rows of the column
+    with the same class; to the right, ``sum(T**2) - 2 * cumsum(T[class]) +
+    left`` for the node's class totals ``T``. So the weighted child gini of
+    each (feature, threshold) pair is the float64 expression a per-node
+    class-count cumsum gives. Each node takes its first minimum in
+    feature-major order: the lowest candidate feature, then the lowest
+    threshold. A node with no split leaving both sides ``min_leaf`` rows
+    and lowering the gini by more than ``_MIN_DECREASE`` stays a leaf."""
+    n_nodes, k = candidates.shape
+    n_classes = counts.shape[1]
+    width = values.shape[1] + 1  # ranks, NaN's included
+    node = np.repeat(np.arange(n_nodes), sizes)
+    key = (node[:, None] * k + np.arange(k)) * width + ranks[rows[:, None], candidates[node]]
+    key = np.sort(key * n_classes + y[rows, None], axis=None)
+    m = key.size
+    cls = key % n_classes
+    key //= n_classes
+    rank = key % width
+    column = key // width  # node * k + candidate
+    owner = column // k
+    size = sizes[owner]
+    node_start = np.cumsum(sizes * k) - sizes * k
+    start = node_start[owner] + (column % k) * size
+    left = np.arange(m) - start + 1  # rows at or before each position of its column
+
+    # occ: each position's rank among the positions of its column and class
+    by_class = np.sort((column * n_classes + cls) * m + np.arange(m))
+    run = by_class // m
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = run[1:] != run[:-1]
+    occ = np.empty(m, dtype=np.int64)
+    occ[by_class % m] = np.arange(m) - np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
+
+    terms = np.stack([2 * occ + 1, counts[owner, cls]])
+    sums = np.cumsum(terms, axis=1)
+    sums -= (sums - terms)[:, start]  # restart at each column
+    sumsq_left, cross = sums
+    sumsq_right = (counts * counts).sum(axis=1)[owner] - 2 * cross + sumsq_left
+    valid = (left < size) & (left >= min_leaf) & (size - left >= min_leaf)
+    # between distinct numbers only: NaN compares false with every number
+    valid[:-1] &= (rank[:-1] < rank[1:]) & (rank[1:] < width - 1)
+
+    left_count = left.astype(np.float64)
+    right_count = size - left_count
+    with np.errstate(divide="ignore", invalid="ignore"):  # at each column's last row
+        weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / size
     weighted[~valid] = np.inf
-    # feature-major: the first minimum is the lowest feature, then threshold
-    f, i = divmod(int(np.argmin(weighted.T)), n - 1)
-    if parent_gini - weighted[i, f] <= _MIN_DECREASE:
-        return None
-    return int(candidates[f]), float((xs[i, f] + xs[i + 1, f]) / 2.0)
+    lowest = np.minimum.reduceat(weighted, node_start)
+    best = np.minimum.reduceat(np.where(weighted == lowest[owner], np.arange(m), m), node_start)
+    split = parent_gini - lowest > _MIN_DECREASE
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(n_nodes)
+    at = best[split]
+    feature[split] = candidates[split, column[at] % k]
+    threshold[split] = (values[feature[split], rank[at]] + values[feature[split], rank[at + 1]]) / 2.0
+    return feature, threshold
+
+
+def _grow(
+    X: np.ndarray, y: np.ndarray, n_classes: int, samples: np.ndarray,
+    rngs: list[np.random.Generator], max_depth: int | None, min_leaf: int,
+    max_features: int | None,
+) -> NodeTable:
+    """One tree per row of ``samples``, the tree's training rows of X, grown
+    in lockstep into one node table. ``max_features`` (which needs ``rngs``,
+    one per tree) draws each searched node's candidate features.
+
+    Each tree keeps its rows in its own stretch of one array, a node's rows
+    a slice of it, and a preorder stack of the slices still to grow. At each
+    step, every tree with nodes left pops one, so the node a tree pops at
+    step ``t`` is its ``t``-th in preorder. The step's class counts, gini
+    and leaf labels come out as arrays, its split searches run in batches
+    of about ``_SEARCH_ROWS`` rows (see ``_batch_split_search``), and each split
+    node's slice is reordered in place, left child first."""
+    n, n_features = X.shape
+    draw = max_features is not None and max_features < n_features
+    k = max_features if draw else n_features
+    ranks, values = _dense_ranks(X)
+    order = samples.flatten()
+    # per tree, the nodes still to grow: (start, stop, depth, step of the node whose right child it is)
+    stacks = [[(t * n, t * n + n, 0, -1)] for t in range(samples.shape[0])]
+    live = np.arange(samples.shape[0])
+    steps = []  # per step: its trees, then their nodes' fields
+    while live.size:
+        m = live.size
+        start, stop, depth, parent = np.array([stacks[t].pop() for t in live]).T
+        if depth.max() > _DEPTH_LIMIT:
+            raise ValueError(f"a tree grew past depth {_DEPTH_LIMIT}; set max_depth")
+        sizes = stop - start
+        node = np.repeat(np.arange(m), sizes)
+        at = np.arange(node.size) + (start - np.cumsum(sizes) + sizes)[node]  # the nodes' slices
+        rows = order[at]
+        counts = np.bincount(node * n_classes + y[rows], minlength=m * n_classes).reshape(m, n_classes)
+        p = counts / np.maximum(sizes, 1)[:, None]
+        # a split that sends every row one way (see _DEPTH_LIMIT) leaves an empty, pure node
+        gini = np.where(sizes > 0, 1.0 - (p * p).sum(axis=1), 0.0)
+        searched = np.flatnonzero((gini > 0.0) & (max_depth is None or depth < max_depth))
+        if draw and searched.size:
+            candidates = np.sort(
+                [rngs[live[i]].choice(n_features, size=k, replace=False) for i in searched], axis=1
+            )
+        else:  # every feature, or no node to search
+            candidates = np.broadcast_to(np.arange(k), (searched.size, k))
+        eligible = sizes[searched] >= 2 * min_leaf
+        searched, candidates = searched[eligible], candidates[eligible]
+
+        feature = np.full(m, -1, dtype=np.int64)
+        threshold = np.zeros(m)
+        if searched.size:
+            chosen = np.zeros(m, dtype=bool)
+            chosen[searched] = True
+            block = rows[chosen[node]]
+            ends = np.cumsum(sizes[searched])
+            # a new batch at each node starting past a multiple of _SEARCH_ROWS rows
+            cut = (np.flatnonzero(np.diff((ends - sizes[searched]) // _SEARCH_ROWS)) + 1).tolist()
+            for a, b in zip([0, *cut], [*cut, ends.size]):
+                nodes = searched[a:b]
+                feature[nodes], threshold[nodes] = _batch_split_search(
+                    ranks, values, y, block[ends[a] - sizes[nodes[0]]: ends[b - 1]], sizes[nodes],
+                    candidates[a:b], counts[nodes], gini[nodes], min_leaf,
+                )
+        split = feature >= 0
+        steps.append((live, feature, threshold, np.where(split, -1, np.argmax(counts, axis=1)),
+                      sizes, gini, parent.copy()))
+        if split.any():
+            # reorder each split node's slice: its left child's rows, then its right child's
+            going = split[node]
+            side = ~(X[rows[going], feature[node[going]]] <= threshold[node[going]])  # NaN goes right
+            order[at[going]] = np.sort((node[going] * 2 + side) * n + rows[going]) % n
+            middle = start + np.bincount(node[going][~side], minlength=m)
+            pending = (a[split].tolist() for a in (live, start, middle, stop, depth + 1))
+            for t, lo, mid, hi, d in zip(*pending):
+                stacks[t] += [(mid, hi, d, len(steps) - 1), (lo, mid, d, -1)]
+        live = live[[bool(stacks[t]) for t in live]]
+
+    tree = np.concatenate([record[0] for record in steps])
+    step = np.repeat(np.arange(len(steps)), [record[0].size for record in steps])
+    per_tree = np.bincount(tree, minlength=samples.shape[0])
+    roots = np.cumsum(per_tree) - per_tree
+    at = roots[tree] + step
+    table = {}
+    for i, name in enumerate(("feature", "threshold", "label", "n_samples", "impurity"), start=1):
+        table[name] = np.empty(at.size, dtype=_NODE_DTYPES[name])
+        table[name][at] = np.concatenate([record[i] for record in steps])
+    parent = np.concatenate([record[6] for record in steps])
+    table["right"] = np.full(at.size, -1, dtype=np.int64)
+    table["right"][(roots[tree] + parent)[parent >= 0]] = at[parent >= 0]
+    return NodeTable(**table, roots=roots)
 
 
 def fit_tree(
@@ -113,55 +273,15 @@ def fit_tree(
 
     The tree grows depth-first, left child first. Every impure node above
     ``max_depth`` draws its subset from the rng in that preorder, even when
-    it is too small to split, so a seed fixes the tree. Each node runs one
-    batched split search over its rows x candidate features: one stable
-    argsort along the rows, one gather of the sorted values, one cumsum of
-    the class one-hots, and the weighted child gini of every (feature,
-    threshold) pair as one matrix. Class counts are integers held in
-    float64, so every sum is exact in any order. The matrix is scanned
-    feature-major for its first minimum: ties go to the lowest candidate
-    feature, then to the lowest threshold within it."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, f) with one label per row and n > 0")
-    if n_classes < 1 or y.min() < 0 or y.max() >= n_classes:
-        raise ValueError("labels must be indices into [0, n_classes)")
-    n_features = X.shape[1]
-    onehot = np.zeros((X.shape[0], n_classes), dtype=np.float64)
-    onehot[np.arange(X.shape[0]), y] = 1.0
-    nodes: dict[str, list] = {name: [] for name in _NODE_DTYPES if name != "roots"}
-
-    def grow(idx: np.ndarray, depth: int) -> None:
-        counts = np.bincount(y[idx], minlength=n_classes)
-        impurity = _gini(counts)
-        split = None
-        if impurity > 0.0 and (max_depth is None or depth < max_depth):
-            if max_features is not None and rng is not None and max_features < n_features:
-                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            else:
-                candidates = np.arange(n_features)
-            split = _split_search(X, onehot, idx, candidates, impurity, min_samples_leaf)
-        node = len(nodes["feature"])
-        feature, threshold = split if split is not None else (-1, 0.0)
-        nodes["feature"].append(feature)
-        nodes["threshold"].append(threshold)
-        nodes["right"].append(-1)
-        nodes["label"].append(int(np.argmax(counts)) if split is None else -1)
-        nodes["n_samples"].append(int(idx.shape[0]))
-        nodes["impurity"].append(impurity)
-        if split is None:
-            return
-        mask = X[idx, feature] <= threshold
-        grow(idx[mask], depth + 1)
-        nodes["right"][node] = len(nodes["feature"])
-        grow(idx[~mask], depth + 1)
-
-    grow(np.arange(X.shape[0]), 0)
-    return NodeTable(
-        **{name: np.array(values, dtype=_NODE_DTYPES[name]) for name, values in nodes.items()},
-        roots=np.zeros(1, dtype=np.int64),
-    )
+    it is too small to split, so a seed fixes the tree. Ties between splits
+    go to the lowest candidate feature, then to the lowest threshold within
+    it. This is the one-tree call of the lockstep grower ``fit_forest``
+    runs: alone in its group, a tree pops its nodes in the same preorder."""
+    X, y = _check_input(X, y, n_classes)
+    if rng is None:
+        max_features = None
+    samples = np.arange(X.shape[0])[None]
+    return _grow(X, y, n_classes, samples, [rng], max_depth, min_samples_leaf, max_features)
 
 
 def _concat_trees(tables: list[NodeTable]) -> NodeTable:
@@ -170,7 +290,7 @@ def _concat_trees(tables: list[NodeTable]) -> NodeTable:
     merged = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _NODE_DTYPES}
     shift = np.repeat(offsets, [t.feature.shape[0] for t in tables])
     merged["right"] = np.where(merged["right"] >= 0, merged["right"] + shift, -1)
-    merged["roots"] = merged["roots"] + offsets
+    merged["roots"] = merged["roots"] + np.repeat(offsets, [t.roots.shape[0] for t in tables])
     return NodeTable(**merged)
 
 
@@ -203,30 +323,32 @@ def fit_forest(
     bootstrap: bool = True,
     max_features: str | None = "sqrt",
 ) -> ForestModel:
-    """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f))."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f)).
+
+    Every label is checked before any bootstrap. Tree ``i`` owns the
+    ``i``-th generator spawned from ``seed``: it draws its bootstrap first,
+    then its feature subsets in its preorder, exactly as ``fit_tree`` would
+    on the bootstrapped rows. Trees grow in groups of ``_GROUP_TREES``, all
+    of a group in lockstep: a step pops each unfinished tree's next node in
+    its own preorder, so no tree's draws move, and the step's split searches
+    run batched. Each node keeps ``fit_tree``'s tie rule, so the forest is
+    the one its trees grown one at a time give, node for node."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
+    X, y = _check_input(X, y, len(label_space))
     if X.shape[1] != len(schema.retained):
         raise ValueError(f"X has {X.shape[1]} columns, schema retains {len(schema.retained)}")
-    n_classes = len(label_space)
-    subset = ceil(sqrt(X.shape[1])) if max_features == "sqrt" else None
     n = X.shape[0]
-
-    trees = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.Generator(np.random.Philox(child))
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-            Xb, yb = X[sample], y[sample]
-        else:
-            Xb, yb = X, y
-        trees.append(
-            fit_tree(Xb, yb, n_classes, max_depth, min_samples_leaf, rng=rng, max_features=subset)
-        )
+    subset = ceil(sqrt(X.shape[1])) if max_features == "sqrt" else None
+    groups = []
+    children = np.random.SeedSequence(seed).spawn(n_trees)
+    for first in range(0, n_trees, _GROUP_TREES):
+        rngs = [np.random.Generator(np.random.Philox(c)) for c in children[first: first + _GROUP_TREES]]
+        # each tree's first draw is its bootstrap
+        samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
+        groups.append(_grow(X, y, len(label_space), samples, rngs, max_depth, min_samples_leaf, subset))
     return ForestModel(
-        _concat_trees(trees), n_trees, max_depth, min_samples_leaf, bootstrap, max_features,
+        _concat_trees(groups), n_trees, max_depth, min_samples_leaf, bootstrap, max_features,
         schema, tuple(label_space), seed,
     )
 
@@ -401,7 +523,11 @@ DEFAULT_GRID = [
 # persistence
 
 def save_model(model: ForestModel, path: str | Path) -> None:
-    doc = {
+    """Write the model as one JSON document, ``trees`` its last key. The node
+    arrays go out one at a time, each through ``json.dumps`` (``json.dump``
+    never uses the C encoder), in the bytes a ``json.dump`` of the whole
+    document writes."""
+    head = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "n_trees": model.n_trees,
@@ -412,10 +538,12 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "seed": model.seed,
         "schema": {"names": list(model.schema.names), "pruned": list(model.schema.pruned)},
         "label_space": list(model.label_space),
-        "trees": {name: getattr(model.nodes, name).tolist() for name in _NODE_DTYPES},
-    }
+    })
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(head[:-1] + ', "trees": {')
+        for i, name in enumerate(_NODE_DTYPES):
+            fh.write(", " * (i > 0) + f'"{name}": ' + json.dumps(getattr(model.nodes, name).tolist()))
+        fh.write("}}")
 
 
 def load_model(path: str | Path) -> ForestModel:

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
 
+from qcpredict import ml
 from qcpredict.features import FeatureSchema
 from qcpredict.ml import (
     DEFAULT_GRID,
@@ -229,6 +231,100 @@ def test_split_search_matches_the_per_feature_reference(seed, min_leaf, max_dept
     assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
 
 
+def _narrow_like_matrix(seed, n=110):
+    """The shape of the narrow corpus's training matrix: 110 rows, 20
+    features of small counts, rounded ratios and wide magnitudes, and 30
+    classes of which a few dominate."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 15, size=(n, 8)),
+        rng.uniform(size=(n, 6)).round(2),
+        rng.integers(0, 4000, size=(n, 6)),
+    ]).astype(np.float64)
+    y = np.minimum(rng.geometric(0.3, size=n) - 1, 29)
+    return X, y
+
+
+def _tie_heavy_nan_matrix(seed):
+    """``_tie_heavy_matrix`` with NaN in a tenth of columns 0 and 5."""
+    X, y = _tie_heavy_matrix(seed)
+    rng = np.random.default_rng(seed + 100)
+    for j in (0, 5):
+        X[rng.uniform(size=X.shape[0]) < 0.1, j] = np.nan
+    return X, y
+
+
+def _reference_forest(X, y, n_classes, n_trees, seed, max_depth, min_leaf, bootstrap, subset):
+    """Reference: each tree grown alone by ``_reference_fit_tree`` from its
+    own bootstrap and Philox stream, the tables concatenated. Returns the
+    table and each tree's generator."""
+    n = X.shape[0]
+    tables, rngs = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.Generator(np.random.Philox(child))
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        tables.append(_reference_fit_tree(X[sample], y[sample], n_classes, max_depth, min_leaf, rng, subset))
+        rngs.append(rng)
+    offsets = np.cumsum([0] + [t.feature.size for t in tables[:-1]])
+    merged = {name: np.concatenate([getattr(t, name) for t in tables])
+              for name in ("feature", "threshold", "label", "n_samples", "impurity")}
+    merged["right"] = np.concatenate(
+        [np.where(t.right >= 0, t.right + o, -1) for t, o in zip(tables, offsets)]
+    )
+    merged["roots"] = offsets
+    return NodeTable(**merged), rngs
+
+
+@pytest.mark.parametrize("max_features", ["sqrt", None])
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("min_leaf", [1, 2, 30])
+@pytest.mark.parametrize("max_depth", [0, 3, None])
+@pytest.mark.parametrize("matrix", [_tie_heavy_matrix, _narrow_like_matrix, _tie_heavy_nan_matrix])
+def test_forest_equals_its_trees_grown_one_at_a_time(matrix, max_depth, min_leaf, bootstrap, max_features):
+    X, y = matrix(1)
+    n_classes = int(y.max()) + 1
+    subset = ceil(sqrt(X.shape[1])) if max_features == "sqrt" else None
+    model = fit_forest(X, y, _schema(X.shape[1]), _labels(n_classes), n_trees=4, max_depth=max_depth,
+                       min_samples_leaf=min_leaf, seed=7, bootstrap=bootstrap, max_features=max_features)
+    ref, _ = _reference_forest(X, y, n_classes, 4, 7, max_depth, min_leaf, bootstrap, subset)
+    assert model.nodes == ref
+
+
+def test_lockstep_trees_of_very_different_sizes_keep_their_streams():
+    """Bootstraps that miss the rare classes give one-leaf trees, finished at
+    the first step, beside trees still growing dozens of steps later. Past
+    the 100 trees of one lockstep group, each tree's generator ends where
+    the one-tree reference leaves it."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, size=(40, 5)).astype(np.float64)
+    y = np.zeros(40, dtype=np.int64)
+    y[:3] = [1, 2, 1]
+    model = fit_forest(X, y, _schema(5), _labels(3), n_trees=130, max_depth=None, min_samples_leaf=1, seed=11)
+    ref, ref_rngs = _reference_forest(X, y, 3, 130, 11, None, 1, True, 3)
+    assert model.nodes == ref
+    sizes = np.diff(np.append(ref.roots, ref.feature.size))
+    assert sizes.min() == 1 and sizes.max() >= 9
+
+    # the grower itself, on the same bootstraps and streams
+    rngs = [np.random.Generator(np.random.Philox(c)) for c in np.random.SeedSequence(11).spawn(130)]
+    samples = np.array([r.integers(0, 40, size=40) for r in rngs])
+    assert ml._grow(X, y, 3, samples, rngs, None, 1, 3) == ref
+    for fast_rng, ref_rng in zip(rngs, ref_rngs):
+        assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
+
+
+def test_fit_tree_refuses_a_split_that_never_separates():
+    # the midpoint of 0 and inf is inf, so every row goes left, again and
+    # again; with max_depth the chain ends, without it growth is refused
+    X = np.array([[0.0], [np.inf]])
+    y = np.array([0, 1])
+    chain = fit_tree(X, y, 2, max_depth=4)
+    assert chain.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
+    assert chain.n_samples.tolist() == [2, 2, 2, 2, 2, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="depth"):
+        fit_tree(X, y, 2)
+
+
 # ---------------------------------------------------------------------------
 # forests
 
@@ -309,6 +405,17 @@ def test_forest_validates_inputs():
         fit_forest(X, y, _schema(2), _labels(1), n_trees=0)
     with pytest.raises(ValueError, match="columns"):
         fit_forest(X, y, _schema(3), _labels(1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_forest_checks_every_row_before_bootstrap(seed):
+    X = np.arange(20.0).reshape(10, 2)
+    y = np.zeros(10, dtype=np.int64)
+    y[4] = 7  # out of range for 2 classes, in a row a bootstrap may never draw
+    with pytest.raises(ValueError, match="labels"):
+        fit_forest(X, y, _schema(2), _labels(2), n_trees=1, seed=seed)
+    with pytest.raises(ValueError, match="one label per row"):
+        fit_forest(X, np.zeros(13, dtype=np.int64), _schema(2), _labels(2), n_trees=1, seed=seed)
 
 
 # ---------------------------------------------------------------------------
