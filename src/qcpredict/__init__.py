@@ -52,7 +52,6 @@ from .ml import (
     ModelFormatError,
     feature_importance,
     fit_forest,
-    fit_tree,
     grid_search_cv,
     load_model,
     predict,
@@ -117,7 +116,6 @@ __all__ = [
     "extract_features",
     "feature_importance",
     "fit_forest",
-    "fit_tree",
     "full_schema",
     "gate",
     "generate_corpus",

@@ -83,7 +83,6 @@ def enumerate_options(devices: list[DeviceModel]) -> list[CompilationOption]:
 class CompiledResult:
     circuit: Circuit
     layout: dict[int, int]  # logical -> physical after all routing swaps
-    option: CompilationOption
     stats: dict = field(default_factory=dict)
 
 
@@ -765,7 +764,7 @@ def _compile_on_device(
                         "native_gates": len(rung.ops) - measures,
                         "placement_fallback": fell_back,
                     }
-                    yield option, CompiledResult(rung, dict(final_layout), option, stats)
+                    yield option, CompiledResult(rung, dict(final_layout), stats)
 
 
 def compile_options(

@@ -1,6 +1,7 @@
-"""From-scratch supervised classifiers: a CART decision tree, a seeded random
-forest with gini feature importance, nearest-neighbor and Gaussian naive Bayes
-baselines, stratified cross-validated grid search, and model persistence.
+"""From-scratch supervised classifiers: a seeded random forest of CART trees
+with gini feature importance, nearest-neighbor and Gaussian naive Bayes
+baselines, stratified cross-validated grid search, and model persistence. A
+single CART tree is a one-tree forest without bootstrap or feature sampling.
 
 Labels are class indices into an ordered label space. Determinism contract:
 all randomness flows from one seed through spawned counter-based generators,
@@ -33,11 +34,6 @@ _MIN_DECREASE = 1e-12
 # arrays of a step, which sets the memory training peaks at
 _GROUP_TREES = 100
 _SEARCH_ROWS = 1024
-# a tree grows this deep only through splits that send every row of a node
-# one way (a midpoint next to an infinity, or rounded onto the value above
-# it), which can repeat forever; Python's default recursion limit kept a
-# recursive grower from ever passing it
-_DEPTH_LIMIT = 1000
 
 
 class ModelFormatError(ValueError):
@@ -105,12 +101,17 @@ def _batch_split_search(
 
     One sort of packed integer keys (node, candidate, value rank, class)
     orders every node's rows by every candidate feature at once, with no
-    padding; row order within a node never matters. Thresholds are
-    midpoints between distinct sorted values. The child sums of squared
-    class counts are exact integers: to the left, the running sum of
-    ``2 * occ + 1``, where ``occ`` counts the earlier rows of the column
-    with the same class; to the right, ``sum(T**2) - 2 * cumsum(T[class]) +
-    left`` for the node's class totals ``T``. So the weighted child gini of
+    padding; row order within a node never matters. A threshold is the
+    midpoint of two adjacent distinct values where that midpoint lies in
+    [lower, upper), and the lower value elsewhere: next to an infinity,
+    where the midpoint rounds onto the upper value, or where the sum
+    overflows. So every split sends at least one row each way.
+
+    The child sums of squared class counts are exact integers: to the
+    left, the running sum of ``2 * occ + 1``, where ``occ`` counts the
+    earlier rows of the column with the same class; to the right,
+    ``sum(T**2) - 2 * cumsum(T[class]) + left`` for the node's class
+    totals ``T``. So the weighted child gini of
     each (feature, threshold) pair is the float64 expression a per-node
     class-count cumsum gives. Each node takes its first minimum in
     feature-major order: the lowest candidate feature, then the lowest
@@ -162,7 +163,10 @@ def _batch_split_search(
     threshold = np.zeros(n_nodes)
     at = best[split]
     feature[split] = candidates[split, column[at] % k]
-    threshold[split] = (values[feature[split], rank[at]] + values[feature[split], rank[at + 1]]) / 2.0
+    lower, upper = values[feature[split], rank[at]], values[feature[split], rank[at + 1]]
+    with np.errstate(over="ignore", invalid="ignore"):  # next to an infinity or the float maximum
+        middle = (lower + upper) / 2.0
+    threshold[split] = np.where((lower <= middle) & (middle < upper), middle, lower)
     return feature, threshold
 
 
@@ -194,16 +198,13 @@ def _grow(
     while live.size:
         m = live.size
         start, stop, depth, parent = np.array([stacks[t].pop() for t in live]).T
-        if depth.max() > _DEPTH_LIMIT:
-            raise ValueError(f"a tree grew past depth {_DEPTH_LIMIT}; set max_depth")
         sizes = stop - start
         node = np.repeat(np.arange(m), sizes)
         at = np.arange(node.size) + (start - np.cumsum(sizes) + sizes)[node]  # the nodes' slices
         rows = order[at]
         counts = np.bincount(node * n_classes + y[rows], minlength=m * n_classes).reshape(m, n_classes)
-        p = counts / np.maximum(sizes, 1)[:, None]
-        # a split that sends every row one way (see _DEPTH_LIMIT) leaves an empty, pure node
-        gini = np.where(sizes > 0, 1.0 - (p * p).sum(axis=1), 0.0)
+        p = counts / sizes[:, None]
+        gini = 1.0 - (p * p).sum(axis=1)
         searched = np.flatnonzero((gini > 0.0) & (max_depth is None or depth < max_depth))
         if draw and searched.size:
             candidates = np.sort(
@@ -258,32 +259,6 @@ def _grow(
     return NodeTable(**table, roots=roots)
 
 
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
-    rng: np.random.Generator | None = None,
-    max_features: int | None = None,
-) -> NodeTable:
-    """Grow one CART tree into a one-root node table. ``max_features`` with
-    an rng samples a fresh feature subset at every node (forest mode);
-    otherwise all features are candidates.
-
-    The tree grows depth-first, left child first. Every impure node above
-    ``max_depth`` draws its subset from the rng in that preorder, even when
-    it is too small to split, so a seed fixes the tree. Ties between splits
-    go to the lowest candidate feature, then to the lowest threshold within
-    it. This is the one-tree call of the lockstep grower ``fit_forest``
-    runs: alone in its group, a tree pops its nodes in the same preorder."""
-    X, y = _check_input(X, y, n_classes)
-    if rng is None:
-        max_features = None
-    samples = np.arange(X.shape[0])[None]
-    return _grow(X, y, n_classes, samples, [rng], max_depth, min_samples_leaf, max_features)
-
-
 def _concat_trees(tables: list[NodeTable]) -> NodeTable:
     """One table holding every tree, the node indices shifted to match."""
     offsets = np.cumsum([0] + [t.feature.shape[0] for t in tables[:-1]])
@@ -324,15 +299,19 @@ def fit_forest(
     max_features: str | None = "sqrt",
 ) -> ForestModel:
     """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f)).
+    A single CART tree is ``n_trees=1, bootstrap=False, max_features=None``.
 
     Every label is checked before any bootstrap. Tree ``i`` owns the
-    ``i``-th generator spawned from ``seed``: it draws its bootstrap first,
-    then its feature subsets in its preorder, exactly as ``fit_tree`` would
-    on the bootstrapped rows. Trees grow in groups of ``_GROUP_TREES``, all
-    of a group in lockstep: a step pops each unfinished tree's next node in
-    its own preorder, so no tree's draws move, and the step's split searches
-    run batched. Each node keeps ``fit_tree``'s tie rule, so the forest is
-    the one its trees grown one at a time give, node for node."""
+    ``i``-th generator spawned from ``seed`` and grows depth-first, left
+    child first: it draws its bootstrap first, then, with ``max_features``,
+    one feature subset at every impure node above ``max_depth`` in that
+    preorder, even at a node too small to split, so a seed fixes the tree.
+    Ties between splits go to the lowest candidate feature, then to the
+    lowest threshold within it. Trees grow in groups of ``_GROUP_TREES``,
+    all of a group in lockstep: a step pops each unfinished tree's next
+    node in its own preorder, so no tree's draws move, and the step's split
+    searches run batched. The forest is the one its trees grown one at a
+    time give, node for node."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     X, y = _check_input(X, y, len(label_space))

@@ -137,11 +137,11 @@ def test_scoring_oracles_products_and_feasibility(devices, options):
     leaves exactly the 12 options on the two largest devices."""
     fleet = {d.id: d for d in devices}
     dev8 = fleet["dev8"]
-    empty = CompiledResult(Circuit(8, 0, (), "empty"), {i: i for i in range(8)}, options[0])
+    empty = CompiledResult(Circuit(8, 0, (), "empty"), {i: i for i in range(8)})
     assert evaluate_score(empty, dev8).value == 1.0
 
     ops = (gate("x", (0,)), gate("x", (1,)), gate("cx", (0, 1)))
-    three = CompiledResult(Circuit(8, 0, ops, "three"), {i: i for i in range(8)}, options[0])
+    three = CompiledResult(Circuit(8, 0, ops, "three"), {i: i for i in range(8)})
     direct = (
         dev8.calib.gate_fidelity[("x", (0,))]
         * dev8.calib.gate_fidelity[("x", (1,))]

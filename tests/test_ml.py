@@ -16,7 +16,6 @@ from qcpredict.ml import (
     NodeTable,
     feature_importance,
     fit_forest,
-    fit_tree,
     grid_search_cv,
     knn_fit_predict,
     load_model,
@@ -42,6 +41,11 @@ def _splits(nodes):
         yield i, i + 1, nodes.right[i]
 
 
+def _tree(X, y, n_classes, max_depth=None, min_samples_leaf=1):
+    return fit_forest(X, y, _schema(X.shape[1]), _labels(n_classes), n_trees=1, max_depth=max_depth,
+                      min_samples_leaf=min_samples_leaf, bootstrap=False, max_features=None).nodes
+
+
 def _descend(nodes, node, row):
     while nodes.feature[node] >= 0:
         node = node + 1 if row[nodes.feature[node]] <= nodes.threshold[node] else nodes.right[node]
@@ -55,7 +59,7 @@ def _descend(nodes, node, row):
 def test_single_split_at_midpoint():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, n_classes=2)
+    tree = _tree(X, y, n_classes=2)
     assert tree.roots.tolist() == [0]
     assert tree.feature.tolist() == [0, -1, -1]
     assert tree.threshold[0] == 5.5
@@ -69,7 +73,7 @@ def test_single_split_at_midpoint():
 def test_pure_input_is_single_leaf():
     X = np.array([[0.0], [5.0], [9.0]])
     y = np.array([1, 1, 1])
-    tree = fit_tree(X, y, n_classes=3)
+    tree = _tree(X, y, n_classes=3)
     assert tree.feature.tolist() == [-1]
     assert tree.label.tolist() == [1]
     assert tree.impurity.tolist() == [0.0]
@@ -80,7 +84,7 @@ def test_tie_breaks_prefer_lowest_feature_and_threshold():
     # both features separate perfectly; feature 0 must win
     X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, n_classes=2)
+    tree = _tree(X, y, n_classes=2)
     assert tree.feature[0] == 0
 
 
@@ -89,7 +93,7 @@ def test_max_depth_respected():
     X = rng.uniform(size=(200, 4))
     y = rng.integers(0, 3, size=200)
     for limit in (1, 2, 3):
-        tree = fit_tree(X, y, n_classes=3, max_depth=limit)
+        tree = _tree(X, y, n_classes=3, max_depth=limit)
 
         def depth(node):
             if tree.feature[node] < 0:
@@ -103,7 +107,7 @@ def test_min_samples_leaf_respected():
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(150, 3))
     y = rng.integers(0, 2, size=150)
-    tree = fit_tree(X, y, n_classes=2, min_samples_leaf=10)
+    tree = _tree(X, y, n_classes=2, min_samples_leaf=10)
     assert tree.n_samples[tree.feature < 0].min() >= 10
 
 
@@ -111,19 +115,12 @@ def test_every_split_strictly_decreases_impurity():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(120, 5))
     y = (X[:, 1] > 0.5).astype(np.int64)
-    tree = fit_tree(X, y, n_classes=2)
+    tree = _tree(X, y, n_classes=2)
     n, gini = tree.n_samples, tree.impurity
     for node, left, right in _splits(tree):
         assert n[left] + n[right] == n[node]
         weighted = (n[left] * gini[left] + n[right] * gini[right]) / n[node]
         assert gini[node] - weighted > 1e-12
-
-
-def test_fit_tree_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fit_tree(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
-    with pytest.raises(ValueError):
-        fit_tree(np.zeros((3, 2)), np.array([0, 1, 2]), 2)  # label out of range
 
 
 def _reference_best_split(X, onehot, parent_gini, min_leaf, feature_indices):
@@ -156,7 +153,10 @@ def _reference_best_split(X, onehot, parent_gini, min_leaf, feature_indices):
         i = int(np.argmin(weighted))
         if weighted[i] < best_score:
             best_score = weighted[i]
-            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                middle = (xs[i] + xs[i + 1]) / 2.0
+            # the lower value where the midpoint is not in [lower, upper)
+            best = (int(f), float(middle if xs[i] <= middle < xs[i + 1] else xs[i]))
     if best is None or parent_gini - best_score <= 1e-12:
         return None
     return best
@@ -221,12 +221,15 @@ def _tie_heavy_matrix(seed, n=90):
 @pytest.mark.parametrize("max_features", [None, 2])
 def test_split_search_matches_the_per_feature_reference(seed, min_leaf, max_depth, max_features):
     X, y = _tie_heavy_matrix(seed)
-    fast_rng = np.random.Generator(np.random.Philox(seed))
-    ref_rng = np.random.Generator(np.random.Philox(seed))
-    tree = fit_tree(X, y, 3, max_depth, min_leaf, rng=fast_rng, max_features=max_features)
-    ref = _reference_fit_tree(X, y, 3, max_depth, min_leaf, rng=ref_rng, max_features=max_features)
+    # the generator fit_forest gives a one-tree forest; the grower draws
+    # subsets of two from it, which no max_features of fit_forest asks for
+    fast_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
+    tree = ml._grow(X, y, 3, np.arange(X.shape[0])[None], [fast_rng], max_depth, min_leaf, max_features)
+    ref, (ref_rng,) = _reference_forest(X, y, 3, 1, seed, max_depth, min_leaf, False, max_features)
     assert tree == ref
     assert tree.feature.shape[0] > 1
+    if max_features is None:
+        assert _tree(X, y, 3, max_depth, min_leaf) == ref
     # both growers left each generator at the same point of its stream
     assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
 
@@ -251,6 +254,16 @@ def _tie_heavy_nan_matrix(seed):
     rng = np.random.default_rng(seed + 100)
     for j in (0, 5):
         X[rng.uniform(size=X.shape[0]) < 0.1, j] = np.nan
+    return X, y
+
+
+def _tie_heavy_inf_matrix(seed):
+    """``_tie_heavy_matrix`` with -inf or inf in a tenth of columns 0 and 5."""
+    X, y = _tie_heavy_matrix(seed)
+    rng = np.random.default_rng(seed + 200)
+    for j in (0, 5):
+        hit = rng.uniform(size=X.shape[0]) < 0.1
+        X[hit, j] = rng.choice([-np.inf, np.inf], size=hit.sum())
     return X, y
 
 
@@ -279,7 +292,9 @@ def _reference_forest(X, y, n_classes, n_trees, seed, max_depth, min_leaf, boots
 @pytest.mark.parametrize("bootstrap", [True, False])
 @pytest.mark.parametrize("min_leaf", [1, 2, 30])
 @pytest.mark.parametrize("max_depth", [0, 3, None])
-@pytest.mark.parametrize("matrix", [_tie_heavy_matrix, _narrow_like_matrix, _tie_heavy_nan_matrix])
+@pytest.mark.parametrize(
+    "matrix", [_tie_heavy_matrix, _narrow_like_matrix, _tie_heavy_nan_matrix, _tie_heavy_inf_matrix]
+)
 def test_forest_equals_its_trees_grown_one_at_a_time(matrix, max_depth, min_leaf, bootstrap, max_features):
     X, y = matrix(1)
     n_classes = int(y.max()) + 1
@@ -313,16 +328,19 @@ def test_lockstep_trees_of_very_different_sizes_keep_their_streams():
         assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
 
 
-def test_fit_tree_refuses_a_split_that_never_separates():
-    # the midpoint of 0 and inf is inf, so every row goes left, again and
-    # again; with max_depth the chain ends, without it growth is refused
-    X = np.array([[0.0], [np.inf]])
-    y = np.array([0, 1])
-    chain = fit_tree(X, y, 2, max_depth=4)
-    assert chain.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
-    assert chain.n_samples.tolist() == [2, 2, 2, 2, 2, 0, 0, 0, 0]
-    with pytest.raises(ValueError, match="depth"):
-        fit_tree(X, y, 2)
+def test_every_split_sends_rows_both_ways():
+    # midpoints outside [lower, upper): inf, NaN from -inf + inf, and sums
+    # overflowing to inf and to -inf; each threshold is the lower value
+    for column in ([0.0, np.inf], [-np.inf, np.inf], [1.7e308, 1.79e308], [-1.79e308, -1.7e308]):
+        tree = _tree(np.array(column)[:, None], np.array([0, 1]), 2)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.n_samples.tolist() == [2, 1, 1]
+        assert tree.threshold[0] == column[0]
+    X, y = _tie_heavy_inf_matrix(1)
+    model = fit_forest(X, y, _schema(6), _labels(3), n_trees=20, max_depth=None, min_samples_leaf=1, seed=3)
+    n = model.nodes.n_samples
+    for node, left, right in _splits(model.nodes):
+        assert n[left] > 0 and n[right] > 0 and n[left] + n[right] == n[node]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +355,8 @@ def test_unbagged_single_tree_forest_matches_plain_tree():
         X, y, _schema(4), _labels(2), n_trees=1, max_depth=6, min_samples_leaf=2,
         bootstrap=False, max_features=None,
     )
-    tree = fit_tree(X, y, 2, max_depth=6, min_samples_leaf=2)
+    tree = _reference_fit_tree(X, y, 2, max_depth=6, min_samples_leaf=2)
+    assert model.nodes == tree
     probe = rng.uniform(size=(50, 4))
     forest_pred = predict_many(model, probe)
     tree_pred = np.array([_descend(tree, 0, row) for row in probe])
@@ -405,6 +424,10 @@ def test_forest_validates_inputs():
         fit_forest(X, y, _schema(2), _labels(1), n_trees=0)
     with pytest.raises(ValueError, match="columns"):
         fit_forest(X, y, _schema(3), _labels(1))
+    with pytest.raises(ValueError):
+        fit_forest(np.empty((0, 2)), np.empty(0, dtype=np.int64), _schema(2), _labels(2))
+    with pytest.raises(ValueError):
+        fit_forest(np.zeros((3, 2)), np.array([0, 1, 2]), _schema(2), _labels(2))  # label out of range
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])

@@ -14,7 +14,7 @@ from qcpredict.compiler import enumerate_options, parse_option
 from qcpredict.devices import Calibration, DeviceModel, builtin_devices, write_device
 from qcpredict.features import full_schema
 from qcpredict.generators import generate_corpus, ghz, qft
-from qcpredict.ml import ForestModel, fit_tree
+from qcpredict.ml import fit_forest
 from qcpredict.pipeline import (
     DEFAULT_FOREST_PARAMS,
     EvalReport,
@@ -273,12 +273,10 @@ def test_train_model_grid_search(labeled, options):
 def _constant_model(options, class_index, label_space=None):
     """A forest of one leaf: always predicts options[class_index]."""
     space = label_space or tuple(opt.option_id for opt in options)
+    schema = full_schema()
     # one pure row grows a single leaf labelled class_index
-    leaf = fit_tree(np.zeros((1, 1)), np.array([class_index]), n_classes=len(space))
-    return ForestModel(
-        nodes=leaf, n_trees=1, max_depth=None, min_samples_leaf=1, bootstrap=False,
-        max_features=None, schema=full_schema(), label_space=space, seed=0,
-    )
+    return fit_forest(np.zeros((1, len(schema.retained))), np.array([class_index]), schema, space,
+                      n_trees=1, max_depth=None, min_samples_leaf=1, bootstrap=False, max_features=None)
 
 
 def _scores_with_rank_at_zero(rank):

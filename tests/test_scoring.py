@@ -26,7 +26,7 @@ def _toy_device():
 
 def _result(device, ops, clbits=0):
     c = Circuit(device.num_qubits, clbits, tuple(ops), "c")
-    return CompiledResult(c, {q: q for q in range(device.num_qubits)}, parse_option("dev8/A/O0"))
+    return CompiledResult(c, {q: q for q in range(device.num_qubits)})
 
 
 def test_empty_circuit_scores_one():
