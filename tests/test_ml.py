@@ -123,6 +123,13 @@ def test_every_split_strictly_decreases_impurity():
         assert gini[node] - weighted > 1e-12
 
 
+def test_fit_tree_rejects_bad_input():
+    with pytest.raises(ValueError):
+        _tree(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError):
+        _tree(np.zeros((3, 2)), np.array([0, 1, 2]), 2)  # label out of range
+
+
 def _reference_best_split(X, onehot, parent_gini, min_leaf, feature_indices):
     """Reference: one sort and scan per candidate feature, a later feature
     winning only with a strictly smaller weighted gini."""
@@ -424,10 +431,6 @@ def test_forest_validates_inputs():
         fit_forest(X, y, _schema(2), _labels(1), n_trees=0)
     with pytest.raises(ValueError, match="columns"):
         fit_forest(X, y, _schema(3), _labels(1))
-    with pytest.raises(ValueError):
-        fit_forest(np.empty((0, 2)), np.empty(0, dtype=np.int64), _schema(2), _labels(2))
-    with pytest.raises(ValueError):
-        fit_forest(np.zeros((3, 2)), np.array([0, 1, 2]), _schema(2), _labels(2))  # label out of range
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
