@@ -93,8 +93,10 @@ def _load_devices(args: argparse.Namespace):
 
 
 def _read_circuit(path: str):
-    source = Path(path).read_text(encoding="utf-8")
-    return parse_qasm(source, name=Path(path).stem)
+    try:
+        return parse_qasm(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
+    except ValueError as exc:  # a parse error names its line; a decode error its byte
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -121,8 +121,13 @@ _DIAG_ANGLE = {
 }
 
 
+# builds an Instruction from its four fields at half the cost of the
+# NamedTuple constructor, which routing and lowering call once per op they emit
+_new_tuple = tuple.__new__
+
+
 def _g(kind: str, qubits: tuple[int, ...], *params: float) -> Instruction:
-    return Instruction(kind, qubits, params)
+    return _new_tuple(Instruction, (kind, qubits, params, None))
 
 
 def _two_qubit_rule(op: Instruction) -> list[Instruction]:
@@ -273,77 +278,24 @@ def _lower(op: Instruction, device: DeviceModel, out: list[Instruction]) -> None
         raise CompileError(f"decompose_to_native expects gates on at most two qubits; expand {kind} first")
 
 
-# where each gate of a rewrite lands, as positions in the qubits (a, b) of
-# the op it replaces: slot code c stands for _SLOTS[c], so the codes 0..3 mean
-# (a, b), (a,), (b,) and (b, a); a one-qubit op uses code 1 only
-_SLOTS = ((0, 1), (0,), (1,), (1, 0))
-# builds an Instruction from its four fields at half the cost of the
-# NamedTuple constructor, which routing and lowering call once per op they emit
-_new_tuple = tuple.__new__
-
-
-def _rewrite(op: Instruction, device: DeviceModel) -> tuple[tuple[str, int, tuple[float, ...]], ...] | None:
-    """Lower ``op`` placed on the qubits ``0..arity-1``: None when the op is
-    kept as it is, else its rewrite as ``(kind, slot code, params)`` triples
-    (empty for an op that is dropped)."""
-    placed = op._replace(qubits=tuple(range(len(op.qubits))))
-    lowered: list[Instruction] = []
-    _lower(placed, device, lowered)
-    if len(lowered) == 1 and lowered[0] is placed:  # _lower appends a kept op itself
-        return None
-    return tuple((sub.kind, _SLOTS.index(sub.qubits), sub.params) for sub in lowered)
-
-
-def _place(op: Instruction, rewrite: tuple | None) -> tuple[Instruction, ...]:
-    """The native ops of ``op``: its rewrite on ``op``'s own qubits."""
-    if rewrite is None:
-        return (op,)
-    if not rewrite:  # a dropped op, such as a barrier on any number of qubits
-        return ()
-    qubits = op.qubits
-    if len(qubits) == 1:
-        picks = (None, qubits)
-    else:
-        a, b = qubits
-        picks = (qubits, (a,), (b,), (b, a))
-    return tuple([_new_tuple(Instruction, (kind, picks[code], params, None)) for kind, code, params in rewrite])
-
-
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     """Rewrite every gate over the device's native set; native gates pass through.
 
-    Each distinct gate, a kind with its params, is lowered once per call and
-    every later op of that gate substitutes its own qubits into the rewrite.
-    Params that compare equal but lower differently, such as ``0.0`` and
-    ``-0.0`` or ``1`` and ``1.0``, never share a rewrite: only nonzero floats
-    are keyed by value, anything else also by its repr. Each distinct op
-    without params (a swap, cx, h or measure on its qubits and clbit) also
-    keeps its native ops for its later copies; an op with params builds its
-    own, since most of those are distinct.
+    Each distinct op without params (a swap, cx, h or measure on its qubits
+    and clbit) is lowered once per call and its later copies reuse its native
+    ops; an op with params is lowered on its own, since most of those are
+    distinct.
     """
     out: list[Instruction] = []
-    rewrites: dict[tuple, tuple | None] = {}
-    lowered: dict[Instruction, tuple[Instruction, ...]] = {}
+    lowered: dict[Instruction, list[Instruction]] = {}
     for op in circuit.ops:
-        params = op.params
-        if not params:
-            native = lowered.get(op)
-            if native is not None:
-                out.extend(native)
-                continue
-        kind = op.kind
-        key = (kind, params)
-        for p in params:
-            if type(p) is not float or not p:
-                key = (kind, params, repr(params))
-                break
-        if key in rewrites:
-            rewrite = rewrites[key]
-        else:
-            rewrite = rewrites[key] = _rewrite(op, device)
-        native = _place(op, rewrite)
-        if not params:
-            lowered[op] = native
+        if op.params:
+            _lower(op, device, out)
+            continue
+        native = lowered.get(op)
+        if native is None:
+            native = lowered[op] = []
+            _lower(op, device, native)
         out.extend(native)
     return circuit.with_ops(tuple(out))
 
@@ -421,20 +373,11 @@ def place_graph(circuit: Circuit, device: DeviceModel) -> dict[int, int]:
         layout[missing] = target
         free.discard(target)
 
-    partners: dict[int, list[int]] = {q: [] for q in range(circuit.num_qubits)}
-    for a, b in edges:
-        partners[a].append(b)
-        partners[b].append(a)
+    # the loop above seats both ends of every edge; what is left never interacts
     for logical in range(circuit.num_qubits):
-        if logical in layout:
-            continue
-        anchors = [layout[p] for p in partners[logical] if p in layout]
-        if anchors:
-            target = min(free, key=lambda p: (sum(dist[a][p] for a in anchors), p))
-        else:
-            target = min(free)
-        layout[logical] = target
-        free.discard(target)
+        if logical not in layout:
+            layout[logical] = target = min(free)
+            free.discard(target)
     return layout
 
 
@@ -536,12 +479,9 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
             k = last.get(qubits[0])
             if k is not None:
                 prev = out[k]
-                if (
-                    prev is not None
-                    and prev.kind == kind
-                    and prev.qubits == qubits
-                    and all(last[q] == k for q in qubits[1:])
-                ):
+                # a cancellation clears ``last`` on both qubits of the pair, so
+                # an index in ``last`` never points at a cancelled op
+                if prev.kind == kind and prev.qubits == qubits and all(last[q] == k for q in qubits[1:]):
                     if kind in _SELF_INVERSE:
                         out[k] = None
                         for q in qubits:
@@ -569,10 +509,8 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
     # nxt[i][s]: index of the next op on op i's qubit s after op i, n after the last
     nxt: list[tuple[int, ...]] = [()] * n
     next_on: dict[int, int] = {}
-    # last[(kind, qubits)]: the last op of that gate; no partner for an
-    # earlier one lies past it, so its walk stops there
-    last: dict[tuple[str, tuple[int, ...]], int] = {}
-    walks: list[tuple[int, int]] = []  # (op, stop) for each op with a later copy, last op first
+    seen: set[tuple[str, tuple[int, ...]]] = set()  # the (kind, qubits) of each walker met so far
+    walks: list[int] = []  # each op with a later copy, last op first
     for i in range(n - 1, -1, -1):
         op = ops[i]
         qubits = op.qubits
@@ -589,15 +527,20 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
             for q in qubits:
                 next_on[q] = i
         if op.kind in _WALKERS:
-            stop = last.setdefault((op.kind, qubits), i)
-            if stop != i:
-                walks.append((i, stop))
+            key = (op.kind, qubits)
+            if key in seen:
+                walks.append(i)
+            else:
+                seen.add(key)
 
     alive = [True] * n
     params_now: dict[int, tuple[float, ...]] = {}
     changed = False
 
-    for i, stop in reversed(walks):
+    # a walk ends at the latest at the op's last copy: that copy lies on every
+    # qubit of the op, a pointer passes an op only as the candidate, and the
+    # copy as the candidate matches
+    for i in reversed(walks):
         if not alive[i]:
             continue
         op = ops[i]
@@ -610,8 +553,6 @@ def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
             # cancelled later copy of an earlier walker that stepped over this
             # op, so it commutes with this op and is stepped over like a live one
             cand = min(ptr)
-            if cand > stop:
-                break
             other = ops[cand]
             if other.kind == kind and other.qubits == qubits:
                 if kind in _SELF_INVERSE:

@@ -299,7 +299,10 @@ def load_device(path: str | Path) -> DeviceModel:
                 raise DeviceError(f"{path}: no readout fidelity for qubit {q} and no default")
             readout[q] = _check_fidelity(defaults["readout"], "readout")
 
-    return DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
+    device = DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
+    if not device.is_connected():
+        raise DeviceError(f"{path}: coupling map is not connected")
+    return device
 
 
 def write_device(device: DeviceModel, path: str | Path) -> None:

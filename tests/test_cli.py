@@ -402,7 +402,7 @@ def test_compile_refuses_a_non_finite_angle_without_a_traceback(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
-    assert proc.stderr == "error: line 3: division by zero in angle expression '1/0'\n"
+    assert proc.stderr == f"error: {src}: line 3: division by zero in angle expression '1/0'\n"
 
 
 @pytest.mark.parametrize("angle", ["1e999", "1e999-1e999"])
@@ -410,4 +410,19 @@ def test_compile_refuses_an_overflowing_angle(tmp_path, capfd, angle):
     src = tmp_path / "bad.qasm"
     src.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n", encoding="utf-8")
     assert main(["compile", str(src), "--option", "dev8/A/O3"]) == 1
-    assert capfd.readouterr().err == f"error: line 3: angle expression '{angle}' is not a finite number\n"
+    assert capfd.readouterr().err == f"error: {src}: line 3: angle expression '{angle}' is not a finite number\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "compile"])
+def test_an_unreadable_circuit_names_its_file(workdir, tmp_path, capfd, command):
+    # as in a corpus: a parse error names its line, a decode error its byte,
+    # and both name the file
+    model = ["--model", str(workdir / "model.bin")]
+    unparsable = tmp_path / "unknown_gate.qasm"
+    unparsable.write_text("OPENQASM 2.0;\nqreg q[1];\n\nfoo q[0];\n", encoding="utf-8")
+    assert main([command, str(unparsable)] + model) == 1
+    assert capfd.readouterr().err == f"error: {unparsable}: line 4: unknown gate 'foo'\n"
+    undecodable = tmp_path / "not_utf8.qasm"
+    undecodable.write_bytes(b"\xff")
+    assert main([command, str(undecodable)] + model) == 1
+    assert capfd.readouterr().err.startswith(f"error: {undecodable}: 'utf-8' codec can't decode byte 0xff")

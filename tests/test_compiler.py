@@ -242,14 +242,14 @@ def _exact(ops):
 
 
 def _reference_lowering(circuit, device):
-    # one _lower call per op, the way every op was lowered before the table
+    # one _lower call per op, with no memo of the ops seen before
     out = []
     for op in circuit.ops:
         compiler._lower(op, device, out)
     return out
 
 
-def test_lowering_table_matches_lowering_each_op(devices):
+def test_lowering_table_matches_lowering_each_op(devices, fleet):
     rng = np.random.default_rng(11)
     ops = []
     for kind, (arity, n_params) in sorted(GATE_SIGNATURES.items()):
@@ -279,6 +279,15 @@ def test_lowering_table_matches_lowering_each_op(devices):
     for device in devices:
         lowered = decompose_to_native(circuit, device)
         assert _exact(lowered.ops) == _exact(_reference_lowering(circuit, device)), device.id
+    # routed wide circuits: runs of swaps, measures and repeated angles on
+    # the widest devices, as labeling lowers them
+    for wide in (qft(40), qaoa(60, layers=2), random_circuit(60)):
+        expanded = expand_three_qubit(wide)
+        for dev_id in ("dev80", "dev127"):
+            device = fleet[dev_id]
+            routed, _, _ = route(expanded, device, place_trivial(expanded, device))
+            lowered = decompose_to_native(routed, device)
+            assert _exact(lowered.ops) == _exact(_reference_lowering(routed, device)), (wide.name, dev_id)
 
 
 def test_lowering_keeps_the_sign_of_a_zero_angle(fleet):

@@ -211,6 +211,11 @@ _CHAIN3 = {"num_qubits": 3, "coupling": [[0, 1], [1, 0], [1, 2], [2, 1]]}
             r"cx\(0, 2\) is not a coupling pair",
         ),
         ({"readout_fidelities": [{"qubit": 7, "fidelity": 0.5}]}, "qubit 7 out of range"),
+        # routing could never join a pair across the two halves
+        (
+            {"num_qubits": 4, "coupling": [[0, 1], [1, 0], [2, 3], [3, 2]]},
+            r"toy\.yaml: coupling map is not connected",
+        ),
     ],
 )
 def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides, match):
