@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import pi
+from operator import itemgetter
 
 from .circuit import (
     BARRIER,
@@ -388,15 +390,18 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
     """Insert swaps until every two-qubit gate sits on a coupled pair.
 
     Swaps move the first operand along a shortest path toward the second,
-    stepping to the lowest-id next hop. Returns the routed circuit on the
-    device-sized register, the final logical->physical map, and the swap count.
+    stepping to the lowest-id next hop. Each hop is read from the device's
+    ``next_hops`` table, which holds for a pair the first hop that scanning
+    the neighbors in id order finds, so a table hit routes exactly as that
+    scan does. Returns the routed circuit on the device-sized register, the
+    final logical->physical map, and the swap count.
     """
     if len(set(layout.values())) != len(layout):
         raise CompileError("placement is not injective")
     cur = dict(layout)
     seat = {p: l for l, p in cur.items()}
     dist = device.distances
-    neighbors = device.neighbors
+    hops = device.next_hops
     out: list[Instruction] = []
     swaps = 0
     for op in circuit.ops:
@@ -415,7 +420,9 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
         a, b = qubits
         pa, pb = cur[a], cur[b]
         while dist[pa][pb] > 1:
-            hop = next((nb for nb in neighbors[pa] if dist[nb][pb] == dist[pa][pb] - 1), None)
+            hop = hops[pa][pb]
+            if hop is None:
+                hop = device.next_hop(pa, pb)
             if hop is None:
                 raise CompileError(f"qubits {pa} and {pb} are not connected on {device.id}")
             out.append(_new_tuple(Instruction, ("swap", (pa, hop), (), None)))
@@ -453,21 +460,25 @@ _BASIS: dict[str, tuple] = {
 }
 
 
-def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool, bool]:
-    """One scan of adjacent cancellation, identity dropping, optional fusion.
+def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool, list[int], list[int]]:
+    """A stage's first round: one full scan of adjacent cancellation, identity
+    dropping and optional fusion.
 
-    Returns the ops, whether the scan changed them, and whether it was clean:
-    it cancelled no pair and fused no angle to below ``_EPS``. The output of a
-    clean scan is a fixed point of the scan. Drops and fusions keep each
-    qubit's true predecessor in ``last``, so the next scan meets the ops it
-    kept with the same predecessors and decides alike; only a cancellation
-    loses it, and only a near-zero fused angle is left for the next scan to
-    drop.
+    Returns the kept ops, whether the scan changed anything, and the indices
+    of two kinds of op the next round must deal with: the earlier op of each
+    cancelled pair, which is left in the list for the caller to remove, and
+    each op whose fused angle fell below ``_EPS``. When both lists are empty
+    the scan was clean and its output is a fixed point of the scan. Drops and
+    fusions keep each qubit's true predecessor in ``last``, so the next scan
+    meets the ops it kept with the same predecessors and decides alike; only a
+    cancellation loses it, and only a near-zero fused angle is left for the
+    next scan to drop.
     """
-    out: list[Instruction | None] = []
+    out: list[Instruction] = []
     last: dict[int, int | None] = {}
     changed = False
-    clean = True
+    cancelled: list[int] = []
+    small: list[int] = []
     for op in ops:
         kind, qubits = op.kind, op.qubits
         if kind in GATE_SIGNATURES:
@@ -483,135 +494,262 @@ def _adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction
                 # an index in ``last`` never points at a cancelled op
                 if prev.kind == kind and prev.qubits == qubits and all(last[q] == k for q in qubits[1:]):
                     if kind in _SELF_INVERSE:
-                        out[k] = None
+                        cancelled.append(k)
                         for q in qubits:
-                            last[q] = None  # true predecessor unknown; next pass catches follow-ups
+                            last[q] = None  # true predecessor unknown; next round catches follow-ups
                         changed = True
-                        clean = False
                         continue
                     if fuse and kind in _ROTATIONS:
                         angle = prev.params[0] + op.params[0]
                         out[k] = prev._replace(params=(angle,))
                         changed = True
                         if abs(angle) < _EPS:
-                            clean = False
+                            small.append(k)
                         continue
         idx = len(out)
         out.append(op)
         for q in qubits:
             last[q] = idx
-    return [op for op in out if op is not None], changed, clean
+    return out, changed, cancelled, small
+
+
+_qubits_of = itemgetter(1)
+# stands past the end of every qubit's line in a linked stage, where it blocks
+# every walk like a barrier
+_LINE_END = Instruction(BARRIER, ())
+
+
+class _Stage:
+    """One optimizer stage's ops, kept in place across the stage's rounds.
+
+    ``ops[i]`` becomes None when op ``i`` is removed, and ``ops[n]`` is
+    ``_LINE_END``. Op ``i`` owns the link nodes ``i * width + s``, one per
+    qubit slot ``s``: ``prv`` and ``nxt`` hold the nodes of the previous and
+    the next live op on that slot's qubit, -1 and ``_LINE_END``'s node at
+    either end. Node order is op order, so the smallest node names the
+    earliest op.
+
+    ``seeds`` collects the ops the next adjacent round must visit. For the
+    commuting pass, ``walks`` lists in op order every op of a kind that looks
+    for copies, and ``stop[i]`` is the op that blocked the last walk from op
+    ``i``, -1 before its first walk.
+    """
+
+    def __init__(self, ops: list[Instruction], fuse: bool, commute: bool) -> None:
+        n = len(ops)
+        width = max(map(len, map(_qubits_of, ops)), default=1)
+        end = n * width
+        prv = [-1] * end
+        nxt = [end] * end
+        last: dict[int, int] = {}
+        node = 0
+        for op in ops:
+            u = node
+            for q in op.qubits:
+                p = last.get(q, -1)
+                if p >= 0:
+                    prv[u] = p
+                    nxt[p] = u
+                last[q] = u
+                u += 1
+            node += width
+        self.walks = [i for i, op in enumerate(ops) if op.kind in _WALKERS] if commute else []
+        ops.append(_LINE_END)
+        self.ops, self.fuse, self.width, self.end = ops, fuse, width, end
+        self.prv, self.nxt = prv, nxt
+        self.stop = [-1] * n
+        self.seeds: list[int] = []
+
+    def compact(self) -> list[Instruction]:
+        return [op for op in self.ops[:-1] if op is not None]
+
+    def kill(self, i: int, successors: list[int]) -> None:
+        """Remove op ``i``, adding the next live op on each of its qubits to
+        ``successors``: each now has a new predecessor there."""
+        prv, nxt, width, end = self.prv, self.nxt, self.width, self.end
+        first = i * width
+        for u in range(first, first + len(self.ops[i].qubits)):
+            p, x = prv[u], nxt[u]
+            if p >= 0:
+                nxt[p] = x
+            if x != end:
+                prv[x] = p
+                successors.append(x // width)
+        self.ops[i] = None
+
+    def adjacent_round(self) -> bool:
+        """One adjacent round after the first full scan: visits, in op order,
+        the seeds and the successors of each op it removes, and returns
+        whether it changed anything.
+
+        Every other op keeps its decision of the round before: it has the
+        same predecessors as then, known ones, and an angle no fusion has
+        touched. Each visit follows the full scan's ``last`` rules, including
+        "unknown" on a qubit from a pair cancelled in this round until the
+        next op kept there, so each fusion adds the same two floats in the
+        same order as a full scan. An op kept with an unknown predecessor,
+        and a fused angle that falls below ``_EPS``, seed the next round.
+        """
+        ops, prv, width = self.ops, self.prv, self.width
+        heap = self.seeds
+        heapify(heap)
+        self.seeds = again = []
+        cut: dict[int, int] = {}  # qubit -> later op of the last pair cancelled on it
+        changed = False
+        done = -1
+        while heap:
+            i = heappop(heap)
+            op = ops[i]
+            if i == done or op is None or op.kind not in GATE_SIGNATURES:
+                continue
+            done = i
+            kind, qubits = op.kind, op.qubits
+            successors: list[int] = []
+            if kind == "id" or (kind in _ROTATIONS and abs(op.params[0]) < _EPS):
+                self.kill(i, successors)
+                changed = True
+            else:
+                # the full scan's ``last`` on each qubit; -1 stands for None
+                last = []
+                unknown = False
+                for s, q in enumerate(qubits):
+                    k = prv[i * width + s] // width
+                    if cut.get(q, -1) > k:
+                        unknown, k = True, -1
+                    last.append(k)
+                k = last[0]
+                prev = ops[k] if k >= 0 else None
+                if prev is None or prev.kind != kind or prev.qubits != qubits or any(x != k for x in last[1:]):
+                    if unknown:
+                        again.append(i)
+                    continue
+                if kind in _SELF_INVERSE:
+                    self.kill(k, successors)
+                    self.kill(i, successors)
+                    for q in qubits:
+                        cut[q] = i
+                elif self.fuse and kind in _ROTATIONS:
+                    angle = prev.params[0] + op.params[0]
+                    ops[k] = prev._replace(params=(angle,))
+                    self.kill(i, successors)
+                    if abs(angle) < _EPS:
+                        again.append(k)
+                else:
+                    continue
+                changed = True
+            for j in successors:
+                heappush(heap, j)
+        return changed
+
+    def commuting_pass(self) -> bool:
+        """Cancel or fuse gate pairs separated only by commuting neighbors;
+        returns whether any pair met.
+
+        Walks go in op order, each from its own op along its qubits, and end
+        at a copy of the op (same kind and qubits), which they cancel or fuse
+        with, or at the op that blocks them. The first pass walks from every
+        op. A later pass walks again only from an op whose blocker has died
+        since its last walk; any other walk would end at the same blocker.
+        That is exact: ops are only ever removed, params never decide a step,
+        every op before the blocker on the walker's qubits was stepped over
+        and still commutes with it, and a walk that skips dead ops decides as
+        one that steps over them. A walk from an op with no live later copy
+        can only end blocked, so it changes nothing either way.
+        """
+        ops, nxt, width, stop, seeds = self.ops, self.nxt, self.width, self.stop, self.seeds
+        changed = False
+        for i in self.walks:
+            op = ops[i]
+            if op is None:
+                continue
+            blocker = stop[i]
+            if blocker >= 0 and ops[blocker] is not None:
+                continue
+            kind, qubits = op.kind, op.qubits
+            basis = _BASIS.get(kind)
+            # ptr[s]: the node of the next op on qubit slot s not yet walked past
+            first = i * width
+            ptr = nxt[first:first + len(qubits)]
+            while True:
+                # the earliest pointer is the candidate
+                cand = min(ptr) // width
+                other = ops[cand]
+                if other.kind == kind and other.qubits == qubits:
+                    if kind in _SELF_INVERSE:
+                        self.kill(cand, seeds)
+                    else:
+                        ops[cand] = other._replace(params=(op.params[0] + other.params[0],))
+                        seeds.append(cand)
+                    self.kill(i, seeds)
+                    changed = True
+                    break
+                # the candidate shares exactly the slots whose pointer is on
+                # it; the two commute when they agree on a basis in each
+                other_basis = _BASIS.get(other.kind)
+                if basis is None or other_basis is None:
+                    stop[i] = cand
+                    break
+                first = cand * width
+                for s, u in enumerate(ptr):
+                    if u - first < width:
+                        x = basis[s]
+                        if x is None or x != other_basis[u - first]:
+                            break
+                        ptr[s] = nxt[u]
+                else:
+                    continue
+                stop[i] = cand
+                break
+        return changed
 
 
 def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
-    """Cancel or fuse gate pairs separated only by commuting neighbors."""
-    n = len(ops)
-    # nxt[i][s]: index of the next op on op i's qubit s after op i, n after the last
-    nxt: list[tuple[int, ...]] = [()] * n
-    next_on: dict[int, int] = {}
-    seen: set[tuple[str, tuple[int, ...]]] = set()  # the (kind, qubits) of each walker met so far
-    walks: list[int] = []  # each op with a later copy, last op first
-    for i in range(n - 1, -1, -1):
-        op = ops[i]
-        qubits = op.qubits
-        if len(qubits) == 1:
-            q = qubits[0]
-            nxt[i] = (next_on.get(q, n),)
-            next_on[q] = i
-        elif len(qubits) == 2:
-            a, b = qubits
-            nxt[i] = (next_on.get(a, n), next_on.get(b, n))
-            next_on[a] = next_on[b] = i
-        else:
-            nxt[i] = tuple([next_on.get(q, n) for q in qubits])
-            for q in qubits:
-                next_on[q] = i
-        if op.kind in _WALKERS:
-            key = (op.kind, qubits)
-            if key in seen:
-                walks.append(i)
-            else:
-                seen.add(key)
-
-    alive = [True] * n
-    params_now: dict[int, tuple[float, ...]] = {}
-    changed = False
-
-    # a walk ends at the latest at the op's last copy: that copy lies on every
-    # qubit of the op, a pointer passes an op only as the candidate, and the
-    # copy as the candidate matches
-    for i in reversed(walks):
-        if not alive[i]:
-            continue
-        op = ops[i]
-        kind, qubits = op.kind, op.qubits
-        basis = _BASIS.get(kind)
-        # ptr[s]: the next op on qubit slot s not yet walked past
-        ptr = list(nxt[i])
-        while True:
-            # the earliest pointer is the candidate. A dead one is the
-            # cancelled later copy of an earlier walker that stepped over this
-            # op, so it commutes with this op and is stepped over like a live one
-            cand = min(ptr)
-            other = ops[cand]
-            if other.kind == kind and other.qubits == qubits:
-                if kind in _SELF_INVERSE:
-                    alive[cand] = False
-                else:
-                    merged = params_now.get(i, op.params)[0] + params_now.get(cand, other.params)[0]
-                    params_now[cand] = (merged,)
-                alive[i] = False
-                changed = True
-                break
-            # the candidate shares exactly the slots whose pointer is on it;
-            # the two commute when they agree on a basis in each of those
-            other_basis = _BASIS.get(other.kind)
-            if basis is None or other_basis is None:
-                break
-            after = nxt[cand]
-            for s, j in enumerate(ptr):
-                if j == cand:
-                    slot = other.qubits.index(qubits[s])
-                    x = basis[s]
-                    if x is None or x != other_basis[slot]:
-                        break
-                    ptr[s] = after[slot]
-            else:
-                continue
-            break
-
-    if not changed:
+    """One commuting pass over ``ops`` on its own: returns the ops and whether
+    it changed them."""
+    stage = _Stage(list(ops), True, True)
+    if not stage.commuting_pass():
         return ops, False
-    return [
-        op._replace(params=params_now[i]) if i in params_now else op
-        for i, op in enumerate(ops)
-        if alive[i]
-    ], True
+    return stage.compact(), True
 
 
 def _run_stage(
     ops: list[Instruction], fuse: bool, commute: bool, scanned: bool
 ) -> tuple[list[Instruction], bool]:
-    """Repeat one stage's passes until a round changes nothing; returns the
-    ops and whether any pass changed them.
+    """Repeat one stage's rounds until a round changes nothing; returns the
+    ops and whether any round changed them.
 
-    ``scanned`` says the ops are already a fixed point of the adjacent scan.
-    A clean scan leaves one, and the O2 stage hands one to O3, so the scan is
-    skipped until a commuting pass changes the ops again. Skipping a scan
-    that would change nothing leaves every op as scanning every round does.
+    ``scanned`` says the ops are already a fixed point of the adjacent scan
+    (the O2 stage hands one to O3), so the stage starts with the commuting
+    pass. Otherwise the first round is one full scan, and a clean scan with
+    no commuting pass to follow ends the stage there. Only a stage that needs
+    a second round links its ops. From then on every round works on the one
+    op array: an adjacent round visits only the ops whose decision can
+    change (see ``_Stage.adjacent_round``), and a commuting pass walks only
+    from the ops whose walk can end differently (see
+    ``_Stage.commuting_pass``). The ops are compacted once, when the stage
+    ends. Each round leaves the ops, bit for bit, as a full scan and a full
+    commuting pass would.
     """
-    changed_any = False
+    changed = changed_any = False
+    cancelled: list[int] = []
+    small: list[int] = []
+    if scanned:
+        ops = list(ops)
+    else:
+        ops, changed, cancelled, small = _adjacent_pass(ops, fuse)
+        if not (commute or cancelled or small):
+            return ops, changed
+    stage = _Stage(ops, fuse, commute)
+    for k in cancelled:
+        stage.kill(k, stage.seeds)
+    stage.seeds += small
     while True:
-        changed = False
-        if not scanned:
-            ops, changed, scanned = _adjacent_pass(ops, fuse)
-        if commute:
-            ops, commuted = _commuting_pass(ops)
-            if commuted:
-                changed, scanned = True, False
+        if commute and stage.commuting_pass():
+            changed = True
         if not changed:
-            return ops, changed_any
+            return stage.compact(), changed_any
         changed_any = True
+        changed = stage.adjacent_round()
 
 
 # (fuse, commute) of the stages O1, O2, O3

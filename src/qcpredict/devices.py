@@ -81,6 +81,25 @@ class DeviceModel:
         return dist
 
     @cached_property
+    def next_hops(self) -> list[list[int | None]]:
+        """``next_hops[a][b]``: the lowest-id neighbor of ``a`` one hop closer
+        to ``b``, filled pair by pair by ``next_hop``; None where not filled.
+
+        Routing reads it once per swap. It starts empty, so a device pays only
+        for the pairs its routes visit."""
+        return [[None] * self.num_qubits for _ in range(self.num_qubits)]
+
+    def next_hop(self, a: int, b: int) -> int | None:
+        """The lowest-id neighbor of ``a`` one hop closer to ``b``, or None
+        when there is none (``a == b``, or ``b`` is unreachable from ``a``)."""
+        hop = self.next_hops[a][b]
+        if hop is None:
+            dist = self.distances
+            hop = next((nb for nb in self.neighbors[a] if dist[nb][b] == dist[a][b] - 1), None)
+            self.next_hops[a][b] = hop
+        return hop
+
+    @cached_property
     def line_path(self) -> tuple[int, ...]:
         """Longest greedy simple path over every start, each step extending to
         the lowest-id unvisited neighbor."""

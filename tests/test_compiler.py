@@ -15,6 +15,9 @@ from qcpredict.circuit import (
     measure,
 )
 from qcpredict.compiler import (
+    _EPS,
+    _ROTATIONS,
+    _SELF_INVERSE,
     CompilationOption,
     CompileError,
     InfeasibleError,
@@ -486,6 +489,58 @@ def test_commuting_pass_matches_reference_on_chosen_lists():
     assert fused[0].params == (0.25 + 0.5,)
 
 
+# the adjacent scan as one function that compacts its output, kept as the
+# reference each round of a stage must reproduce
+def _reference_adjacent_pass(ops: list[Instruction], fuse: bool) -> tuple[list[Instruction], bool, bool]:
+    """One scan of adjacent cancellation, identity dropping, optional fusion.
+
+    Returns the ops, whether the scan changed them, and whether it was clean:
+    it cancelled no pair and fused no angle to below ``_EPS``. The output of a
+    clean scan is a fixed point of the scan. Drops and fusions keep each
+    qubit's true predecessor in ``last``, so the next scan meets the ops it
+    kept with the same predecessors and decides alike; only a cancellation
+    loses it, and only a near-zero fused angle is left for the next scan to
+    drop.
+    """
+    out: list[Instruction | None] = []
+    last: dict[int, int | None] = {}
+    changed = False
+    clean = True
+    for op in ops:
+        kind, qubits = op.kind, op.qubits
+        if kind in GATE_SIGNATURES:
+            if kind == "id" or (kind in _ROTATIONS and abs(op.params[0]) < _EPS):
+                changed = True
+                continue
+            # the op before this one on its first qubit matches only if it is
+            # also the latest op on every other qubit
+            k = last.get(qubits[0])
+            if k is not None:
+                prev = out[k]
+                # a cancellation clears ``last`` on both qubits of the pair, so
+                # an index in ``last`` never points at a cancelled op
+                if prev.kind == kind and prev.qubits == qubits and all(last[q] == k for q in qubits[1:]):
+                    if kind in _SELF_INVERSE:
+                        out[k] = None
+                        for q in qubits:
+                            last[q] = None  # true predecessor unknown; next pass catches follow-ups
+                        changed = True
+                        clean = False
+                        continue
+                    if fuse and kind in _ROTATIONS:
+                        angle = prev.params[0] + op.params[0]
+                        out[k] = prev._replace(params=(angle,))
+                        changed = True
+                        if abs(angle) < _EPS:
+                            clean = False
+                        continue
+        idx = len(out)
+        out.append(op)
+        for q in qubits:
+            last[q] = idx
+    return [op for op in out if op is not None], changed, clean
+
+
 def _reference_stage(ops, fuse, commute):
     """One optimizer stage that scans every round; returns the ops, whether
     any pass changed them, the rounds it ran, and whether some scan after the
@@ -494,7 +549,7 @@ def _reference_stage(ops, fuse, commute):
     clean_before = False
     while True:
         rounds += 1
-        ops, changed, clean = compiler._adjacent_pass(ops, fuse)
+        ops, changed, clean = _reference_adjacent_pass(ops, fuse)
         confirmed = confirmed or clean_before
         clean_before = clean
         if commute:
@@ -549,6 +604,62 @@ def test_stage_skips_only_scans_that_change_nothing():
         second_rounds += reached_second
     assert second_rounds >= 100
     assert confirmed >= 100
+
+
+def _check_stages(ops):
+    """Each stage from scratch, and O3 resumed from the O2 fixed point, equal
+    the reference stage that scans every round; returns the most rounds
+    the reference ran."""
+    most = 0
+    for fuse, commute in compiler._STAGES:
+        want, want_changed, rounds, _ = _reference_stage(list(ops), fuse, commute)
+        most = max(most, rounds)
+        got, got_changed = compiler._run_stage(list(ops), fuse, commute, scanned=False)
+        assert got_changed == want_changed, (fuse, commute)
+        assert _exact(got) == _exact(want), (fuse, commute)
+    settled, _, _, _ = _reference_stage(list(ops), True, False)
+    want, want_changed, rounds, _ = _reference_stage(list(settled), True, True)
+    got, got_changed = compiler._run_stage(list(settled), True, True, scanned=True)
+    assert got_changed == want_changed
+    assert _exact(got) == _exact(want)
+    return max(most, rounds)
+
+
+def test_stage_rounds_match_full_scans_on_chosen_lists():
+    a = 0.3
+    cases = [
+        # the rz pair fuses to exactly 0.0, which blocks the x walk; the next
+        # adjacent round drops it, and only a second walk then cancels the x
+        # pair across the commuting sx
+        [gate("x", (0,)), gate("rz", (0,), (a,)), gate("rz", (0,), (-a,)), gate("sx", (0,)), gate("x", (0,))],
+        # the commuting pass cancels the cx pair across rx, which leaves the
+        # ry pair adjacent: the adjacent round fuses it into the earlier ry,
+        # where a second walk would have fused it into the later one
+        [gate("ry", (0,), (a,)), gate("cx", (0, 1)), gate("rx", (1,), (0.5,)), gate("cx", (0, 1)), gate("ry", (0,), (0.7,))],
+        # the z walk is blocked by the first cx; the later cx walk of the same
+        # pass cancels that blocker, so the next pass walks z again
+        [gate("z", (1,)), gate("cx", (0, 1)), gate("rz", (0,), (a,)), gate("cx", (0, 1)), gate("rz", (1,), (0.5,)), gate("z", (1,))],
+        # nested cancellations peel one layer per round
+        [gate("x", (0,)), gate("h", (0,)), gate("cx", (0, 1)), gate("cx", (0, 1)), gate("h", (0,)), gate("x", (0,))],
+    ]
+    for ops in cases:
+        assert _check_stages(ops) > 1, ops
+    final = [compiler._run_stage(list(ops), True, True, scanned=False)[0] for ops in cases]
+    assert [[op.kind for op in ops] for ops in final] == [["sx"], ["ry", "rx"], ["rz", "rz"], []]
+    assert final[1][0].params == (a + 0.7,)
+
+
+def test_stage_rounds_match_full_scans_on_wide_circuits(fleet):
+    # long lowered circuits, as labeling optimizes them: cancellations nest,
+    # walks are long and blockers die between rounds
+    rounds = []
+    for wide in (qft(40), qaoa(60, layers=2), random_circuit(60)):
+        expanded = expand_three_qubit(wide)
+        for dev_id in ("dev80", "dev127"):
+            device = fleet[dev_id]
+            routed, _, _ = route(expanded, device, place_trivial(expanded, device))
+            rounds.append(_check_stages(decompose_to_native(routed, device).ops))
+    assert max(rounds) > 1
 
 
 def _random_native_circuit(rng, n, length, device):

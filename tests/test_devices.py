@@ -46,6 +46,27 @@ def test_distances_are_bfs_hops(devices):
     assert dev8.distances[3][7] == dev8.distances[3][0] + 1 + dev8.distances[4][7]
 
 
+def _scanned_hop(device, a, b):
+    # route's rule: the first neighbor, in id order, one hop closer to b
+    dist = device.distances
+    return next((nb for nb in device.neighbors[a] if dist[nb][b] == dist[a][b] - 1), None)
+
+
+def test_next_hop_table_equals_the_neighbor_scan(tmp_path, devices):
+    # a 3x3 grid with one diagonal: many pairs have several shortest paths,
+    # and the table must keep the lowest-id first hop of each
+    grid = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    grid += [(r * 3 + c, (r + 1) * 3 + c) for r in range(2) for c in range(3)] + [(4, 8)]
+    path = tmp_path / "grid.yaml"
+    _write_yaml(path, _minimal_yaml(num_qubits=9, coupling=[list(e) for e in grid] + [[b, a] for a, b in grid]))
+    for device in [*devices, load_device(path)]:
+        pairs = [(a, b) for a in range(device.num_qubits) for b in range(device.num_qubits)]
+        assert [device.next_hop(a, b) for a, b in pairs] == [_scanned_hop(device, a, b) for a, b in pairs], device.id
+        # a second read comes from the filled table
+        assert [device.next_hops[a][b] for a, b in pairs] == [_scanned_hop(device, a, b) for a, b in pairs], device.id
+        assert device.next_hop(0, 0) is None
+
+
 def test_native_gate_sets(devices):
     by_id = {d.id: d for d in devices}
     assert by_id["dev8"].native_gates == frozenset({"rz", "sx", "x", "cx", "measure"})
