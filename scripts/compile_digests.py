@@ -10,7 +10,9 @@ label`` does, but writes nothing. ``optimize``, ``_run_stage``,
 and for each the script prints one line: the function, its call count, and a
 sha256 over every call's inputs and outputs, the changed flag included. Each
 param enters as its type and ``float.hex``, so ``0.0`` and ``-0.0``, or ``1``
-and ``1.0``, digest apart. Two versions of the compiler are exact on the
+and ``1.0``, digest apart. Each op object is encoded once per circuit: its
+text is kept by the op's identity, never by its value, which would mistake
+``0.0`` for ``-0.0``. Two versions of the compiler are exact on the
 corpus when their outputs are equal, as ``diff`` shows. ``--device`` keeps
 only the options of the named devices.
 """
@@ -27,12 +29,19 @@ from qcpredict.devices import DeviceModel, builtin_devices
 
 WRAPPED = ("optimize", "_run_stage", "decompose_to_native", "route", "place_graph")
 
+# id(op) -> (op, its text); holding the op keeps its id from being reused
+# while the entry lives. Cleared after each circuit, so memory stays bounded
+_op_texts: dict[int, tuple[Instruction, str]] = {}
+
 
 def encode(value) -> str:
     """A canonical text for an argument or a result."""
     if isinstance(value, Instruction):
-        params = ",".join(f"{type(p).__name__}:{float.hex(float(p))}" for p in value.params)
-        return f"I({value.kind};{value.qubits};{params};{value.clbit})"
+        entry = _op_texts.get(id(value))
+        if entry is None:
+            params = ",".join(f"{type(p).__name__}:{float.hex(float(p))}" for p in value.params)
+            entry = _op_texts[id(value)] = (value, f"I({value.kind};{value.qubits};{params};{value.clbit})")
+        return entry[1]
     if isinstance(value, Circuit):
         return f"C({value.num_qubits};{value.num_clbits};{value.name};{encode(value.ops)})"
     if isinstance(value, DeviceModel):
@@ -69,6 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     devices = builtin_devices()
+    fleet = {d.id: d for d in devices}
     options = [o for o in enumerate_options(devices) if not args.device or o.device_id in args.device]
     if not options:
         parser.error(f"no builtin device among {args.device}")
@@ -80,7 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         originals[name], wrapper = wrap(name, digests, counts)
         setattr(compiler, name, wrapper)
     try:
-        pipeline.label_dataset(circuits, options, devices)
+        for circuit in circuits:
+            pipeline.label_dataset([circuit], options, fleet)
+            _op_texts.clear()
     finally:
         for name, real in originals.items():
             setattr(compiler, name, real)

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .circuit import CircuitError
-from .compiler import CompileError, compile_circuit, enumerate_options, parse_option
-from .devices import DeviceError, builtin_devices, fleet_by_id, load_device_dir
+from .compiler import CompilationOption, CompileError, compile_circuit, enumerate_options, parse_option
+from .devices import DeviceError, DeviceModel, builtin_devices, load_device_dir
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
 from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict, predict_top_k, save_model
 from .pipeline import (
@@ -85,11 +85,11 @@ def _parse_qubit_range(text: str) -> tuple[int, int]:
     raise ValueError(f"bad qubit range {text!r}; expected N or LO..HI")
 
 
-def _load_devices(args: argparse.Namespace):
+def _load_fleet(args: argparse.Namespace) -> tuple[dict[str, DeviceModel], list[CompilationOption]]:
+    """The fleet keyed by device id, and its options in canonical order."""
     path = getattr(args, "devices", None) or os.environ.get(DEVICE_DIR_ENV)
-    if path:
-        return load_device_dir(path)
-    return builtin_devices()
+    devices = load_device_dir(path) if path else builtin_devices()
+    return {d.id: d for d in devices}, enumerate_options(devices)
 
 
 def _read_circuit(path: str):
@@ -113,10 +113,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    devices = _load_devices(args)
-    options = enumerate_options(devices)
+    fleet, options = _load_fleet(args)
     circuits = read_corpus(args.corpus)
-    samples, excluded = label_dataset(circuits, options, devices)
+    samples, excluded = label_dataset(circuits, options, fleet)
     if not samples:
         raise PipelineError(
             f"all {len(excluded)} circuits were excluded: each is wider than every device "
@@ -149,8 +148,7 @@ def _refuse_ignored_train_flags(args: argparse.Namespace) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     _refuse_ignored_train_flags(args)
-    devices = _load_devices(args)
-    options = enumerate_options(devices)
+    _, options = _load_fleet(args)
     samples = load_labeled_dataset(args.data, options)
     excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
     train_set, test_set = split(samples, DEFAULT_TEST_FRACTION, args.seed)
@@ -211,10 +209,21 @@ def _emit(text: str, path: str | None, stream) -> None:
         stream.write(text)
 
 
+# compile flag -> the mode flags under which compile would not read it
+_COMPILE_IGNORES = {"option": ("all",), "model": ("all", "option"), "stats": ("all",)}
+
+
+def _refuse_ignored_compile_flags(args: argparse.Namespace) -> None:
+    """Refuse a compile flag that the chosen mode would not read, naming it."""
+    for dest, modes in _COMPILE_IGNORES.items():
+        for mode in modes:
+            if getattr(args, dest) and getattr(args, mode):
+                raise ValueError(f"--{dest} does not apply with --{mode}")
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
-    devices = _load_devices(args)
-    fleet = fleet_by_id(devices)
-    options = enumerate_options(devices)
+    _refuse_ignored_compile_flags(args)
+    fleet, options = _load_fleet(args)
     circuit = _read_circuit(args.circuit)
 
     if args.all:
@@ -251,8 +260,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    devices = _load_devices(args)
-    options = enumerate_options(devices)
+    _, options = _load_fleet(args)
     samples = load_labeled_dataset(args.data, options)
     excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
     model = load_model(args.model or Path(args.data) / MODEL_FILE)

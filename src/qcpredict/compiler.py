@@ -21,7 +21,7 @@ from .circuit import (
     Instruction,
     interaction_graph,
 )
-from .devices import DeviceModel, fleet_by_id
+from .devices import DeviceModel
 
 
 class CompileError(ValueError):
@@ -756,17 +756,7 @@ def _run_stage(
 _STAGES = ((False, False), (True, False), (True, True))
 
 
-def _level_index(level: str | int) -> int:
-    if isinstance(level, str):
-        if level not in OPT_LEVELS:
-            raise CompileError(f"unknown optimization level {level!r}")
-        return OPT_LEVELS.index(level)
-    if not 0 <= level <= 3:
-        raise CompileError(f"unknown optimization level {level!r}")
-    return level
-
-
-def optimize(circuit: Circuit, level: str | int, start: str | int = 0) -> Circuit:
+def optimize(circuit: Circuit, level: int, start: int = 0) -> Circuit:
     """Apply the graded cleanup ladder; levels build on each other, so gate
     counts never increase with the level.
 
@@ -778,9 +768,10 @@ def optimize(circuit: Circuit, level: str | int, start: str | int = 0) -> Circui
     skips its first such scan. Returns ``circuit`` itself when no stage
     changes anything.
     """
-    level, start = _level_index(level), _level_index(start)
-    if start > level:
-        raise CompileError(f"optimization cannot start at O{start}, above the target O{level}")
+    if not 0 <= level <= 3:
+        raise CompileError(f"unknown optimization level {level!r}")
+    if not 0 <= start <= level:
+        raise CompileError(f"optimization cannot start at O{start}, outside O0..O{level}")
     ops = list(circuit.ops)
     changed = False
     for stage in range(start, level):
@@ -847,7 +838,7 @@ def _compile_on_device(
 
 
 def compile_options(
-    circuit: Circuit, options: list[CompilationOption], devices: list[DeviceModel] | dict[str, DeviceModel]
+    circuit: Circuit, options: list[CompilationOption], fleet: dict[str, DeviceModel]
 ) -> Iterator[tuple[CompilationOption, CompiledResult]]:
     """Compile every option that fits its device, sharing the common prefixes.
 
@@ -859,7 +850,6 @@ def compile_options(
     work. Raises ``CompileError`` (a ``ValueError``) for an unknown device
     before compiling anything.
     """
-    fleet = fleet_by_id(devices)
     by_device: dict[str, list[CompilationOption]] = {}
     for option in options:
         if option.device_id not in fleet:
@@ -877,15 +867,12 @@ def compile_options(
         yield from _compile_on_device(expanded, measures, wanted, device)
 
 
-def compile_circuit(
-    circuit: Circuit, option: CompilationOption, devices: list[DeviceModel] | dict[str, DeviceModel]
-) -> CompiledResult:
+def compile_circuit(circuit: Circuit, option: CompilationOption, fleet: dict[str, DeviceModel]) -> CompiledResult:
     """Run one option end to end: place, route, lower to native, optimize.
 
     Raises ``InfeasibleError`` before any work when the circuit is wider than
     the device, and ``CompileError`` (a ``ValueError``) for an unknown device.
     """
-    fleet = fleet_by_id(devices)
     for _, result in compile_options(circuit, [option], fleet):
         return result
     device = fleet[option.device_id]

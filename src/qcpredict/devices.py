@@ -136,11 +136,6 @@ class DeviceModel:
         return all(d <= self.num_qubits for d in self.distances[0])
 
 
-def fleet_by_id(devices: list[DeviceModel] | dict[str, DeviceModel]) -> dict[str, DeviceModel]:
-    """The fleet keyed by device id; a dict passes through unchanged."""
-    return devices if isinstance(devices, dict) else {d.id: d for d in devices}
-
-
 def _complete_coupling(n: int) -> frozenset[tuple[int, int]]:
     return frozenset((a, b) for a in range(n) for b in range(n) if a != b)
 
@@ -228,9 +223,24 @@ def _check_fidelity(value: float, what: str) -> float:
 
 
 def load_device(path: str | Path) -> DeviceModel:
-    """Read one device description; gaps in the calibration fill from defaults."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    """Read one device description; gaps in the calibration fill from defaults.
+
+    A malformed file raises ``DeviceError`` naming it: a YAML syntax error, an
+    entry without a field it needs, or a value of the wrong type."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _device_from_doc(yaml.safe_load(fh), path)
+    except DeviceError:
+        raise  # a ValueError that already names the file
+    except KeyError as exc:
+        raise DeviceError(f"{path}: an entry has no {exc} field") from None
+    except yaml.MarkedYAMLError as exc:  # its own text spans several lines
+        raise DeviceError(f"{path}: line {exc.problem_mark.line + 1}: {exc.problem}") from None
+    except (TypeError, ValueError, OverflowError, yaml.YAMLError) as exc:
+        raise DeviceError(f"{path}: malformed device file: {exc}") from None
+
+
+def _device_from_doc(doc, path: str | Path) -> DeviceModel:
     if not isinstance(doc, dict):
         raise DeviceError(f"{path}: device file must be a mapping")
 

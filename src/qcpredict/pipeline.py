@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .compiler import CompilationOption, compile_circuit
-from .devices import DeviceModel, fleet_by_id
+from .devices import DeviceModel
 from .features import (
     FeatureSchema,
     apply_standardize,
@@ -132,7 +132,7 @@ class EvalReport:
 def label_dataset(
     circuits: list[Circuit],
     options: list[CompilationOption],
-    devices: list[DeviceModel] | dict[str, DeviceModel],
+    fleet: dict[str, DeviceModel],
 ) -> tuple[list[LabeledSample], list[tuple[str, str]]]:
     """Brute-force score every circuit; returns (samples, excluded).
 
@@ -151,7 +151,6 @@ def label_dataset(
             raise PipelineError(f"duplicate circuit name {c.name!r}")
         seen.add(c.name)
 
-    fleet = fleet_by_id(devices)
     schema = full_schema()
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
@@ -338,10 +337,9 @@ def runtime_compare(
     circuit: Circuit,
     model: ForestModel,
     options: list[CompilationOption],
-    devices: list[DeviceModel] | dict[str, DeviceModel],
+    fleet: dict[str, DeviceModel],
 ) -> dict:
     """Wall time of the full brute-force sweep vs predict-then-compile-once."""
-    fleet = fleet_by_id(devices)
     by_id = {opt.option_id: opt for opt in options}
 
     started = time.perf_counter()

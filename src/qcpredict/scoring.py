@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .circuit import BARRIER, MEASURE, Circuit
 from .compiler import CompilationOption, CompiledResult, compile_options
-from .devices import DeviceModel, fleet_by_id
+from .devices import DeviceModel
 
 
 class CalibrationError(KeyError):
@@ -62,7 +62,7 @@ def ranks_from_values(values: tuple[float, ...] | list[float]) -> tuple[int, ...
 def rank_options(
     circuit: Circuit,
     options: list[CompilationOption],
-    devices: list[DeviceModel] | dict[str, DeviceModel],
+    fleet: dict[str, DeviceModel],
 ) -> tuple[float, ...]:
     """Brute-force sweep: the score of every option, in option order.
 
@@ -76,7 +76,6 @@ def rank_options(
     """
     if not options:
         raise ValueError("no options to rank")
-    fleet = fleet_by_id(devices)
     scores = dict.fromkeys(options, 0.0)
     scored: Circuit | None = None
     scored_on = ""

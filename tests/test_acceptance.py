@@ -47,12 +47,12 @@ from qcpredict.simulator import check_equivalence
 
 
 @pytest.fixture(scope="module")
-def desk(options, devices):
+def desk(options, fleet):
     """Desk-scale run shared by the end-to-end and runtime tests: 524 circuits
     at 2..30 qubits, brute-force labels, 70/30 split, 500-tree forest."""
     corpus = generate_corpus(qubit_range=(2, 30), random_variants=9, seed=0)
     assert len(corpus) >= 500
-    samples, excluded = label_dataset(corpus, options, devices)
+    samples, excluded = label_dataset(corpus, options, fleet)
     train_set, test_set = split(samples, 0.3, seed=0)
     model, chosen, _ = train_model(
         train_set, options, seed=0,
@@ -91,10 +91,9 @@ def separable():
     return {"X": X, "y": y, "model": model}
 
 
-def test_compilation_correctness_all_options_all_small_circuits(devices, options):
+def test_compilation_correctness_all_options_all_small_circuits(fleet, options):
     """Every option on >= 200 small circuits: device-legal output, equivalent
     to the source under the final layout at 1e-8."""
-    fleet = {d.id: d for d in devices}
     corpus = generate_corpus(qubit_range=(2, 6), random_variants=31, seed=0)
     assert len(corpus) >= 200
     checked = 0
@@ -131,11 +130,10 @@ def test_feature_oracles_exact_values_and_unit_bounds():
     assert count == 1000
 
 
-def test_scoring_oracles_products_and_feasibility(devices, options):
+def test_scoring_oracles_products_and_feasibility(fleet, options):
     """Empty circuit scores 1.0; log-space product matches direct
     multiplication to 1e-12; infeasible is exactly 0.0; a 50-qubit circuit
     leaves exactly the 12 options on the two largest devices."""
-    fleet = {d.id: d for d in devices}
     dev8 = fleet["dev8"]
     empty = CompiledResult(Circuit(8, 0, (), "empty"), {i: i for i in range(8)})
     assert evaluate_score(empty, dev8).value == 1.0
@@ -195,7 +193,7 @@ def test_end_to_end_desk_scale_beats_majority_baseline(desk, options):
     assert "not asserted" in payload["external_reference"]["note"]
 
 
-def test_predicting_beats_brute_force_by_factor_five(desk, options, devices):
+def test_predicting_beats_brute_force_by_factor_five(desk, options, fleet):
     """Predict-then-compile-once runs at least 5x faster than sweeping all 30
     options on a 7-qubit Deutsch-Jozsa circuit. Best of three runs to shield
     against scheduler noise. Each ratio divides two times taken one after
@@ -211,7 +209,7 @@ def test_predicting_beats_brute_force_by_factor_five(desk, options, devices):
     circuit = dj(7, variant=1, seed=0)
     best_ratio = 0.0
     for _ in range(3):
-        result = runtime_compare(circuit, desk["model"], options, devices)
+        result = runtime_compare(circuit, desk["model"], options, fleet)
         assert result["predicted_option"] in {o.option_id for o in options}
         ratio = result["brute_force_seconds"] / result["predict_and_compile_seconds"]
         best_ratio = max(best_ratio, ratio)

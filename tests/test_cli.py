@@ -286,6 +286,22 @@ def test_compile_needs_a_mode(workdir, capfd):
     assert "compile needs" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--all", "--option", "dev8/A/O0", "--stats", "s.json"], "--option does not apply with --all"),
+    (["--all", "--stats", "s.json"], "--stats does not apply with --all"),
+    (["--all", "--model", "model.bin"], "--model does not apply with --all"),
+    (["--option", "dev8/A/O0", "--model", "model.bin"], "--model does not apply with --option"),
+], ids=["all-option", "all-stats", "all-model", "option-model"])
+def test_compile_refuses_a_flag_its_mode_ignores(workdir, tmp_path, capfd, flags, message):
+    # every path is under tmp_path, which must stay empty; model.bin does not
+    # exist, so a compile that opened it would fail with another message
+    flags = [str(tmp_path / f) if f.endswith((".json", ".bin")) else f for f in flags]
+    src = workdir / "circuits" / "ghz_003.qasm"
+    assert main(["compile", str(src), "--out", str(tmp_path / "out")] + flags) == 1
+    assert capfd.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_compile_unavailable_option(workdir, capfd):
     src = workdir / "circuits" / "ghz_002.qasm"
     assert main(["compile", str(src), "--option", "dev99/A/O0"]) == 1
@@ -426,3 +442,21 @@ def test_an_unreadable_circuit_names_its_file(workdir, tmp_path, capfd, command)
     undecodable.write_bytes(b"\xff")
     assert main([command, str(undecodable)] + model) == 1
     assert capfd.readouterr().err.startswith(f"error: {undecodable}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_malformed_device_file_is_refused_without_a_traceback(tmp_path):
+    devdir = tmp_path / "devices"
+    devdir.mkdir()
+    write_device(builtin_devices()[0], devdir / "dev8.yaml")
+    broken = devdir / "dev8.yaml"
+    broken.write_text(broken.read_text(encoding="utf-8").replace("\n  qubits:", "\n  qbits:", 1), encoding="utf-8")
+    src = tmp_path / "c.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[1];\nx q[0];\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONWARNINGS="ignore", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(qcpredict.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcpredict.cli", "compile", str(src), "--all", "--devices", str(devdir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {broken}: an entry has no 'qubits' field\n"

@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from qcpredict.devices import (
     ION_TRAP,
@@ -151,8 +152,6 @@ def _minimal_yaml(**overrides):
 
 
 def _write_yaml(path, doc):
-    import yaml
-
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
 
 
@@ -244,3 +243,38 @@ def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides
     _write_yaml(path, _minimal_yaml(**overrides))
     with pytest.raises(DeviceError, match=match):
         load_device(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (
+            yaml.safe_dump(_minimal_yaml(gate_fidelities=[{"gate": "cx", "fidelity": 0.95}])),
+            "an entry has no 'qubits' field",
+        ),
+        (yaml.safe_dump(_minimal_yaml(coupling=5)), "malformed device file: 'int' object is not iterable"),
+        ("id: toy\ncoupling: [[0, 1]\n", r"line 3: expected ',' or '\]', but got '<stream end>'"),
+        (yaml.safe_dump(_minimal_yaml(num_qubits="abc")), "malformed device file: invalid literal for int"),
+        (
+            yaml.safe_dump(_minimal_yaml(gate_fidelities=[{"gate": "cx", "qubits": [0, 1], "fidelity": "abc"}])),
+            "malformed device file: could not convert string to float: 'abc'",
+        ),
+    ],
+    ids=["entry-without-qubits", "coupling-not-a-list", "yaml-syntax", "num-qubits-not-a-number", "fidelity-not-a-number"],
+)
+def test_load_device_names_a_malformed_file(tmp_path, text, match):
+    path = tmp_path / "toy.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DeviceError, match=match) as exc:
+        load_device(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
+
+def test_load_device_passes_its_own_refusals_through(tmp_path):
+    # DeviceError is a ValueError; the malformed-file wrapper must not wrap it again
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(num_qubits=0))
+    with pytest.raises(DeviceError) as exc:
+        load_device(path)
+    assert str(exc.value) == f"{path}: num_qubits must be positive"

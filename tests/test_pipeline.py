@@ -50,8 +50,8 @@ def small_corpus():
 
 
 @pytest.fixture(scope="module")
-def labeled(small_corpus, options, devices):
-    samples, excluded = label_dataset(small_corpus, options, devices)
+def labeled(small_corpus, options, fleet):
+    samples, excluded = label_dataset(small_corpus, options, fleet)
     assert excluded == []
     return samples
 
@@ -73,10 +73,10 @@ def _fake_sample(name, qubits, label, scores):
 # labeling
 
 
-def test_labels_agree_with_brute_force(labeled, small_corpus, options, devices):
+def test_labels_agree_with_brute_force(labeled, small_corpus, options, fleet):
     by_name = {s.name: s for s in labeled}
     for c in small_corpus[:5]:
-        values = rank_options(c, options, devices)
+        values = rank_options(c, options, fleet)
         s = by_name[c.name]
         assert s.scores == values
         assert s.ranks == ranks_from_values(values)
@@ -92,9 +92,9 @@ def test_label_is_rank_one(labeled):
         assert s.scores[s.best] == max(s.scores)
 
 
-def test_oversized_circuits_are_excluded(options, devices):
+def test_oversized_circuits_are_excluded(options, fleet):
     circuits = [ghz(3), ghz(128)]
-    samples, excluded = label_dataset(circuits, options, devices)
+    samples, excluded = label_dataset(circuits, options, fleet)
     assert [s.name for s in samples] == ["ghz_003"]
     assert len(excluded) == 1
     assert excluded[0][0] == "ghz_128"
@@ -120,7 +120,7 @@ def test_underflowing_circuits_are_excluded_with_their_reason(cx_fidelity, tmp_p
     # is wider than the device
     device = _lossy_device(cx_fidelity)
     options = enumerate_options([device])
-    samples, excluded = label_dataset([ghz(2), ghz(3), ghz(4)], options, [device])
+    samples, excluded = label_dataset([ghz(2), ghz(3), ghz(4)], options, {device.id: device})
     assert [s.name for s in samples] == ["ghz_002"]
     assert [name for name, _ in excluded] == ["ghz_003", "ghz_004"]
     assert "underflow" in excluded[0][1]
@@ -136,12 +136,12 @@ def test_underflowing_circuits_are_excluded_with_their_reason(cx_fidelity, tmp_p
     assert "wider than every device" in err and "underflow" in err
 
 
-def test_labels_do_not_read_the_clock(options, devices, tmp_path, monkeypatch):
+def test_labels_do_not_read_the_clock(options, fleet, tmp_path, monkeypatch):
     qasm = tmp_path / "qft_004.qasm"
     qasm.write_text(to_qasm(qft(4)), encoding="utf-8")
 
     def run(tag):
-        labels = label_dataset([ghz(3), qft(4)], options, devices)
+        labels = label_dataset([ghz(3), qft(4)], options, fleet)
         out = tmp_path / f"{tag}.csv"
         assert main(["compile", str(qasm), "--all", "--out", str(out)]) == 0
         return labels, out.read_bytes()
@@ -157,14 +157,14 @@ def test_labels_do_not_read_the_clock(options, devices, tmp_path, monkeypatch):
     assert [s.name for s in samples] == ["ghz_003", "qft_004"] and excluded == []
 
 
-def test_label_dataset_rejects_duplicates_and_anonymous(options, devices):
+def test_label_dataset_rejects_duplicates_and_anonymous(options, fleet):
     with pytest.raises(PipelineError, match="duplicate"):
-        label_dataset([ghz(3), ghz(3)], options, devices)
+        label_dataset([ghz(3), ghz(3)], options, fleet)
     anon = Circuit(2, 0, (gate("x", (0,)),), name="")
     with pytest.raises(PipelineError, match="named"):
-        label_dataset([anon], options, devices)
+        label_dataset([anon], options, fleet)
     with pytest.raises(PipelineError):
-        label_dataset([], options, devices)
+        label_dataset([], options, fleet)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +357,10 @@ def test_baselines_run_through_same_harness(labeled, options):
 # runtime comparison and the dot export
 
 
-def test_runtime_compare_keys(labeled, options, devices):
+def test_runtime_compare_keys(labeled, options, fleet):
     train, _ = split(labeled, 0.3, seed=0)
     model, _, _ = train_model(train, options, params={"n_trees": 20, "max_depth": 8})
-    result = runtime_compare(qft(5), model, options, devices)
+    result = runtime_compare(qft(5), model, options, fleet)
     assert set(result) == {
         "brute_force_seconds", "predict_and_compile_seconds", "reduction_fraction", "predicted_option",
     }
@@ -370,12 +370,12 @@ def test_runtime_compare_keys(labeled, options, devices):
     assert result["reduction_fraction"] < 1.0
 
 
-def test_runtime_compare_refuses_a_prediction_outside_the_options(options, devices):
+def test_runtime_compare_refuses_a_prediction_outside_the_options(options, fleet):
     # a model trained on the full fleet, compared on a subset without its pick
     model = _constant_model(options, options.index(parse_option("dev27/B/graph")))
     subset = [opt for opt in options if opt.device_id != "dev27"]
     with pytest.raises(PipelineError, match="dev27/B/graph"):
-        runtime_compare(qft(5), model, subset, devices)
+        runtime_compare(qft(5), model, subset, fleet)
 
 
 def test_export_dot_graph_rows(options):

@@ -90,8 +90,7 @@ def _per_op_log_score(circuit, device):
     return exp(total)
 
 
-def test_log_table_scores_equal_per_op_logs(devices, options):
-    fleet = {d.id: d for d in devices}
+def test_log_table_scores_equal_per_op_logs(fleet, options):
     for circuit in (_ghz(3), _toffoli_swap(5), _ghz(9)):
         for option, result in compile_options(circuit, options, fleet):
             device = fleet[option.device_id]
@@ -113,8 +112,8 @@ def _ghz(n):
     return Circuit(n, n, tuple(ops), f"ghz{n}")
 
 
-def test_rank_options_orders_by_score(devices, options):
-    values = rank_options(_ghz(3), options, devices)
+def test_rank_options_orders_by_score(fleet, options):
+    values = rank_options(_ghz(3), options, fleet)
     assert isinstance(values, tuple) and len(values) == 30
     assert all(v > 0.0 for v in values)  # 3 qubits fit everywhere
     ranks = ranks_from_values(values)
@@ -125,12 +124,12 @@ def test_rank_options_orders_by_score(devices, options):
     assert ordered == sorted(values, reverse=True)
 
 
-def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
+def test_too_wide_scores_zero_without_compiling(fleet, options, monkeypatch):
     expanded, routed_on = [], []
     real_expand, real_route = compiler.expand_three_qubit, compiler.route
     monkeypatch.setattr(compiler, "expand_three_qubit", lambda c: expanded.append(c) or real_expand(c))
     monkeypatch.setattr(compiler, "route", lambda c, d, layout: routed_on.append(d.id) or real_route(c, d, layout))
-    values = rank_options(_ghz(50), options, devices)
+    values = rank_options(_ghz(50), options, fleet)
     # only the two largest devices fit 50 qubits: 6 options each, every other
     # option scores exactly 0.0
     feasible = [o for o, v in zip(options, values) if v > 0.0]
@@ -145,20 +144,20 @@ def test_too_wide_scores_zero_without_compiling(devices, options, monkeypatch):
     assert all(routed_on.count(d) <= 3 for d in routed_on)
 
 
-def test_tie_breaks_keep_option_order(devices, options):
+def test_tie_breaks_keep_option_order(fleet, options):
     c = Circuit(2, 0, (), "empty")
-    values = rank_options(c, options, devices)
+    values = rank_options(c, options, fleet)
     # every option scores 1.0 (no gates, no measures), first option wins
     assert values == (1.0,) * 30
     assert ranks_from_values(values) == tuple(range(1, 31))
     assert options[ranks_from_values(values).index(1)].option_id == "dev8/A/O0"
 
 
-def test_rank_options_rejects_empty_or_unknown(devices):
+def test_rank_options_rejects_empty_or_unknown(fleet):
     with pytest.raises(ValueError, match="no options"):
-        rank_options(_ghz(2), [], devices)
+        rank_options(_ghz(2), [], fleet)
     with pytest.raises(ValueError, match="unknown device"):
-        rank_options(_ghz(2), [parse_option("nope/A/O0")], devices)
+        rank_options(_ghz(2), [parse_option("nope/A/O0")], fleet)
 
 
 def _toffoli_swap(n):
@@ -168,13 +167,12 @@ def _toffoli_swap(n):
     return Circuit(n, n, tuple(ops), f"toffoli_swap{n}")
 
 
-def test_scores_agree_with_manual_recompute(devices, options):
+def test_scores_agree_with_manual_recompute(fleet, options):
     # the shared sweep must give every option exactly what compiling it alone
     # gives: ccx/cswap expansion is shared by all devices, and a 24-qubit
     # circuit has no 24-qubit line on dev27, so B/line shares A's trivial layout
-    fleet = {d.id: d for d in devices}
     for circuit in (_ghz(3), _toffoli_swap(5), _ghz(24)):
-        values = rank_options(circuit, options, devices)
+        values = rank_options(circuit, options, fleet)
         shared = dict(compile_options(circuit, options, fleet))
         for option, value in zip(options, values):
             device = fleet[option.device_id]
@@ -193,12 +191,11 @@ def test_scores_agree_with_manual_recompute(devices, options):
     assert not shared[parse_option("dev80/B/line")].stats["placement_fallback"]
 
 
-def test_each_distinct_rung_is_scored_once(devices, options, monkeypatch):
-    fleet = {d.id: d for d in devices}
+def test_each_distinct_rung_is_scored_once(fleet, options, monkeypatch):
     scored = []
     real_score = scoring.evaluate_score
     monkeypatch.setattr(scoring, "evaluate_score", lambda result, device: scored.append(result) or real_score(result, device))
-    values = rank_options(_ghz(3), options, devices)
+    values = rank_options(_ghz(3), options, fleet)
     compiled = list(compile_options(_ghz(3), options, fleet))  # kept alive, so ids stay distinct
     rungs = {(option.device_id, id(result.circuit)) for option, result in compiled}
     assert len(scored) == len(rungs) < len(options)
