@@ -135,8 +135,8 @@ class Circuit:
     def num_gates(self) -> int:
         return sum(1 for _ in self.gates())
 
-    def with_ops(self, ops: tuple[Instruction, ...], name: str | None = None) -> Circuit:
-        return Circuit(self.num_qubits, self.num_clbits, ops, self.name if name is None else name)
+    def with_ops(self, ops: tuple[Instruction, ...]) -> Circuit:
+        return Circuit(self.num_qubits, self.num_clbits, ops, self.name)
 
 
 @dataclass(frozen=True)

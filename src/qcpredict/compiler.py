@@ -703,57 +703,40 @@ class _Stage:
         return changed
 
 
-def _commuting_pass(ops: list[Instruction]) -> tuple[list[Instruction], bool]:
-    """One commuting pass over ``ops`` on its own: returns the ops and whether
-    it changed them."""
-    stage = _Stage(list(ops), True, True)
-    if not stage.commuting_pass():
-        return ops, False
-    return stage.compact(), True
+def _run_stage(ops: list[Instruction], stage: int) -> tuple[list[Instruction], bool]:
+    """Repeat the rounds of stage ``stage`` (0, 1, 2 for O1, O2, O3) until a
+    round changes nothing; returns the ops and whether any round changed them.
 
-
-def _run_stage(
-    ops: list[Instruction], fuse: bool, commute: bool, scanned: bool
-) -> tuple[list[Instruction], bool]:
-    """Repeat one stage's rounds until a round changes nothing; returns the
-    ops and whether any round changed them.
-
-    ``scanned`` says the ops are already a fixed point of the adjacent scan
-    (the O2 stage hands one to O3), so the stage starts with the commuting
-    pass. Otherwise the first round is one full scan, and a clean scan with
-    no commuting pass to follow ends the stage there. Only a stage that needs
-    a second round links its ops. From then on every round works on the one
-    op array: an adjacent round visits only the ops whose decision can
-    change (see ``_Stage.adjacent_round``), and a commuting pass walks only
-    from the ops whose walk can end differently (see
-    ``_Stage.commuting_pass``). The ops are compacted once, when the stage
-    ends. Each round leaves the ops, bit for bit, as a full scan and a full
-    commuting pass would.
+    O2 adds fusion to O1's adjacent scan, and O3 the commuting pass. O3 always
+    starts on the O2 fixed point, as ``optimize`` runs it, so it starts with
+    the commuting pass; O1 and O2 start with one full scan, and a clean scan
+    ends the stage there. Only a stage that needs a second round links its
+    ops. From then on every round works on the one op array: an adjacent round
+    visits only the ops whose decision can change (see
+    ``_Stage.adjacent_round``), and a commuting pass walks only from the ops
+    whose walk can end differently (see ``_Stage.commuting_pass``). The ops
+    are compacted once, when the stage ends. Each round leaves the ops, bit
+    for bit, as a full scan and a full commuting pass would.
     """
+    fuse, commute = stage > 0, stage == 2
     changed = changed_any = False
-    cancelled: list[int] = []
-    small: list[int] = []
-    if scanned:
-        ops = list(ops)
+    if commute:
+        linked = _Stage(list(ops), fuse, commute)
     else:
         ops, changed, cancelled, small = _adjacent_pass(ops, fuse)
-        if not (commute or cancelled or small):
+        if not (cancelled or small):
             return ops, changed
-    stage = _Stage(ops, fuse, commute)
-    for k in cancelled:
-        stage.kill(k, stage.seeds)
-    stage.seeds += small
+        linked = _Stage(ops, fuse, commute)
+        for k in cancelled:
+            linked.kill(k, linked.seeds)
+        linked.seeds += small
     while True:
-        if commute and stage.commuting_pass():
+        if commute and linked.commuting_pass():
             changed = True
         if not changed:
-            return stage.compact(), changed_any
+            return linked.compact(), changed_any
         changed_any = True
-        changed = stage.adjacent_round()
-
-
-# (fuse, commute) of the stages O1, O2, O3
-_STAGES = ((False, False), (True, False), (True, True))
+        changed = linked.adjacent_round()
 
 
 def optimize(circuit: Circuit, level: int, start: int = 0) -> Circuit:
@@ -775,8 +758,7 @@ def optimize(circuit: Circuit, level: int, start: int = 0) -> Circuit:
     ops = list(circuit.ops)
     changed = False
     for stage in range(start, level):
-        fuse, commute = _STAGES[stage]
-        ops, stage_changed = _run_stage(ops, fuse, commute, scanned=stage == 2)
+        ops, stage_changed = _run_stage(ops, stage)
         changed = changed or stage_changed
     return circuit.with_ops(tuple(ops)) if changed else circuit
 

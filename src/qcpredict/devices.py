@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.reader import ReaderError
 
 from .circuit import GATE_SIGNATURES, MEASURE
 
@@ -236,6 +237,8 @@ def load_device(path: str | Path) -> DeviceModel:
         raise DeviceError(f"{path}: an entry has no {exc} field") from None
     except yaml.MarkedYAMLError as exc:  # its own text spans several lines
         raise DeviceError(f"{path}: line {exc.problem_mark.line + 1}: {exc.problem}") from None
+    except ReaderError as exc:  # so does this one's, which names the file again
+        raise DeviceError(f"{path}: position {exc.position}: {str(exc).splitlines()[0]}") from None
     except (TypeError, ValueError, OverflowError, yaml.YAMLError) as exc:
         raise DeviceError(f"{path}: malformed device file: {exc}") from None
 
@@ -264,8 +267,12 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
             raise DeviceError(f"{path}: coupling pair ({a}, {b}) out of range")
         coupling.add((a, b))
     coupling = frozenset(coupling)
-    if technology == ION_TRAP and coupling != _complete_coupling(n):
+    # the pairs are distinct, ordered and off the diagonal: n * (n - 1) are all of them
+    if technology == ION_TRAP and len(coupling) != n * (n - 1):
         raise DeviceError(f"{path}: ion-trap devices must declare complete coupling")
+    # a qubit on no pair, refused before any table grows with n
+    if n > 1 and len({q for pair in coupling for q in pair}) < n:
+        raise DeviceError(f"{path}: coupling map is not connected")
 
     native = frozenset(str(g) for g in doc["native_gates"])
     if "measure" not in native:

@@ -18,6 +18,7 @@ from qcpredict.compiler import (
     _EPS,
     _ROTATIONS,
     _SELF_INVERSE,
+    _Stage,
     CompilationOption,
     CompileError,
     InfeasibleError,
@@ -448,8 +449,17 @@ def _random_op_list(rng, n, length, kinds):
     return ops
 
 
+def _commuting_pass(ops):
+    """One commuting pass over ``ops`` on its own, as the first round of an
+    O3 stage runs it: returns the ops and whether it changed them."""
+    stage = _Stage(list(ops), True, True)
+    if not stage.commuting_pass():
+        return ops, False
+    return stage.compact(), True
+
+
 def _check_against_reference(ops):
-    got, got_changed = compiler._commuting_pass(list(ops))
+    got, got_changed = _commuting_pass(list(ops))
     want, want_changed = _reference_commuting_pass(list(ops))
     assert got_changed == want_changed, ops
     assert _exact(got) == _exact(want), ops
@@ -484,7 +494,7 @@ def test_commuting_pass_matches_reference_on_chosen_lists():
     ]
     results = [_check_against_reference(ops) for ops in cases]
     assert results == [True, True, False, True, True, False]
-    fused, _ = compiler._commuting_pass(cases[0])
+    fused, _ = _commuting_pass(cases[0])
     assert [op.kind for op in fused] == ["rz"]
     assert fused[0].params == (0.25 + 0.5,)
 
@@ -553,7 +563,7 @@ def _reference_stage(ops, fuse, commute):
         confirmed = confirmed or clean_before
         clean_before = clean
         if commute:
-            ops, commuted = compiler._commuting_pass(ops)
+            ops, commuted = _commuting_pass(ops)
             if commuted:
                 changed, clean_before = True, False
         if not changed:
@@ -578,6 +588,13 @@ def _with_cancelling_angles(rng, ops):
     return out
 
 
+def _stage_inputs(ops):
+    """The input of each stage: O1 and O2 start from ``ops``, and O3 from the
+    O2 fixed point, as ``optimize`` runs it."""
+    settled, _, _, _ = _reference_stage(list(ops), True, False)
+    return ops, ops, settled
+
+
 def test_stage_skips_only_scans_that_change_nothing():
     # a stage skips the scan after a clean one, and O3 skips its first; each
     # must leave the ops, bit for bit, and the changed flag as scanning every
@@ -588,49 +605,36 @@ def test_stage_skips_only_scans_that_change_nothing():
         kinds = [_ALL_KINDS[k] for k in rng.choice(len(_ALL_KINDS), size=int(rng.integers(2, 7)), replace=False)]
         ops = _with_cancelling_angles(rng, _random_op_list(rng, int(rng.integers(3, 5)), int(rng.integers(1, 50)), kinds))
         reached_second = False
-        for fuse, commute in compiler._STAGES:
-            want, want_changed, rounds, skip = _reference_stage(list(ops), fuse, commute)
-            got, got_changed = compiler._run_stage(list(ops), fuse, commute, scanned=False)
-            assert got_changed == want_changed, (trial, fuse, commute, ops)
-            assert _exact(got) == _exact(want), (trial, fuse, commute, ops)
+        for stage, start in enumerate(_stage_inputs(ops)):
+            want, want_changed, rounds, skip = _reference_stage(list(start), stage > 0, stage == 2)
+            got, got_changed = compiler._run_stage(list(start), stage)
+            assert got_changed == want_changed, (trial, stage, ops)
+            assert _exact(got) == _exact(want), (trial, stage, ops)
             reached_second = reached_second or rounds > 1
             confirmed += skip
-        # O3 resumes from the O2 fixed point without scanning it again
-        settled, _, _, _ = _reference_stage(list(ops), True, False)
-        want, want_changed, _, _ = _reference_stage(list(settled), True, True)
-        got, got_changed = compiler._run_stage(list(settled), True, True, scanned=True)
-        assert got_changed == want_changed, (trial, ops)
-        assert _exact(got) == _exact(want), (trial, ops)
         second_rounds += reached_second
     assert second_rounds >= 100
     assert confirmed >= 100
 
 
 def _check_stages(ops):
-    """Each stage from scratch, and O3 resumed from the O2 fixed point, equal
-    the reference stage that scans every round; returns the most rounds
-    the reference ran."""
+    """Each stage equals the reference stage that scans every round; returns
+    the most rounds the reference ran."""
     most = 0
-    for fuse, commute in compiler._STAGES:
-        want, want_changed, rounds, _ = _reference_stage(list(ops), fuse, commute)
+    for stage, start in enumerate(_stage_inputs(ops)):
+        want, want_changed, rounds, _ = _reference_stage(list(start), stage > 0, stage == 2)
         most = max(most, rounds)
-        got, got_changed = compiler._run_stage(list(ops), fuse, commute, scanned=False)
-        assert got_changed == want_changed, (fuse, commute)
-        assert _exact(got) == _exact(want), (fuse, commute)
-    settled, _, _, _ = _reference_stage(list(ops), True, False)
-    want, want_changed, rounds, _ = _reference_stage(list(settled), True, True)
-    got, got_changed = compiler._run_stage(list(settled), True, True, scanned=True)
-    assert got_changed == want_changed
-    assert _exact(got) == _exact(want)
-    return max(most, rounds)
+        got, got_changed = compiler._run_stage(list(start), stage)
+        assert got_changed == want_changed, stage
+        assert _exact(got) == _exact(want), stage
+    return most
 
 
 def test_stage_rounds_match_full_scans_on_chosen_lists():
     a = 0.3
     cases = [
-        # the rz pair fuses to exactly 0.0, which blocks the x walk; the next
-        # adjacent round drops it, and only a second walk then cancels the x
-        # pair across the commuting sx
+        # O2 fuses the rz pair to exactly 0.0 and drops it only in its next
+        # round; O3 then cancels the x pair across the commuting sx
         [gate("x", (0,)), gate("rz", (0,), (a,)), gate("rz", (0,), (-a,)), gate("sx", (0,)), gate("x", (0,))],
         # the commuting pass cancels the cx pair across rx, which leaves the
         # ry pair adjacent: the adjacent round fuses it into the earlier ry,
@@ -644,7 +648,7 @@ def test_stage_rounds_match_full_scans_on_chosen_lists():
     ]
     for ops in cases:
         assert _check_stages(ops) > 1, ops
-    final = [compiler._run_stage(list(ops), True, True, scanned=False)[0] for ops in cases]
+    final = [optimize(_circ(2, ops), 3).ops for ops in cases]
     assert [[op.kind for op in ops] for ops in final] == [["sx"], ["ry", "rx"], ["rz", "rz"], []]
     assert final[1][0].params == (a + 0.7,)
 

@@ -236,6 +236,13 @@ _CHAIN3 = {"num_qubits": 3, "coupling": [[0, 1], [1, 0], [1, 2], [2, 1]]}
             {"num_qubits": 4, "coupling": [[0, 1], [1, 0], [2, 3], [3, 2]]},
             r"toy\.yaml: coupling map is not connected",
         ),
+        # one coupled pair among 10**9 qubits: a table of every qubit, or of
+        # every pair, built before the refusal would exhaust memory
+        ({"num_qubits": 10**9}, r"toy\.yaml: coupling map is not connected"),
+        (
+            {"technology": "ion-trap", "num_qubits": 10**9, "native_gates": ["rx", "ry", "rz", "rxx", "measure"]},
+            r"toy\.yaml: ion-trap devices must declare complete coupling",
+        ),
     ],
 )
 def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides, match):
@@ -259,8 +266,17 @@ def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides
             yaml.safe_dump(_minimal_yaml(gate_fidelities=[{"gate": "cx", "qubits": [0, 1], "fidelity": "abc"}])),
             "malformed device file: could not convert string to float: 'abc'",
         ),
+        # the YAML reader refuses it before parsing, with no line mark
+        ("a: \x01\n", r"position 3: unacceptable character #x0001: special characters are not allowed$"),
     ],
-    ids=["entry-without-qubits", "coupling-not-a-list", "yaml-syntax", "num-qubits-not-a-number", "fidelity-not-a-number"],
+    ids=[
+        "entry-without-qubits",
+        "coupling-not-a-list",
+        "yaml-syntax",
+        "num-qubits-not-a-number",
+        "fidelity-not-a-number",
+        "control-character",
+    ],
 )
 def test_load_device_names_a_malformed_file(tmp_path, text, match):
     path = tmp_path / "toy.yaml"
@@ -269,6 +285,7 @@ def test_load_device_names_a_malformed_file(tmp_path, text, match):
         load_device(path)
     message = str(exc.value)
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+    assert "\n" not in message
 
 
 def test_load_device_passes_its_own_refusals_through(tmp_path):
