@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from yaml.reader import ReaderError
 
 from .circuit import GATE_SIGNATURES, MEASURE
 
@@ -133,12 +132,19 @@ class DeviceModel:
     def coupled(self, a: int, b: int) -> bool:
         return (a, b) in self.coupling
 
-    def is_connected(self) -> bool:
-        return all(d <= self.num_qubits for d in self.distances[0])
 
-
-def _complete_coupling(n: int) -> frozenset[tuple[int, int]]:
-    return frozenset((a, b) for a in range(n) for b in range(n) if a != b)
+def _reaches_every_qubit(n: int, coupling: frozenset[tuple[int, int]]) -> bool:
+    """Whether the directed pairs lead from qubit 0 to all ``n`` qubits, in O(pairs) time for any ``n``."""
+    adj: dict[int, list[int]] = {}
+    for a, b in coupling:
+        adj.setdefault(a, []).append(b)
+    seen, todo = {0}, [0]
+    while todo:
+        for nb in adj.get(todo.pop(), ()):
+            if nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return len(seen) == n
 
 
 def _heavy_hexish_coupling(rows: int, cols: int, num_qubits: int) -> frozenset[tuple[int, int]]:
@@ -210,7 +216,7 @@ def builtin_devices() -> list[DeviceModel]:
         devices.append(
             DeviceModel(dev_id, SUPERCONDUCTING, n, coupling, _SC_NATIVE, _sc_calibration(index, n, coupling))
         )
-    ion_coupling = _complete_coupling(11)
+    ion_coupling = frozenset((a, b) for a in range(11) for b in range(11) if a != b)
     devices.append(DeviceModel("dev11", ION_TRAP, 11, ion_coupling, _ION_NATIVE, _ion_calibration(11, ion_coupling)))
     devices.sort(key=lambda d: d.num_qubits)
     return devices
@@ -237,7 +243,7 @@ def load_device(path: str | Path) -> DeviceModel:
         raise DeviceError(f"{path}: an entry has no {exc} field") from None
     except yaml.MarkedYAMLError as exc:  # its own text spans several lines
         raise DeviceError(f"{path}: line {exc.problem_mark.line + 1}: {exc.problem}") from None
-    except ReaderError as exc:  # so does this one's, which names the file again
+    except yaml.reader.ReaderError as exc:  # so does this one's, which names the file again
         raise DeviceError(f"{path}: position {exc.position}: {str(exc).splitlines()[0]}") from None
     except (TypeError, ValueError, OverflowError, yaml.YAMLError) as exc:
         raise DeviceError(f"{path}: malformed device file: {exc}") from None
@@ -267,11 +273,9 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
             raise DeviceError(f"{path}: coupling pair ({a}, {b}) out of range")
         coupling.add((a, b))
     coupling = frozenset(coupling)
-    # the pairs are distinct, ordered and off the diagonal: n * (n - 1) are all of them
-    if technology == ION_TRAP and len(coupling) != n * (n - 1):
+    if technology == ION_TRAP and len(coupling) != n * (n - 1):  # distinct ordered pairs off the diagonal
         raise DeviceError(f"{path}: ion-trap devices must declare complete coupling")
-    # a qubit on no pair, refused before any table grows with n
-    if n > 1 and len({q for pair in coupling for q in pair}) < n:
+    if not _reaches_every_qubit(n, coupling):
         raise DeviceError(f"{path}: coupling map is not connected")
 
     native = frozenset(str(g) for g in doc["native_gates"])
@@ -335,10 +339,7 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
                 raise DeviceError(f"{path}: no readout fidelity for qubit {q} and no default")
             readout[q] = _check_fidelity(defaults["readout"], "readout")
 
-    device = DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
-    if not device.is_connected():
-        raise DeviceError(f"{path}: coupling map is not connected")
-    return device
+    return DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
 
 
 def write_device(device: DeviceModel, path: str | Path) -> None:
