@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 from math import ceil, sqrt
 from pathlib import Path
 
@@ -57,6 +58,34 @@ class NodeTable:
         return isinstance(other, NodeTable) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
+
+    @cached_property
+    def descent(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(child, feature, depth): the tables ``_vote_counts`` descends.
+
+        ``child[2 * i]`` is the right child of split node ``i`` and
+        ``child[2 * i + 1]`` its left, so a row moves from ``i`` to
+        ``child[2 * i + (x[feature[i]] <= threshold[i])]``; NaN compares
+        false and goes right. A leaf is its own child both ways and reads
+        feature 0, so a walk that reached one stays. ``depth`` counts the
+        split nodes on the longest path from a root, the steps that take
+        every walk to its leaf. No level it is found from holds more than
+        twice as many nodes as the table, even in a file whose trees share
+        nodes."""
+        split = self.feature >= 0
+        node = np.arange(split.size)
+        child = np.empty(2 * split.size, dtype=np.int64)
+        child[0::2] = np.where(split, self.right, node)
+        child[1::2] = np.where(split, node + 1, node)
+        level, depth = self.roots, 0
+        while True:
+            level = level[split[level]]
+            if not level.size:
+                return child, np.maximum(self.feature, 0), depth
+            depth += 1
+            level = np.concatenate([level + 1, self.right[level]])
+            if level.size > split.size:  # some node is reached twice: keep it once
+                level = np.unique(level)
 
 
 _NODE_DTYPES = {
@@ -333,27 +362,24 @@ def fit_forest(
 
 
 def _vote_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """(n_samples, n_classes) matrix of per-tree votes, from a lockstep
-    descent of every tree (per-tree python loops are too slow for single-row
-    prediction); each step moves only the (row, tree) walks not yet at a leaf."""
+    """(n_samples, n_classes) matrix of per-tree votes. Every (row, tree)
+    walk descends at once through the flat child table of
+    ``NodeTable.descent``, for exactly the forest's depth: a walk at a leaf
+    stays there, so no step checks which walks are done."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != len(model.schema.retained):
         raise ValueError(f"expected {len(model.schema.retained)} features, got {X.shape[1]}")
     nodes = model.nodes
+    child, feature, depth = nodes.descent
+    threshold = nodes.threshold
     n, n_trees, k = X.shape[0], nodes.roots.shape[0], model.n_classes
     values = X.ravel()
-    walk = np.arange(n * n_trees)  # row-major over (row, tree)
-    row, tree = np.divmod(walk, n_trees)
-    position = nodes.roots[tree]
-    offset = row * X.shape[1]  # where the walk's row starts in values
-    live = walk[nodes.feature[position] >= 0]
-    while live.size:
-        at = position[live]
-        left = values[offset[live] + nodes.feature[at]] <= nodes.threshold[at]
-        at = np.where(left, at + 1, nodes.right[at])
-        position[live] = at
-        live = live[nodes.feature[at] >= 0]
-    return np.bincount(row * k + nodes.label[position], minlength=n * k).reshape(n, k)
+    position = np.tile(nodes.roots, n)  # row-major over (row, tree)
+    offset = np.repeat(np.arange(n) * X.shape[1], n_trees)  # where each walk's row starts in values
+    for _ in range(depth):
+        position = child[2 * position + (values[offset + feature[position]] <= threshold[position])]
+    row = np.repeat(np.arange(n) * k, n_trees)
+    return np.bincount(row + nodes.label[position], minlength=n * k).reshape(n, k)
 
 
 def predict_many(model: ForestModel, X: np.ndarray) -> np.ndarray:

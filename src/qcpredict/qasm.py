@@ -290,18 +290,25 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
 
 
 def to_qasm(circuit: Circuit) -> str:
-    """Emit normalized OpenQASM 2.0: flattened registers named q and c."""
+    """Emit normalized OpenQASM 2.0: flattened registers named q and c.
+
+    Each distinct qubit tuple is formatted once per call."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
-    for op in circuit.ops:
-        args = ",".join(f"q[{q}]" for q in op.qubits)
-        if op.kind == MEASURE:
-            lines.append(f"measure q[{op.qubits[0]}] -> c[{op.clbit}];")
-        elif op.kind == BARRIER:
-            lines.append(f"barrier {args};")
-        elif op.params:
-            lines.append(f"{op.kind}({','.join(map(repr, op.params))}) {args};")
+    append = lines.append
+    args: dict[tuple[int, ...], str] = {}  # qubit tuple -> "q[a],q[b]"
+    for kind, qubits, params, clbit in circuit.ops:
+        if kind == MEASURE:
+            append(f"measure q[{qubits[0]}] -> c[{clbit}];")
+            continue
+        text = args.get(qubits)
+        if text is None:
+            text = args[qubits] = ",".join([f"q[{q}]" for q in qubits])
+        if kind == BARRIER:
+            append(f"barrier {text};")
+        elif params:
+            append(f"{kind}({','.join(map(repr, params))}) {text};")
         else:
-            lines.append(f"{op.kind} {args};")
+            append(f"{kind} {text};")
     return "\n".join(lines) + "\n"

@@ -370,18 +370,88 @@ def test_unbagged_single_tree_forest_matches_plain_tree():
     assert np.array_equal(forest_pred, tree_pred)
 
 
+def _tree_votes(model, X):
+    """The vote matrix from descending each tree alone, row by row."""
+    votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
+    for i, row in enumerate(X):
+        for root in model.nodes.roots:
+            votes[i, _descend(model.nodes, root, row)] += 1
+    return votes
+
+
 def test_forest_votes_match_manual_tree_descent():
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(80, 3))
     y = (X[:, 0] + X[:, 1] > 1.0).astype(np.int64)
-    model = fit_forest(X, y, _schema(3), _labels(2), n_trees=15, max_depth=4, seed=9)
-    probe = rng.uniform(size=(20, 3))
-    fast = predict_many(model, probe)
-    for i, row in enumerate(probe):
-        votes = np.zeros(2, dtype=np.int64)
-        for root in model.nodes.roots:
-            votes[_descend(model.nodes, root, row)] += 1
-        assert fast[i] == np.argmax(votes)
+    X_nan = X.copy()
+    X_nan[rng.uniform(size=X.shape) < 0.2] = np.nan  # trained on NaN too: NaN ranks above every number
+    y3 = np.minimum((X[:, 0] * 3).astype(np.int64), 2)
+    tiny = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [2.0, 2.0, 0.5]])
+    cases = [  # (forest, features the probes draw from)
+        (fit_forest(X, y, _schema(3), _labels(2), n_trees=15, max_depth=4, seed=9), X),
+        (fit_forest(X, y3, _schema(3), _labels(3), n_trees=12, max_depth=None, min_samples_leaf=1, seed=2), X),
+        (fit_forest(X_nan, y3, _schema(3), _labels(4), n_trees=12, max_depth=None, min_samples_leaf=1, seed=3), X_nan),
+        # three rows: most bootstraps are pure, so most trees are one leaf and the rest split
+        (fit_forest(tiny, np.array([0, 0, 1]), _schema(3), _labels(2), n_trees=20, max_depth=None,
+                    min_samples_leaf=1, seed=5), tiny),
+        # one class only: every tree is one leaf and the descent takes no step
+        (fit_forest(X, np.zeros(80, dtype=np.int64), _schema(3), _labels(2), n_trees=4, seed=1), X),
+    ]
+    depths = []
+    for model, source in cases:
+        probe = np.concatenate([source[:10], rng.uniform(-0.5, 2.5, size=(10, 3))])
+        probe[-10:][rng.uniform(size=(10, 3)) < 0.3] = np.nan
+        probe[-1] = np.nan
+        expected = _tree_votes(model, probe)
+        assert np.array_equal(ml._vote_counts(model, probe), expected)
+        for i, row in enumerate(probe):
+            assert np.array_equal(ml._vote_counts(model, row), expected[i: i + 1])
+            shares = [(model.label_space[c], expected[i, c] / model.n_trees)
+                      for c in sorted(range(model.n_classes), key=lambda c: (-expected[i, c], c))]
+            assert predict_top_k(model, row, model.n_classes) == shares
+        assert np.array_equal(predict_many(model, probe), np.argmax(expected, axis=1))
+        depths.append(model.nodes.descent[2])
+    leaves = [(f < 0).all() for f in np.split(cases[3][0].nodes.feature, cases[3][0].nodes.roots[1:])]
+    assert 0 < sum(leaves) < len(leaves)
+    assert depths[1] > 4 and depths[-1] == 0
+
+
+def test_descent_depth_is_the_longest_root_to_leaf_path():
+    rng = np.random.default_rng(12)
+    X = rng.uniform(size=(120, 4))
+    y = rng.integers(0, 3, size=120)
+    for max_depth in (None, 1, 3):
+        nodes = fit_forest(X, y, _schema(4), _labels(3), n_trees=7, max_depth=max_depth, seed=4).nodes
+        child, feature, depth = nodes.descent
+
+        def longest(node):
+            if nodes.feature[node] < 0:
+                return 0
+            return 1 + max(longest(node + 1), longest(nodes.right[node]))
+
+        assert depth == max(longest(root) for root in nodes.roots)
+        leaf = nodes.feature < 0
+        node = np.arange(leaf.size)
+        assert np.array_equal(child[0::2][leaf], node[leaf]) and np.array_equal(child[1::2][leaf], node[leaf])
+        assert np.array_equal(child[0::2][~leaf], nodes.right[~leaf])
+        assert np.array_equal(child[1::2][~leaf], node[~leaf] + 1)
+        assert (feature[leaf] == 0).all() and np.array_equal(feature[~leaf], nodes.feature[~leaf])
+
+
+def test_descent_handles_trees_that_share_nodes():
+    # a table load_model accepts whose 24 split nodes each point to the next
+    # two nodes, so a walk from the first root may take any of 121,393 paths
+    m = 24
+    node = np.arange(m + 2)
+    nodes = NodeTable(
+        feature=np.where(node < m, node % 3, -1), threshold=np.full(m + 2, 0.5),
+        right=np.where(node < m, node + 2, -1), label=np.where(node < m, -1, node - m),
+        n_samples=np.ones(m + 2, dtype=np.int64), impurity=np.zeros(m + 2), roots=np.array([0, 1, m]),
+    )
+    model = ForestModel(nodes, 3, None, 1, False, None, _schema(3), _labels(2), 0)
+    assert nodes.descent[2] == m
+    probe = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(ml._vote_counts(model, probe), _tree_votes(model, probe))
 
 
 def test_forest_fit_is_deterministic():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qcpredict import qasm
-from qcpredict.circuit import Instruction
-from qcpredict.generators import FAMILIES, generate_corpus, random_circuit
+from qcpredict.circuit import BARRIER, MEASURE, Circuit, Instruction
+from qcpredict.compiler import compile_options
+from qcpredict.generators import FAMILIES, generate_corpus, qft, random_circuit
 from qcpredict.qasm import QasmError, parse_qasm, to_qasm
 
 GHZ3 = """OPENQASM 2.0;
@@ -324,3 +325,69 @@ def test_round_trip_130_qubit_member_of_every_family_bit_exact():
         assert back.ops == c.ops
         # hex tells -0.0 from 0.0, which == does not
         assert [p.hex() for op in back.ops for p in op.params] == [p.hex() for op in c.ops for p in op.params]
+
+
+def _reference_to_qasm(circuit):
+    """The emitter that formatted every op's qubits anew, kept to check that
+    ``to_qasm`` writes the same bytes."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    if circuit.num_clbits:
+        lines.append(f"creg c[{circuit.num_clbits}];")
+    for op in circuit.ops:
+        args = ",".join(f"q[{q}]" for q in op.qubits)
+        if op.kind == MEASURE:
+            lines.append(f"measure q[{op.qubits[0]}] -> c[{op.clbit}];")
+        elif op.kind == BARRIER:
+            lines.append(f"barrier {args};")
+        elif op.params:
+            lines.append(f"{op.kind}({','.join(map(repr, op.params))}) {args};")
+        else:
+            lines.append(f"{op.kind} {args};")
+    return "\n".join(lines) + "\n"
+
+
+def test_emitter_matches_the_reference_on_a_generated_corpus():
+    corpus = generate_corpus(qubit_range=(2, 14), random_variants=3) + generate_corpus(qubit_range=(60, 60))
+    for c in corpus:
+        assert to_qasm(c) == _reference_to_qasm(c), c.name
+
+
+def test_emitter_matches_the_reference_on_compiled_circuits(options, fleet):
+    # every option compile_options yields, on every builtin device
+    devices = set()
+    for c in generate_corpus(qubit_range=(4, 4)) + [qft(9)]:
+        for option, result in compile_options(c, options, fleet):
+            devices.add(option.device_id)
+            assert to_qasm(result.circuit) == _reference_to_qasm(result.circuit), (c.name, option.option_id)
+    assert devices == set(fleet)
+
+
+def test_emitter_matches_the_reference_on_hand_built_circuits():
+    ops = (
+        Instruction("rz", (0,), (-0.0,)),
+        Instruction("rz", (0,), (0.0,)),
+        Instruction("rx", (2,), (1.0,)),
+        Instruction("u3", (1,), (1.0, -0.0, 5e-324)),
+        Instruction("cx", (0, 2)),
+        Instruction("cx", (2, 0)),
+        Instruction("cx", (0, 2)),
+        Instruction("ccx", (2, 0, 1)),
+        Instruction("cu3", (1, 2), (-1.0, 1e300, -2.5)),
+        Instruction(BARRIER, (0, 1, 2)),
+        Instruction(BARRIER, (1,)),
+        Instruction("h", (1,)),
+        Instruction(MEASURE, (1,), (), 0),
+        Instruction(MEASURE, (0,), (), 1),
+        Instruction(MEASURE, (1,), (), 1),
+    )
+    circuits = [
+        Circuit(3, 2, ops),
+        Circuit(3, 0, tuple(op for op in ops if op.kind != MEASURE)),  # no clbits: no creg line
+        Circuit(1, 0, ()),
+        Circuit(1, 1, (Instruction(MEASURE, (0,), (), 0),)),
+    ]
+    for c in circuits:
+        text = to_qasm(c)
+        assert text == _reference_to_qasm(c)
+    assert "creg" not in to_qasm(circuits[1])
+    assert to_qasm(circuits[0]).splitlines()[4:7] == ["rz(-0.0) q[0];", "rz(0.0) q[0];", "rx(1.0) q[2];"]
