@@ -168,13 +168,11 @@ def circuit_depth(circuit: Circuit) -> DepthSchedule:
     return DepthSchedule(tuple(layers), max(layers, default=0))
 
 
-def interaction_graph(circuit: Circuit) -> set[tuple[int, int]]:
-    """Undirected qubit-interaction edges, one per pair touched by a shared gate.
-
-    Edges come from multi-qubit gates only; measures and barriers do not count.
-    Pairs are returned as (low, high) tuples.
-    """
-    edges: set[tuple[int, int]] = set()
+def interaction_counts(circuit: Circuit) -> dict[tuple[int, int], int]:
+    """Gates per undirected qubit pair, keyed (low, high). Each multi-qubit
+    gate counts once for every pair of its qubits; measures and barriers do
+    not count."""
+    counts: dict[tuple[int, int], int] = {}
     for op in circuit.gates():
         if len(op.qubits) < 2:
             continue
@@ -182,8 +180,14 @@ def interaction_graph(circuit: Circuit) -> set[tuple[int, int]]:
         for i in range(len(qs)):
             for j in range(i + 1, len(qs)):
                 a, b = qs[i], qs[j]
-                edges.add((a, b) if a < b else (b, a))
-    return edges
+                e = (a, b) if a < b else (b, a)
+                counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def interaction_graph(circuit: Circuit) -> set[tuple[int, int]]:
+    """Undirected qubit-interaction edges as (low, high) tuples."""
+    return set(interaction_counts(circuit))
 
 
 def validate(circuit: Circuit) -> None:

@@ -19,6 +19,7 @@ from .circuit import (
     MEASURE,
     Circuit,
     Instruction,
+    interaction_counts,
     interaction_graph,
 )
 from .devices import DeviceModel
@@ -332,20 +333,12 @@ def place_line(circuit: Circuit, device: DeviceModel) -> tuple[dict[int, int], b
 
 def place_graph(circuit: Circuit, device: DeviceModel) -> dict[int, int]:
     """Greedy monomorphism of the interaction graph, heaviest edges first."""
-    weight: dict[tuple[int, int], int] = {}
-    for op in circuit.gates():
-        if len(op.qubits) < 2:
-            continue
-        qs = op.qubits
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                e = (min(qs[i], qs[j]), max(qs[i], qs[j]))
-                weight[e] = weight.get(e, 0) + 1
+    weight = interaction_counts(circuit)
     edges = sorted(weight, key=lambda e: (-weight[e], e))
 
     layout: dict[int, int] = {}
     free = set(range(device.num_qubits))
-    sorted_coupling = sorted(device.coupling)
+    neighbors = device.neighbors
     dist = device.distances
 
     def nearest_free(anchor: int) -> int:
@@ -356,7 +349,7 @@ def place_graph(circuit: Circuit, device: DeviceModel) -> dict[int, int]:
         if pa is not None and pb is not None:
             continue
         if pa is None and pb is None:
-            pair = next(((u, v) for u, v in sorted_coupling if u in free and v in free), None)
+            pair = next(((u, v) for u in sorted(free) for v in neighbors[u] if v in free), None)
             if pair is None:
                 pa = min(free)
                 layout[a] = pa
@@ -369,7 +362,7 @@ def place_graph(circuit: Circuit, device: DeviceModel) -> dict[int, int]:
                 free.discard(pair[1])
             continue
         placed, missing = (pa, b) if pa is not None else (pb, a)
-        target = next((nb for nb in device.neighbors[placed] if nb in free), None)
+        target = next((nb for nb in neighbors[placed] if nb in free), None)
         if target is None:
             target = nearest_free(placed)
         layout[missing] = target
@@ -390,17 +383,15 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
     """Insert swaps until every two-qubit gate sits on a coupled pair.
 
     Swaps move the first operand along a shortest path toward the second,
-    stepping to the lowest-id next hop. Each hop is read from the device's
-    ``next_hops`` table, which holds for a pair the first hop that scanning
-    the neighbors in id order finds, so a table hit routes exactly as that
-    scan does. Returns the routed circuit on the device-sized register, the
-    final logical->physical map, and the swap count.
+    stepping to the lowest-id next hop, read from the device's complete
+    ``next_hops`` table until the hop is the second operand itself. Returns
+    the routed circuit on the device-sized register, the final
+    logical->physical map, and the swap count.
     """
     if len(set(layout.values())) != len(layout):
         raise CompileError("placement is not injective")
     cur = dict(layout)
     seat = {p: l for l, p in cur.items()}
-    dist = device.distances
     hops = device.next_hops
     out: list[Instruction] = []
     swaps = 0
@@ -419,10 +410,7 @@ def route(circuit: Circuit, device: DeviceModel, layout: dict[int, int]) -> tupl
             raise CompileError(f"route expects gates on at most two qubits; expand {kind} first")
         a, b = qubits
         pa, pb = cur[a], cur[b]
-        while dist[pa][pb] > 1:
-            hop = hops[pa][pb]
-            if hop is None:
-                hop = device.next_hop(pa, pb)
+        while (hop := hops[pa][pb]) != pb:
             if hop is None:
                 raise CompileError(f"qubits {pa} and {pb} are not connected on {device.id}")
             out.append(_new_tuple(Instruction, ("swap", (pa, hop), (), None)))

@@ -49,6 +49,9 @@ class Calibration:
 
 @dataclass(frozen=True)
 class DeviceModel:
+    """A device and the tables derived from its directed coupling, each built
+    once on first read: placement and routing only read them."""
+
     id: str
     technology: str
     num_qubits: int
@@ -64,12 +67,13 @@ class DeviceModel:
         return {q: tuple(sorted(set(ns))) for q, ns in adj.items()}
 
     @cached_property
-    def distances(self) -> list[list[int]]:
-        """All-pairs BFS hop counts; unreachable pairs get a large sentinel."""
+    def _bfs_tables(self) -> tuple[list[list[int]], list[list[int | None]]]:
+        """One BFS per source qubit, visiting neighbors in id order, fills a
+        row of both ``distances`` and ``next_hops``."""
         n = self.num_qubits
         dist = [[n + 1] * n for _ in range(n)]
-        for src in range(n):
-            row = dist[src]
+        hops: list[list[int | None]] = [[None] * n for _ in range(n)]
+        for src, row, hop in zip(range(n), dist, hops):
             row[src] = 0
             queue = deque([src])
             while queue:
@@ -77,27 +81,24 @@ class DeviceModel:
                 for nb in self.neighbors[cur]:
                     if row[nb] > row[cur] + 1:
                         row[nb] = row[cur] + 1
+                        hop[nb] = nb if cur == src else hop[cur]
                         queue.append(nb)
-        return dist
+        return dist, hops
 
-    @cached_property
+    @property
+    def distances(self) -> list[list[int]]:
+        """All-pairs BFS hop counts; unreachable pairs get a large sentinel."""
+        return self._bfs_tables[0]
+
+    @property
     def next_hops(self) -> list[list[int | None]]:
         """``next_hops[a][b]``: the lowest-id neighbor of ``a`` one hop closer
-        to ``b``, filled pair by pair by ``next_hop``; None where not filled.
+        to ``b``, or None (``a == b``, or ``b`` unreachable from ``a``).
 
-        Routing reads it once per swap. It starts empty, so a device pays only
-        for the pairs its routes visit."""
-        return [[None] * self.num_qubits for _ in range(self.num_qubits)]
-
-    def next_hop(self, a: int, b: int) -> int | None:
-        """The lowest-id neighbor of ``a`` one hop closer to ``b``, or None
-        when there is none (``a == b``, or ``b`` is unreachable from ``a``)."""
-        hop = self.next_hops[a][b]
-        if hop is None:
-            dist = self.distances
-            hop = next((nb for nb in self.neighbors[a] if dist[nb][b] == dist[a][b] - 1), None)
-            self.next_hops[a][b] = hop
-        return hop
+        The BFS from ``a`` keeps for each qubit the hop it was first reached
+        through. Each level is dequeued in order of that hop, as the first is
+        enqueued in id order, so it is the lowest-id one."""
+        return self._bfs_tables[1]
 
     @cached_property
     def line_path(self) -> tuple[int, ...]:

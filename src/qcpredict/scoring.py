@@ -26,7 +26,10 @@ from .devices import DeviceModel
 
 
 class CalibrationError(KeyError):
-    """The device model lacks an entry the circuit needs: a model defect."""
+    """The device model lacks an entry the circuit needs: a model defect.
+    Printed as written, without the quotes ``KeyError`` adds."""
+
+    __str__ = Exception.__str__
 
 
 class EvalScore(NamedTuple):

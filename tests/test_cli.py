@@ -460,3 +460,20 @@ def test_a_malformed_device_file_is_refused_without_a_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr == f"error: {broken}: an entry has no 'qubits' field\n"
+
+
+def test_a_missing_calibration_entry_is_printed_as_written(tmp_path, capfd):
+    # on a one-way chain 0 -> 1 -> 2 the routing swap lowers to cx in both
+    # directions, and the device has no fidelity for cx on (1, 0)
+    devdir = tmp_path / "devices"
+    devdir.mkdir()
+    (devdir / "toy.yaml").write_text(
+        "id: toy\ntechnology: superconducting\nnum_qubits: 3\ncoupling: [[0, 1], [1, 2]]\n"
+        "native_gates: [rz, sx, x, cx, measure]\n"
+        "defaults: {single_qubit: 0.999, two_qubit: 0.99, readout: 0.97}\n",
+        encoding="utf-8",
+    )
+    src = tmp_path / "c.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\n", encoding="utf-8")
+    assert main(["compile", str(src), "--option", "toy/A/O0", "--devices", str(devdir)]) == 1
+    assert capfd.readouterr() == ("", "error: toy: no fidelity for cx on (1, 0)\n")

@@ -184,6 +184,25 @@ def test_graph_placement_covers_idle_qubits(fleet):
     assert len(set(layout.values())) == 5
 
 
+def test_graph_placement_without_a_free_coupled_pair(fleet):
+    # by edge (3, 7) the free qubits of dev8 are 3 and 7, which are not
+    # coupled: the edge seats its first end on the lowest free qubit and the
+    # second on the free qubit nearest to it
+    pairs = [(5, 0), (1, 0), (2, 6), (1, 4), (5, 7), (0, 4), (5, 2), (3, 7), (2, 4)]
+    layout = place_graph(_circ(8, [gate("cx", p) for p in pairs]), fleet["dev8"])
+    assert layout == {0: 0, 1: 1, 4: 4, 5: 2, 2: 5, 6: 6, 3: 3, 7: 7}
+    assert sorted(layout.values()) == list(range(8))
+    # on the line 3-0-1-6-2-4-5, edge (3, 6) finds free {3, 5, 6} with no
+    # coupled pair: logical 3 takes the lowest, 3, and logical 6 the free
+    # qubit nearest to it, 6, not the lowest-id one, 5
+    order = (3, 0, 1, 6, 2, 4, 5)
+    line = frozenset(p for a, b in zip(order, order[1:]) for p in ((a, b), (b, a)))
+    device = DeviceModel("line", "superconducting", 7, line, frozenset({"cx", "measure"}), Calibration({}, {}))
+    layout = place_graph(_circ(7, [gate("cx", (0, 4)), gate("cx", (3, 6)), gate("cx", (5, 2))]), device)
+    assert layout == {0: 0, 4: 1, 2: 2, 5: 4, 3: 3, 6: 6, 1: 5}
+    assert sorted(layout.values()) == list(range(7))
+
+
 # ---------------------------------------------------------------------------
 # routing
 
@@ -227,6 +246,18 @@ def test_route_rejects_wide_gates(fleet):
     c = _circ(3, [gate("ccx", (0, 1, 2))])
     with pytest.raises(CompileError, match="expand"):
         route(c, fleet["dev8"], _identity_layout(3))
+
+
+def test_route_refuses_a_pair_no_path_connects(fleet):
+    # a one-way chain 0 -> 1 -> 2: swaps carry qubit 0 toward 2, but nothing
+    # leads from 2 back to 0
+    dev8 = fleet["dev8"]
+    one_way = DeviceModel("toy", dev8.technology, 3, frozenset({(0, 1), (1, 2)}), dev8.native_gates, Calibration({}, {}))
+    routed, final_layout, swaps = route(_circ(3, [gate("cx", (0, 2))]), one_way, _identity_layout(3))
+    assert [op.qubits for op in routed.ops] == [(0, 1), (1, 2)] and swaps == 1
+    with pytest.raises(CompileError) as refusal:
+        route(_circ(3, [gate("cx", (2, 0))]), one_way, _identity_layout(3))
+    assert str(refusal.value) == "qubits 2 and 0 are not connected on toy"
 
 
 def test_lowering_rejects_wide_gates(fleet):

@@ -66,12 +66,14 @@ def test_next_hop_table_equals_the_neighbor_scan(tmp_path, devices):
     grid += [(r * 3 + c, (r + 1) * 3 + c) for r in range(2) for c in range(3)] + [(4, 8)]
     path = tmp_path / "grid.yaml"
     _write_yaml(path, _minimal_yaml(num_qubits=9, coupling=[list(e) for e in grid] + [[b, a] for a, b in grid]))
-    for device in [*devices, load_device(path)]:
-        pairs = [(a, b) for a in range(device.num_qubits) for b in range(device.num_qubits)]
-        assert [device.next_hop(a, b) for a, b in pairs] == [_scanned_hop(device, a, b) for a, b in pairs], device.id
-        # a second read comes from the filled table
-        assert [device.next_hops[a][b] for a, b in pairs] == [_scanned_hop(device, a, b) for a, b in pairs], device.id
-        assert device.next_hop(0, 0) is None
+    # a one-way chain 0 -> 1 -> 2: hops run with the coupling, none against it
+    one_way = tmp_path / "one_way.yaml"
+    _write_yaml(one_way, _minimal_yaml(num_qubits=3, coupling=[[0, 1], [1, 2]]))
+    for device in [*devices, load_device(path), load_device(one_way)]:
+        n = device.num_qubits
+        assert device.next_hops == [[_scanned_hop(device, a, b) for b in range(n)] for a in range(n)], device.id
+        assert all(device.next_hops[q][q] is None for q in range(n)), device.id
+    assert load_device(one_way).next_hops == [[None, 1, 1], [None, None, 2], [None, None, None]]
 
 
 def test_native_gate_sets(devices):

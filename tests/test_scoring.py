@@ -74,6 +74,9 @@ def test_calibration_error_messages():
     with pytest.raises(CalibrationError) as gate_error:
         evaluate_score(_result(device, [gate("cx", (1, 0)), gate("x", (0,))._replace(qubits=(5,))]), device)
     assert gate_error.value.args == ("toy: no fidelity for x on (5,)",)
+    # still a KeyError, but printed without the quotes KeyError adds
+    assert isinstance(gate_error.value, KeyError)
+    assert str(gate_error.value) == "toy: no fidelity for x on (5,)"
     with pytest.raises(CalibrationError) as readout_error:
         evaluate_score(_result(device, [measure(0, 0), measure(1, 1)._replace(qubits=(7,))], clbits=2), device)
     assert readout_error.value.args == ("toy: no readout fidelity for qubit 7",)
