@@ -114,8 +114,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     fleet, options = _load_fleet(args)
-    circuits = read_corpus(args.corpus)
-    samples, excluded = label_dataset(circuits, options, fleet)
+    samples, excluded = label_dataset(read_corpus(args.corpus), options, fleet)
     if not samples:
         raise PipelineError(
             f"all {len(excluded)} circuits were excluded: each is wider than every device "

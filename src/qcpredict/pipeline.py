@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import floor, isfinite
 from pathlib import Path
@@ -87,6 +88,14 @@ class PipelineError(Exception):
 _QUBIT_COLUMN = full_schema().names.index("num_qubits")
 
 
+def _check_circuit_name(name: str) -> None:
+    """Refuse a name that would split a CSV row or cell (a comma, or any
+    line break ``str.splitlines`` splits at, as the CSV readers do) or lead
+    a corpus file out of its directory ('/', '\\')."""
+    if "," in name or "/" in name or "\\" in name or "".join(name.splitlines()) != name:
+        raise PipelineError(f"circuit {name!r}: a name may not hold a comma, a line break, '/' or '\\'")
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     """One corpus circuit: its features and its score under each option.
@@ -130,31 +139,30 @@ class EvalReport:
 # labeling and splitting
 
 def label_dataset(
-    circuits: list[Circuit],
+    circuits: Iterable[Circuit],
     options: list[CompilationOption],
     fleet: dict[str, DeviceModel],
 ) -> tuple[list[LabeledSample], list[tuple[str, str]]]:
-    """Brute-force score every circuit; returns (samples, excluded).
-
-    A sample keeps the circuit's score vector, whose rank-1 option is its
-    label. A circuit whose best score is below ``sys.float_info.min`` is
-    excluded and logged, not an error: either it is wider than every device,
-    or every feasible score underflows.
+    """Brute-force score each circuit of one walk over ``circuits``, checking
+    its name when it is reached and keeping no circuit; returns (samples,
+    excluded). A sample keeps the circuit's score vector, whose rank-1
+    option is its label. A circuit whose best score is below
+    ``sys.float_info.min`` is excluded and logged, not an error: either it
+    is wider than every device, or every feasible score underflows.
     """
-    if not circuits or not options:
+    if not options:
         raise PipelineError("label_dataset needs circuits and options")
-    seen: set[str] = set()
-    for c in circuits:
-        if not c.name:
-            raise PipelineError("corpus circuits must be named")
-        if c.name in seen:
-            raise PipelineError(f"duplicate circuit name {c.name!r}")
-        seen.add(c.name)
-
     schema = full_schema()
+    seen: set[str] = set()
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
     for c in circuits:
+        if not c.name:
+            raise PipelineError("corpus circuits must be named")
+        _check_circuit_name(c.name)
+        if c.name in seen:
+            raise PipelineError(f"duplicate circuit name {c.name!r}")
+        seen.add(c.name)
         scores = rank_options(c, options, fleet)
         best = max(scores)
         if best < sys.float_info.min:
@@ -167,6 +175,8 @@ def label_dataset(
             continue
         features = tuple(float(v) for v in extract_features(c, schema))
         samples.append(LabeledSample(c.name, features, scores))
+    if not seen:
+        raise PipelineError("label_dataset needs circuits and options")
     return samples, excluded
 
 
@@ -420,6 +430,7 @@ def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
     for c in circuits:
         if not c.name:
             raise PipelineError("cannot write an unnamed circuit")
+        _check_circuit_name(c.name)
         text = to_qasm(c)
         write_text(cdir / f"{c.name}.qasm", text)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -429,8 +440,9 @@ def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
     return manifest
 
 
-def read_corpus(outdir: str | Path) -> list[Circuit]:
-    """Load circuits back in manifest order, checking each file's hash and width."""
+def read_corpus(outdir: str | Path) -> Iterator[Circuit]:
+    """Yield circuits in manifest order, each right after its file's name, hash
+    and width are checked; a refusal comes when the walk reaches its file."""
     outdir = Path(outdir)
     manifest_path = outdir / MANIFEST_FILE
     if not manifest_path.is_file():
@@ -442,10 +454,10 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
     entries = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise PipelineError(f"{manifest_path} has no list of circuit files")
-    circuits = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise PipelineError(f"{manifest_path}: circuit file entry {i} has no name")
+        _check_circuit_name(entry["name"])
         path = outdir / CIRCUITS_DIR / f"{entry['name']}.qasm"
         if not path.is_file():
             raise PipelineError(f"manifest references missing file {path}")
@@ -459,8 +471,7 @@ def read_corpus(outdir: str | Path) -> list[Circuit]:
         if circuit.num_qubits != entry.get("qubits"):
             raise PipelineError(
                 f"{path} has {circuit.num_qubits} qubits, but {manifest_path} records {entry.get('qubits')}")
-        circuits.append(circuit)
-    return circuits
+        yield circuit
 
 
 def write_labels_csv(path: str | Path, samples: list[LabeledSample], options: list[CompilationOption]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,22 @@ def test_label_refuses_a_circuit_edited_after_generate(tmp_path, capfd):
     edited.write_text(edited.read_text(encoding="utf-8") + "x q[0];\n", encoding="utf-8")
     assert main(["label", "--corpus", str(data)]) == 1
     assert f"error: {edited} does not match the sha256 in" in capfd.readouterr().err
+
+
+def test_a_refusal_at_the_last_circuit_writes_nothing(tmp_path, capfd):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["generate", "--out", str(corpus), "--families", "ghz", "--qubits", "2..4"]) == 0
+    manifest_path = corpus / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    last = corpus / "circuits" / f"{manifest['files'][-1]['name']}.qasm"
+    data = last.read_bytes() + b"bogus q[0];\n"
+    last.write_bytes(data)
+    manifest["files"][-1]["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    capfd.readouterr()
+    assert main(["label", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capfd.readouterr().err.startswith(f"error: {last}: line ")
+    assert not any((out / name).exists() for name in ("labels.csv", "features.csv", "excluded.csv"))
 
 
 def test_train_forest_outputs(workdir):

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -165,6 +166,33 @@ def test_label_dataset_rejects_duplicates_and_anonymous(options, fleet):
         label_dataset([anon], options, fleet)
     with pytest.raises(PipelineError):
         label_dataset([], options, fleet)
+
+
+def test_label_dataset_labels_a_one_shot_iterator(options, fleet):
+    samples, excluded = label_dataset(iter([ghz(2), ghz(3), ghz(4)]), options, fleet)
+    assert [s.name for s in samples] == ["ghz_002", "ghz_003", "ghz_004"] and excluded == []
+
+
+# names that would split a labels.csv row or cell, or lead a corpus file
+# out of circuits/
+_BAD_NAMES = ["ghz,002", "ghz\n002", "ghz\r002", "../ghz_002", "..\\ghz_002"]
+
+
+def _refused_name(name):
+    return pytest.raises(PipelineError, match=f"^circuit {re.escape(repr(name))}: a name may not hold")
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_label_dataset_refuses_a_name_that_breaks_the_files(options, fleet, name):
+    with _refused_name(name):
+        label_dataset([ghz(2), dataclasses.replace(ghz(3), name=name)], options, fleet)
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_write_corpus_refuses_a_name_that_breaks_the_files(tmp_path, name):
+    with _refused_name(name):
+        write_corpus(tmp_path / "corpus", [dataclasses.replace(ghz(3), name=name)])
+    assert not list(tmp_path.rglob("*.qasm"))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +435,7 @@ def test_corpus_round_trip(tmp_path, small_corpus):
     manifest = write_corpus(tmp_path, small_corpus)
     assert manifest["count"] == len(small_corpus)
     assert (tmp_path / "manifest.json").is_file()
-    back = read_corpus(tmp_path)
+    back = list(read_corpus(tmp_path))
     assert [c.name for c in back] == [c.name for c in small_corpus]
     for original, loaded in zip(small_corpus, back):
         assert loaded.ops == original.ops
@@ -430,13 +458,13 @@ def test_read_corpus_checks_the_manifest(tmp_path, small_corpus):
     manifest["files"][0]["qubits"] += 1
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(PipelineError, match=f"{re.escape(str(first))} has .* qubits, but"):
-        read_corpus(tmp_path)
+        list(read_corpus(tmp_path))
     manifest["files"][0]["qubits"] -= 1
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    read_corpus(tmp_path)
+    list(read_corpus(tmp_path))
     first.write_text(first.read_text(encoding="utf-8").replace("\n", "\r\n"), encoding="utf-8")
     with pytest.raises(PipelineError, match=f"{re.escape(str(first))} does not match the sha256"):
-        read_corpus(tmp_path)
+        list(read_corpus(tmp_path))
 
 
 @pytest.mark.parametrize("tail, message", [
@@ -454,7 +482,7 @@ def test_read_corpus_names_the_file_that_does_not_parse(tmp_path, small_corpus, 
     entry["sha256"] = hashlib.sha256(data).hexdigest()
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {message}"):
-        read_corpus(tmp_path)
+        list(read_corpus(tmp_path))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -466,12 +494,34 @@ def test_read_corpus_refuses_a_malformed_manifest(tmp_path, text, message):
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(text, encoding="utf-8")
     with pytest.raises(PipelineError, match=f"{re.escape(str(manifest_path))}.* {message}"):
-        read_corpus(tmp_path)
+        list(read_corpus(tmp_path))
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_read_corpus_refuses_a_name_that_breaks_the_files(tmp_path, name):
+    # the file is where the name leads, so only the name check refuses it
+    write_corpus(tmp_path, [ghz(3)])
+    (tmp_path / "circuits" / "ghz_003.qasm").rename(tmp_path / "circuits" / f"{name}.qasm")
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["files"][0]["name"] = name
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with _refused_name(name):
+        list(read_corpus(tmp_path))
+
+
+def test_read_corpus_keeps_no_circuit_it_has_yielded(tmp_path, small_corpus):
+    write_corpus(tmp_path, small_corpus)
+    refs = []
+    for circuit in read_corpus(tmp_path):
+        refs.append(weakref.ref(circuit))
+        assert [ref() is not None for ref in refs] == [False] * (len(refs) - 1) + [True]
+    assert len(refs) == len(small_corpus)
 
 
 def test_read_corpus_missing_manifest(tmp_path):
     with pytest.raises(PipelineError, match="manifest"):
-        read_corpus(tmp_path)
+        list(read_corpus(tmp_path))
 
 
 def test_labeled_dataset_round_trip(tmp_path, labeled, options):
