@@ -14,11 +14,10 @@ import re
 import sys
 from pathlib import Path
 
-from .circuit import CircuitError
-from .compiler import CompilationOption, CompileError, compile_circuit, enumerate_options, parse_option
-from .devices import DeviceError, DeviceModel, builtin_devices, load_device_dir
+from .compiler import CompilationOption, compile_circuit, enumerate_options, parse_option
+from .devices import DeviceModel, builtin_devices, load_device_dir
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
-from .ml import DEFAULT_GRID, ModelFormatError, feature_importance, load_model, predict, predict_top_k, save_model
+from .ml import DEFAULT_GRID, feature_importance, load_model, predict, predict_top_k, save_model
 from .pipeline import (
     DEFAULT_FOLDS,
     DEFAULT_FOREST_PARAMS,
@@ -35,45 +34,33 @@ from .pipeline import (
     PipelineError,
     build_report,
     csv_text,
-    evaluate,
     evaluate_baseline,
-    export_dot_graph,
     json_text,
     label_dataset,
     load_labeled_dataset,
     model_features,
+    parse_circuit_file,
     read_corpus,
     read_excluded_csv,
     split,
     train_model,
     write_corpus,
     write_excluded_csv,
+    write_evaluation,
     write_features_csv,
-    write_fig4_csv,
-    write_fig5_csv,
-    write_fig6_csv,
     write_labels_csv,
-    write_report,
     write_text,
 )
-from .qasm import QasmError, parse_qasm, to_qasm
+from .qasm import to_qasm
 from .scoring import CalibrationError, evaluate_score, rank_options, ranks_from_values
 
 logger = logging.getLogger(__name__)
 
 DEVICE_DIR_ENV = "QCPREDICT_DEVICES"
 
-_USER_ERRORS = (
-    CircuitError,
-    QasmError,
-    DeviceError,
-    CompileError,
-    CalibrationError,
-    ModelFormatError,
-    PipelineError,
-    ValueError,
-    OSError,
-)
+# CircuitError, QasmError, DeviceError, CompileError and ModelFormatError are
+# ValueErrors; CalibrationError is a KeyError
+_USER_ERRORS = (ValueError, OSError, CalibrationError, PipelineError)
 
 
 def _parse_qubit_range(text: str) -> tuple[int, int]:
@@ -90,13 +77,6 @@ def _load_fleet(args: argparse.Namespace) -> tuple[dict[str, DeviceModel], list[
     path = getattr(args, "devices", None) or os.environ.get(DEVICE_DIR_ENV)
     devices = load_device_dir(path) if path else builtin_devices()
     return {d.id: d for d in devices}, enumerate_options(devices)
-
-
-def _read_circuit(path: str):
-    try:
-        return parse_qasm(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
-    except ValueError as exc:  # a parse error names its line; a decode error its byte
-        raise PipelineError(f"{path}: {exc}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -156,7 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     given = vars(args)
     if args.classifier == "forest":
-        model, _, _ = train_model(
+        model = train_model(
             train_set,
             options,
             seed=args.seed,
@@ -165,20 +145,18 @@ def cmd_train(args: argparse.Namespace) -> int:
             folds=given.get("folds", DEFAULT_FOLDS),
         )
         save_model(model, outdir / MODEL_FILE)
-        report = evaluate(model, test_set, options)
-        params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
+        payload = write_evaluation(outdir, model, samples, options, excluded)
     else:
         k = given.get("knn_k", DEFAULT_KNN_K)
         report = evaluate_baseline(args.classifier, train_set, test_set, options, k=k)
         params = {"classifier": args.classifier}
         if args.classifier == "knn":
             params["k"] = k
-
-    payload = build_report(report, options, train_set, test_set, params, excluded, seed=args.seed)
-    write_report(outdir / REPORT_FILE, payload)
+        payload = build_report(report, options, train_set, test_set, params, excluded, seed=args.seed)
+        write_text(outdir / REPORT_FILE, json_text(payload))
     print(
-        f"{args.classifier}: accuracy {report.accuracy:.4f}, top3 {report.top3:.4f}, "
-        f"worst rank {report.worst_rank} of {len(options)} "
+        f"{args.classifier}: accuracy {payload['accuracy']:.4f}, top3 {payload['top3']:.4f}, "
+        f"worst rank {payload['worst_rank']} of {len(options)} "
         f"(majority baseline {payload['majority_baseline_accuracy']:.4f})"
     )
     return 0
@@ -186,7 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    x = model_features(model, _read_circuit(args.circuit))
+    x = model_features(model, parse_circuit_file(args.circuit, Path(args.circuit).stem))
     top = predict_top_k(model, x, args.top_k)
     print(f"predicted: {top[0][0]}")
     for i, (label, share) in enumerate(top, start=1):
@@ -223,7 +201,7 @@ def _refuse_ignored_compile_flags(args: argparse.Namespace) -> None:
 def cmd_compile(args: argparse.Namespace) -> int:
     _refuse_ignored_compile_flags(args)
     fleet, options = _load_fleet(args)
-    circuit = _read_circuit(args.circuit)
+    circuit = parse_circuit_file(args.circuit, Path(args.circuit).stem)
 
     if args.all:
         scores = rank_options(circuit, options, fleet)
@@ -264,20 +242,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     excluded = read_excluded_csv(Path(args.data) / EXCLUDED_FILE)
     model = load_model(args.model or Path(args.data) / MODEL_FILE)
     # `train --seed` seeds both the split and the forest, and the model keeps
-    # that seed, so this is the split the model was trained on
-    train_set, test_set = split(samples, DEFAULT_TEST_FRACTION, model.seed)
-    report = evaluate(model, test_set, options)
-
+    # that seed, so write_evaluation scores the split the model was trained on
     outdir = Path(args.out or args.data)
-    outdir.mkdir(parents=True, exist_ok=True)
-    params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
-    payload = build_report(report, options, train_set, test_set, params, excluded, seed=model.seed)
-    write_report(outdir / REPORT_FILE, payload)
-    write_fig4_csv(outdir / FIG4_FILE, report, len(options))
-    write_fig5_csv(outdir / FIG5_FILE, export_dot_graph(test_set, report, options))
-    write_fig6_csv(outdir / FIG6_FILE, model)
+    payload = write_evaluation(outdir, model, samples, options, excluded)
     print(
-        f"accuracy {report.accuracy:.4f}, top3 {report.top3:.4f}, worst rank {report.worst_rank}; "
+        f"accuracy {payload['accuracy']:.4f}, top3 {payload['top3']:.4f}, worst rank {payload['worst_rank']}; "
         f"wrote {REPORT_FILE}, {FIG4_FILE}, {FIG5_FILE}, {FIG6_FILE} to {outdir}"
     )
     return 0

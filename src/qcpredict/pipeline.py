@@ -1,11 +1,13 @@
 """End-to-end experiment orchestration.
 
 Corpus circuits are labeled by brute-force scoring over every compilation
-option; a seeded split feeds classifier training; evaluation reports rank
-quality measures and exports the figure datasets (rank histogram, per-option
-score dots, feature importances) as CSV. All outputs are byte-deterministic
-for a fixed seed: floats are serialized with repr and no wall-clock values
-enter any dataset file.
+option; a seeded split feeds classifier training. A trained forest reaches
+its outputs through one writer, ``write_evaluation``: it re-splits the data
+with the model's seed, votes once over the test rows, and writes the report
+of rank quality measures and the figure datasets (rank histogram, per-option
+score dots, feature importances) as CSV, so ``train`` and ``evaluate`` write
+the same bytes. All outputs are byte-deterministic for a fixed seed: floats
+are serialized with repr and no wall-clock values enter any dataset file.
 """
 from __future__ import annotations
 
@@ -96,6 +98,15 @@ def _check_circuit_name(name: str) -> None:
         raise PipelineError(f"circuit {name!r}: a name may not hold a comma, a line break, '/' or '\\'")
 
 
+def _check_new_name(name: str, seen: set[str]) -> None:
+    """``_check_circuit_name``, then refuse a name already in ``seen``, and
+    add it there."""
+    _check_circuit_name(name)
+    if name in seen:
+        raise PipelineError(f"duplicate circuit name {name!r}")
+    seen.add(name)
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     """One corpus circuit: its features and its score under each option.
@@ -159,10 +170,7 @@ def label_dataset(
     for c in circuits:
         if not c.name:
             raise PipelineError("corpus circuits must be named")
-        _check_circuit_name(c.name)
-        if c.name in seen:
-            raise PipelineError(f"duplicate circuit name {c.name!r}")
-        seen.add(c.name)
+        _check_new_name(c.name, seen)
         scores = rank_options(c, options, fleet)
         best = max(scores)
         if best < sys.float_info.min:
@@ -216,13 +224,14 @@ def train_model(
     params: dict | None = None,
     grid: list[dict] | None = None,
     folds: int = DEFAULT_FOLDS,
-) -> tuple[ForestModel, dict, list[tuple[dict, float]] | None]:
+) -> ForestModel:
     """Fit the forest on the training rows.
 
     Constant feature columns are pruned using the training rows only. With
     ``grid`` set, hyperparameters come from cross-validated search; otherwise
     ``params`` are passed to ``fit_forest`` (a missing key keeps its default,
-    a misspelt one raises ``TypeError``).
+    a misspelt one raises ``TypeError``). The parameters chosen are the
+    model's own fields.
     """
     if not train:
         raise PipelineError("empty training set")
@@ -234,14 +243,9 @@ def train_model(
     X = project_columns(X_full, schema, pruned)
     y = _label_indices(train, options)
     label_space = tuple(opt.option_id for opt in options)
-
-    results = None
     if grid is not None:
-        chosen, results = grid_search_cv(X, y, pruned, label_space, grid, folds=folds, seed=seed)
-    else:
-        chosen = dict(params if params is not None else DEFAULT_FOREST_PARAMS)
-    model = fit_forest(X, y, pruned, label_space, seed=seed, **chosen)
-    return model, chosen, results
+        params, _ = grid_search_cv(X, y, pruned, label_space, grid, folds=folds, seed=seed)
+    return fit_forest(X, y, pruned, label_space, seed=seed, **(params or {}))
 
 
 def _extractor_schema(model: ForestModel) -> FeatureSchema:
@@ -398,6 +402,9 @@ def export_dot_graph(
 # disk formats (all byte-deterministic)
 
 EXCLUDED_HEADER = ("name", "reason")
+FIG4_HEADER = ("rank", "frequency")
+FIG5_HEADER = ("circuit", "num_qubits", "option", "normalized_score", "predicted")
+FIG6_HEADER = ("feature", "importance_mean", "importance_std")
 FEATURES_HEADER = ("circuit",) + full_schema().names + ("label",)
 
 
@@ -422,15 +429,18 @@ def json_text(payload: dict) -> str:
 
 
 def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
-    """Emit one OpenQASM file per circuit plus a manifest with content hashes."""
+    """Emit one OpenQASM file per circuit plus a manifest with content hashes;
+    every name is checked before the first file is written."""
+    seen: set[str] = set()
+    for c in circuits:
+        if not c.name:
+            raise PipelineError("cannot write an unnamed circuit")
+        _check_new_name(c.name, seen)
     outdir = Path(outdir)
     cdir = outdir / CIRCUITS_DIR
     cdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for c in circuits:
-        if not c.name:
-            raise PipelineError("cannot write an unnamed circuit")
-        _check_circuit_name(c.name)
         text = to_qasm(c)
         write_text(cdir / f"{c.name}.qasm", text)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -438,6 +448,17 @@ def write_corpus(outdir: str | Path, circuits: list[Circuit]) -> dict:
     manifest = {"count": len(circuits), "files": entries}
     write_text(outdir / MANIFEST_FILE, json_text(manifest))
     return manifest
+
+
+def parse_circuit_file(path: str | Path, name: str, data: bytes | None = None) -> Circuit:
+    """The circuit in the OpenQASM file at ``path``, parsed from its bytes
+    ``data`` when they are already read; a decode or parse error is refused
+    naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8") if data is None else data.decode("utf-8")
+        return parse_qasm(text, name=name)
+    except ValueError as exc:  # a parse error names its line; a decode error its byte
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 def read_corpus(outdir: str | Path) -> Iterator[Circuit]:
@@ -464,10 +485,7 @@ def read_corpus(outdir: str | Path) -> Iterator[Circuit]:
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
             raise PipelineError(f"{path} does not match the sha256 in {manifest_path}")
-        try:
-            circuit = parse_qasm(data.decode("utf-8"), name=entry["name"])
-        except ValueError as exc:  # a parse error names its line; a decode error its byte
-            raise PipelineError(f"{path}: {exc}") from None
+        circuit = parse_circuit_file(path, entry["name"], data)
         if circuit.num_qubits != entry.get("qubits"):
             raise PipelineError(
                 f"{path} has {circuit.num_qubits} qubits, but {manifest_path} records {entry.get('qubits')}")
@@ -578,26 +596,6 @@ def load_labeled_dataset(outdir: str | Path, options: list[CompilationOption]) -
     return samples
 
 
-def write_fig4_csv(path: str | Path, report: EvalReport, n_options: int) -> None:
-    write_text(path, csv_text(("rank", "frequency"), rank_histogram(report, n_options)))
-
-
-def write_fig5_csv(path: str | Path, rows: list[tuple[str, int, str, float, int]]) -> None:
-    write_text(path, csv_text(("circuit", "num_qubits", "option", "normalized_score", "predicted"), rows))
-
-
-def write_fig6_csv(path: str | Path, model: ForestModel) -> None:
-    mean, std, degenerate = feature_importance(model)
-    rows = ((name, float(m), float(s)) for name, m, s in zip(model.schema.retained, mean, std))
-    write_text(path, csv_text(("feature", "importance_mean", "importance_std"), rows))
-    if degenerate:
-        logger.warning("all trees are single leaves; importances are zero")
-
-
-def write_report(path: str | Path, payload: dict) -> None:
-    write_text(path, json_text(payload))
-
-
 def build_report(
     report: EvalReport,
     options: list[CompilationOption],
@@ -625,3 +623,32 @@ def build_report(
         "excluded_circuits": None if excluded is None else [list(e) for e in excluded],
         "external_reference": EXTERNAL_REFERENCE,
     }
+
+
+def write_evaluation(
+    outdir: str | Path,
+    model: ForestModel,
+    samples: list[LabeledSample],
+    options: list[CompilationOption],
+    excluded: list[tuple[str, str]] | None,
+) -> dict:
+    """Score ``model`` on the test rows of the split it was trained on (the
+    split of ``samples`` by ``model.seed``) with one vote, and write the
+    report and the three figure files to ``outdir``; returns the report
+    payload."""
+    train_set, test_set = split(samples, DEFAULT_TEST_FRACTION, model.seed)
+    report = evaluate(model, test_set, options)
+    params = {"classifier": "forest", **{k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}}
+    payload = build_report(report, options, train_set, test_set, params, excluded, seed=model.seed)
+    mean, std, degenerate = feature_importance(model)
+    if degenerate:
+        logger.warning("all trees are single leaves; importances are zero")
+    importances = ((name, float(m), float(s)) for name, m, s in zip(model.schema.retained, mean, std))
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_text(outdir / REPORT_FILE, json_text(payload))
+    write_text(outdir / FIG4_FILE, csv_text(FIG4_HEADER, rank_histogram(report, len(options))))
+    write_text(outdir / FIG5_FILE, csv_text(FIG5_HEADER, export_dot_graph(test_set, report, options)))
+    write_text(outdir / FIG6_FILE, csv_text(FIG6_HEADER, importances))
+    return payload

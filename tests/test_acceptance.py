@@ -33,6 +33,7 @@ from qcpredict.ml import (
     save_model,
 )
 from qcpredict.pipeline import (
+    DEFAULT_FOREST_PARAMS,
     EXTERNAL_REFERENCE,
     build_report,
     evaluate,
@@ -54,7 +55,7 @@ def desk(options, fleet):
     assert len(corpus) >= 500
     samples, excluded = label_dataset(corpus, options, fleet)
     train_set, test_set = split(samples, 0.3, seed=0)
-    model, chosen, _ = train_model(
+    model = train_model(
         train_set, options, seed=0,
         params={"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2},
     )
@@ -65,7 +66,7 @@ def desk(options, fleet):
         "train": train_set,
         "test": test_set,
         "model": model,
-        "params": chosen,
+        "params": {k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS},
     }
 
 

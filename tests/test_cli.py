@@ -147,7 +147,8 @@ def test_a_refusal_at_the_last_circuit_writes_nothing(tmp_path, capfd):
 
 
 def test_train_forest_outputs(workdir):
-    assert (workdir / "model.bin").is_file()
+    for name in ("model.bin", "report.json", "fig4_histogram.csv", "fig5_dots.csv", "fig6_importance.csv"):
+        assert (workdir / name).is_file(), name
     report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
     assert report["classifier_params"]["classifier"] == "forest"
     assert report["classifier_params"]["n_trees"] == 15
@@ -363,6 +364,16 @@ def test_evaluate_votes_once(workdir, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "predict_many", lambda *a: calls.append(a) or real_predict_many(*a))
     assert main(["evaluate", "--data", str(workdir), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_train_votes_once(workdir, tmp_path, monkeypatch):
+    # train writes the report and the figures from one vote too
+    calls = []
+    real_predict_many = pipeline.predict_many
+    monkeypatch.setattr(pipeline, "predict_many", lambda *a: calls.append(a) or real_predict_many(*a))
+    assert main(["train", "--data", str(workdir), "--out", str(tmp_path), "--n-trees", "5"]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "fig5_dots.csv").is_file()
 
 
 def test_custom_device_directory(workdir, tmp_path):

@@ -18,6 +18,10 @@ from qcpredict.generators import generate_corpus, ghz, qft
 from qcpredict.ml import fit_forest
 from qcpredict.pipeline import (
     DEFAULT_FOREST_PARAMS,
+    FIG4_FILE,
+    FIG5_FILE,
+    FIG6_FILE,
+    REPORT_FILE,
     EvalReport,
     LabeledSample,
     PipelineError,
@@ -25,6 +29,7 @@ from qcpredict.pipeline import (
     evaluate,
     evaluate_baseline,
     export_dot_graph,
+    json_text,
     label_dataset,
     load_labeled_dataset,
     majority_baseline,
@@ -34,12 +39,10 @@ from qcpredict.pipeline import (
     split,
     train_model,
     write_corpus,
+    write_evaluation,
     write_features_csv,
-    write_fig4_csv,
-    write_fig5_csv,
-    write_fig6_csv,
     write_labels_csv,
-    write_report,
+    write_text,
 )
 from qcpredict.qasm import to_qasm
 from qcpredict.scoring import rank_options, ranks_from_values
@@ -195,6 +198,19 @@ def test_write_corpus_refuses_a_name_that_breaks_the_files(tmp_path, name):
     assert not list(tmp_path.rglob("*.qasm"))
 
 
+@pytest.mark.parametrize("name, message", [
+    ("ghz_003", "duplicate circuit name 'ghz_003'"),
+    ("", "cannot write an unnamed circuit"),
+    ("ghz,004", "circuit 'ghz,004': a name may not hold"),
+])
+def test_write_corpus_checks_every_name_before_writing(tmp_path, name, message):
+    # a repeated name would overwrite the first file while the manifest
+    # listed both, so read_corpus would then refuse a sha256 mismatch
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}"):
+        write_corpus(tmp_path / "corpus", [ghz(3), dataclasses.replace(ghz(4), name=name)])
+    assert not (tmp_path / "corpus").exists()
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -244,9 +260,8 @@ def test_split_validation():
 
 def test_train_model_defaults_and_schema(labeled, options):
     train, test = split(labeled, 0.3, seed=0)
-    model, chosen, results = train_model(train, options, seed=0, params={"n_trees": 30, "max_depth": 10})
-    assert chosen == {"n_trees": 30, "max_depth": 10}
-    assert results is None
+    model = train_model(train, options, seed=0, params={"n_trees": 30, "max_depth": 10})
+    assert (model.n_trees, model.max_depth) == (30, 10)
     # a key left out keeps its default
     assert model.min_samples_leaf == DEFAULT_FOREST_PARAMS["min_samples_leaf"]
     assert model.label_space == tuple(opt.option_id for opt in options)
@@ -261,7 +276,8 @@ def test_train_model_uses_default_params(labeled, options):
     short = train[:12]
     if len({s.best for s in short}) < 2:
         short = train
-    _, chosen, _ = train_model(short, options, params=None)
+    model = train_model(short, options, params=None)
+    chosen = {k: getattr(model, k) for k in DEFAULT_FOREST_PARAMS}
     assert chosen == DEFAULT_FOREST_PARAMS == {"n_trees": 500, "max_depth": 20, "min_samples_leaf": 2}
 
 
@@ -292,10 +308,8 @@ def test_train_model_refuses_a_score_vector_of_another_length(options):
 def test_train_model_grid_search(labeled, options):
     train, _ = split(labeled, 0.3, seed=0)
     grid = [{"n_trees": 5, "max_depth": 3}, {"n_trees": 10, "max_depth": 6}]
-    model, chosen, results = train_model(train, options, seed=0, grid=grid, folds=2)
-    assert chosen in grid
-    assert len(results) == 2
-    assert model.n_trees == chosen["n_trees"]
+    model = train_model(train, options, seed=0, grid=grid, folds=2)
+    assert {"n_trees": model.n_trees, "max_depth": model.max_depth} in grid
 
 
 def _constant_model(options, class_index, label_space=None):
@@ -387,7 +401,7 @@ def test_baselines_run_through_same_harness(labeled, options):
 
 def test_runtime_compare_keys(labeled, options, fleet):
     train, _ = split(labeled, 0.3, seed=0)
-    model, _, _ = train_model(train, options, params={"n_trees": 20, "max_depth": 8})
+    model = train_model(train, options, params={"n_trees": 20, "max_depth": 8})
     result = runtime_compare(qft(5), model, options, fleet)
     assert set(result) == {
         "brute_force_seconds", "predict_and_compile_seconds", "reduction_fraction", "predicted_option",
@@ -608,25 +622,24 @@ def test_load_labeled_dataset_refuses_a_cell_that_is_not_a_finite_number(tmp_pat
 
 
 def test_figure_csvs_parse_clean(tmp_path, labeled, options):
-    train, test = split(labeled, 0.3, seed=0)
-    model, _, _ = train_model(train, options, params={"n_trees": 10, "max_depth": 6})
-    report = evaluate(model, test, options)
+    train = split(labeled, 0.3, seed=0)[0]
+    model = train_model(train, options, params={"n_trees": 10, "max_depth": 6})
+    payload = write_evaluation(tmp_path, model, labeled, options, None)
+    assert json.loads((tmp_path / REPORT_FILE).read_text(encoding="utf-8")) == payload
+    test = split(labeled, 0.3, seed=model.seed)[1]
+    assert payload["n_test"] == len(test)
 
-    write_fig4_csv(tmp_path / "fig4.csv", report, 30)
-    lines = (tmp_path / "fig4.csv").read_text(encoding="utf-8").splitlines()
+    lines = (tmp_path / FIG4_FILE).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "rank,frequency"
     assert len(lines) == 31
     freqs = [float(line.split(",")[1]) for line in lines[1:]]
     assert sum(freqs) == pytest.approx(1.0)
 
-    rows = export_dot_graph(test, report, options)
-    write_fig5_csv(tmp_path / "fig5.csv", rows)
-    lines = (tmp_path / "fig5.csv").read_text(encoding="utf-8").splitlines()
+    lines = (tmp_path / FIG5_FILE).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "circuit,num_qubits,option,normalized_score,predicted"
     assert len(lines) == 1 + 30 * len(test)
 
-    write_fig6_csv(tmp_path / "fig6.csv", model)
-    lines = (tmp_path / "fig6.csv").read_text(encoding="utf-8").splitlines()
+    lines = (tmp_path / FIG6_FILE).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "feature,importance_mean,importance_std"
     total = 0.0
     for line in lines[1:]:
@@ -660,8 +673,8 @@ def test_report_payload_and_determinism(tmp_path):
     for banned in ("seconds", "wall", "elapsed", "time"):
         assert banned not in flat
 
-    write_report(tmp_path / "a.json", payload)
-    write_report(tmp_path / "b.json", payload)
+    write_text(tmp_path / "a.json", json_text(payload))
+    write_text(tmp_path / "b.json", json_text(payload))
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8")) == payload
 
@@ -694,9 +707,11 @@ def test_pipeline_outputs_are_pinned(tmp_path, capfd):
     assert main(["generate", "--out", str(data), "--families", "ghz,dj,qft", "--qubits", "2..6", "--seed", "0"]) == 0
     assert main(["label", "--corpus", str(data)]) == 0
     assert main(["train", "--data", str(data), "--n-trees", "20"]) == 0
-    trained = (data / "report.json").read_bytes()
+    # evaluate rewrites the report and the figures train wrote, byte for byte
+    written = ("report.json", "fig4_histogram.csv", "fig5_dots.csv", "fig6_importance.csv")
+    trained = {name: (data / name).read_bytes() for name in written}
     assert main(["evaluate", "--data", str(data)]) == 0
-    assert (data / "report.json").read_bytes() == trained  # evaluate rewrites the report train wrote
+    assert {name: (data / name).read_bytes() for name in written} == trained
 
     circuit = str(data / "circuits" / "qft_005.qasm")
     assert main(["compile", circuit, "--all", "--out", str(data / "ranking.csv")]) == 0
