@@ -7,8 +7,13 @@ expressions are evaluated to doubles at parse time (pi, + - * /, parentheses,
 unary minus) and must come out finite. User-defined gates, if, opaque, and
 reset are rejected by name.
 
-Parsing is one linear pass over the statements, carrying the line number
-from one ';' to the next, so its cost grows with the size of the source.
+Parsing is one linear pass over the statements, so its cost grows with the
+size of the source. After the header, a statement whose first word names a
+gate kind or alias is read as a gate at once: no gate is named qreg, creg,
+include, measure or barrier. Any other statement tries those forms in that
+order and is refused if none fits. Each argument text is resolved to its
+qubits once per parse. A statement's line is counted only when the
+statement is refused, from where its segment starts in the source.
 """
 from __future__ import annotations
 
@@ -32,6 +37,14 @@ _ALIASES = {"u": "u3", "U": "u3", "CX": "cx", "cu1": "cp", "p": "u1"}
 
 _FORBIDDEN = ("gate", "if", "opaque", "reset")
 
+# every name a gate is written by, aliases included -> (kind, arity, parameter count)
+_SIGNATURES = {
+    raw: (kind, *GATE_SIGNATURES[kind])
+    for raw, kind in [(kind, kind) for kind in GATE_SIGNATURES] + list(_ALIASES.items())
+}
+
+_new_tuple = tuple.__new__
+
 # angle tokens (group `ok`), the item separator ',', and any other non-blank
 # character as a token of its own that makes its item a bad expression
 _TOKEN_RE = re.compile(
@@ -41,6 +54,9 @@ _TOKEN_RE = re.compile(
 _GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?(.*)", re.S)
 _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 _DECL_RE = re.compile(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
+_HEADER_RE = re.compile(r"^OPENQASM\s+2\.0$")
+_QELIB_RE = re.compile(r"^include\s+\"qelib1\.inc\"$")
 _PAREN_STEP = {"(": 1, ")": -1}
 # a list whose every item is one decimal literal, optionally signed
 _NUMBER = r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*"
@@ -144,7 +160,22 @@ def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
 
 
 def _strip_comments(source: str) -> str:
-    return "\n".join(l.split("//", 1)[0] for l in source.splitlines())
+    lines = source.splitlines()
+    if "//" in source:
+        lines = [l.split("//", 1)[0] for l in lines]
+    return "\n".join(lines)
+
+
+def _unbalanced(raw_params: str | None, raw_args: str) -> bool:
+    """Whether a gate statement's parameter parentheses never close: a '('
+    opens the arguments, or one opened in the parameters stays open. A ')'
+    too many ends the list early instead."""
+    if raw_params is None:
+        return raw_args.startswith("(")
+    if "(" not in raw_params:
+        return False
+    depths = list(accumulate(map(_PAREN_STEP.get, raw_params, repeat(0)), initial=0))
+    return min(depths) == 0 < depths[-1]
 
 
 def parse_qasm(source: str, name: str = "") -> Circuit:
@@ -167,118 +198,135 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
     num_qubits = 0
     num_clbits = 0
     ops: list[Instruction] = []
+    append = ops.append
+    # argument text -> its qubits (or bits), entered once it resolves; a
+    # register is never redeclared, so an entry stays right for the parse
+    qubits_of: dict[str, tuple[int, ...]] = {}
+    bits_of: dict[str, tuple[int, ...]] = {}
 
-    def resolve(arg: str, regs: dict[str, tuple[int, int]], what: str, line: int) -> list[int]:
+    def resolve(arg: str, regs: dict[str, tuple[int, int]], table: dict[str, tuple[int, ...]], what: str) -> tuple[int, ...]:
         m = _ARG_RE.match(arg.strip())
         if not m:
-            raise QasmError(f"bad {what} argument {arg.strip()!r}", line)
-        reg, idx = m.group(1), m.group(2)
+            raise QasmError(f"bad {what} argument {arg.strip()!r}", 0)
+        reg, idx = m.groups()
         if reg not in regs:
-            raise QasmError(f"undeclared {what} register {reg!r}", line)
+            raise QasmError(f"undeclared {what} register {reg!r}", 0)
         offset, size = regs[reg]
         if idx is None:
-            return [offset + i for i in range(size)]
-        i = int(idx)
-        if i >= size:
-            raise QasmError(f"index {i} out of range for {reg}[{size}]", line)
-        return [offset + i]
+            found = tuple(range(offset, offset + size))
+        else:
+            i = int(idx)
+            if i >= size:
+                raise QasmError(f"index {i} out of range for {reg}[{size}]", 0)
+            found = (offset + i,)
+        table[arg] = found
+        return found
 
+    # Errors inside a statement are raised with line 0 and given the
+    # statement's line where they leave the loop.
+    segments = body.split(";")
     seen = 0  # statements read so far
-    next_line = 1  # the line on which the next segment starts
-    for segment in body.split(";"):
-        stmt = segment.strip()
-        if not stmt:
-            next_line += segment.count("\n")
-            continue
-        # a statement's line is the line of its first non-blank character
-        line = next_line + segment.count("\n", 0, segment.find(stmt[0]))
-        next_line += segment.count("\n")
-        seen += 1
-        if seen <= 2:
-            if seen == 1 and not re.match(r"^OPENQASM\s+2\.0$", stmt):
-                raise QasmError("expected 'OPENQASM 2.0;' header", line)
-            if seen == 1 or re.match(r"^include\s+\"qelib1\.inc\"$", stmt):
+    try:
+        for index, segment in enumerate(segments):
+            stmt = segment.strip()
+            if not stmt:
+                continue
+            seen += 1
+            if seen <= 2:
+                if seen == 1 and not _HEADER_RE.match(stmt):
+                    raise QasmError("expected 'OPENQASM 2.0;' header", 0)
+                if seen == 1 or _QELIB_RE.match(stmt):
+                    continue
+
+            # a gate statement is decided first: no gate kind or alias is
+            # qreg, creg, include, measure or barrier
+            m = _GATE_RE.match(stmt)
+            signature = m and _SIGNATURES.get(m[1])
+            if signature:
+                kind, arity, nparams = signature
+                raw_kind, raw_params, raw_args = m.groups()
+                if _unbalanced(raw_params, raw_args):
+                    raise QasmError(f"unbalanced parentheses in {stmt!r}", 0)
+                params: tuple[float, ...] = ()
+                if raw_params is not None:
+                    params, end = _eval_angles(raw_params, 0)
+                    if end < len(raw_params):  # the rest of a list closed early joins the arguments
+                        raw_args = raw_params[end + 1:] + ")" + raw_args
+                if len(params) != nparams:
+                    raise QasmError(f"{raw_kind} expects {nparams} parameter(s), got {len(params)}", 0)
+                # a lone argument read before needs no split
+                qs = qubits_of.get(raw_args) if arity == 1 else None
+                if qs is None:
+                    args = [a for a in raw_args.split(",") if a.strip()]
+                    if len(args) != arity:
+                        raise QasmError(f"{raw_kind} expects {arity} argument(s), got {len(args)}", 0)
+                    qs = ()
+                    for arg in args:
+                        qs += qubits_of.get(arg) or resolve(arg, qregs, qubits_of, "quantum")
+                if len(qs) == arity:
+                    if arity > 1 and len(set(qs)) != arity:
+                        raise QasmError(f"{raw_kind} applied to duplicate qubits", 0)
+                    append(_new_tuple(Instruction, (kind, qs, params, None)))
+                elif arity == 1:  # whole-register form broadcasts a single-qubit gate
+                    ops.extend([_new_tuple(Instruction, (kind, (q,), params, None)) for q in qs])
+                else:
+                    raise QasmError("register broadcast is only supported for single-qubit gates", 0)
                 continue
 
-        m = _DECL_RE.match(stmt)
-        if m:
-            which, reg, size = m.group(1), m.group(2), int(m.group(3))
-            if size < 1:
-                raise QasmError(f"register {reg!r} must have positive size", line)
-            if reg in qregs or reg in cregs:
-                raise QasmError(f"register {reg!r} redeclared", line)
-            if which == "qreg":
-                qregs[reg] = (num_qubits, size)
-                num_qubits += size
-            else:
-                cregs[reg] = (num_clbits, size)
-                num_clbits += size
-            continue
+            d = _DECL_RE.match(stmt)
+            if d:
+                which, reg, size = d.group(1), d.group(2), int(d.group(3))
+                if size < 1:
+                    raise QasmError(f"register {reg!r} must have positive size", 0)
+                if reg in qregs or reg in cregs:
+                    raise QasmError(f"register {reg!r} redeclared", 0)
+                if which == "qreg":
+                    qregs[reg] = (num_qubits, size)
+                    num_qubits += size
+                else:
+                    cregs[reg] = (num_clbits, size)
+                    num_clbits += size
+                continue
 
-        if stmt.startswith("include"):
-            raise QasmError(f"unsupported include: {stmt!r}", line)
+            if stmt.startswith("include"):
+                raise QasmError(f"unsupported include: {stmt!r}", 0)
 
-        if stmt.startswith("measure"):
-            m = re.match(r"^measure\s+(.+?)\s*->\s*(.+)$", stmt)
+            if stmt.startswith("measure"):
+                mm = _MEASURE_RE.match(stmt)
+                if not mm:
+                    raise QasmError(f"bad measure statement {stmt!r}", 0)
+                qarg, carg = mm.groups()
+                qs = qubits_of.get(qarg) or resolve(qarg, qregs, qubits_of, "quantum")
+                cs = bits_of.get(carg) or resolve(carg, cregs, bits_of, "classical")
+                if len(qs) != len(cs):
+                    raise QasmError("measure arity mismatch between registers", 0)
+                ops.extend([_new_tuple(Instruction, (MEASURE, (q,), (), c)) for q, c in zip(qs, cs)])
+                continue
+
+            if stmt.startswith("barrier") and (len(stmt) == 7 or stmt[7].isspace()):
+                rest = stmt[7:].strip()
+                if not rest:
+                    qs = tuple(range(num_qubits))
+                else:
+                    qs = ()
+                    for arg in rest.split(","):
+                        qs += qubits_of.get(arg) or resolve(arg, qregs, qubits_of, "quantum")
+                if not qs:
+                    raise QasmError("barrier on empty register set", 0)
+                if len(set(qs)) != len(qs):
+                    raise QasmError("barrier applied to duplicate qubits", 0)
+                append(_new_tuple(Instruction, (BARRIER, qs, (), None)))
+                continue
+
             if not m:
-                raise QasmError(f"bad measure statement {stmt!r}", line)
-            qs = resolve(m.group(1), qregs, "quantum", line)
-            cs = resolve(m.group(2), cregs, "classical", line)
-            if len(qs) != len(cs):
-                raise QasmError("measure arity mismatch between registers", line)
-            ops.extend(Instruction(MEASURE, (q,), (), c) for q, c in zip(qs, cs))
-            continue
-
-        if stmt == "barrier" or stmt.startswith("barrier ") or stmt.startswith("barrier\t"):
-            rest = stmt[len("barrier"):].strip()
-            if not rest:
-                qs = list(range(num_qubits))
-            else:
-                qs = []
-                for arg in rest.split(","):
-                    qs.extend(resolve(arg, qregs, "quantum", line))
-            if not qs:
-                raise QasmError("barrier on empty register set", line)
-            if len(set(qs)) != len(qs):
-                raise QasmError("barrier applied to duplicate qubits", line)
-            ops.append(Instruction(BARRIER, tuple(qs)))
-            continue
-
-        m = _GATE_RE.match(stmt)
-        if not m:
-            raise QasmError(f"unparseable statement {stmt!r}", line)
-        raw_kind, raw_params, raw_args = m.groups()
-        unclosed = raw_params is None and raw_args.startswith("(")
-        if raw_params and "(" in raw_params:
-            # a ')' too many ends the list early; without one, a '(' left open never closes
-            depths = list(accumulate(map(_PAREN_STEP.get, raw_params, repeat(0)), initial=0))
-            unclosed = min(depths) == 0 < depths[-1]
-        if unclosed:
-            raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
-        kind = _ALIASES.get(raw_kind, raw_kind)
-        if kind not in GATE_SIGNATURES:
-            raise QasmError(f"unknown gate {raw_kind!r}", line)
-        arity, nparams = GATE_SIGNATURES[kind]
-        params: tuple[float, ...] = ()
-        if raw_params is not None:
-            params, end = _eval_angles(raw_params, line)
-            if end < len(raw_params):  # the rest of a list closed early joins the arguments
-                raw_args = raw_params[end + 1:] + ")" + raw_args
-        if len(params) != nparams:
-            raise QasmError(f"{raw_kind} expects {nparams} parameter(s), got {len(params)}", line)
-        args = [a for a in raw_args.split(",") if a.strip()]
-        if len(args) != arity:
-            raise QasmError(f"{raw_kind} expects {arity} argument(s), got {len(args)}", line)
-        if arity == 1:
-            # whole-register form broadcasts a single-qubit gate
-            ops.extend(Instruction(kind, (q,), params) for q in resolve(args[0], qregs, "quantum", line))
-            continue
-        qs = tuple(q for a in args for q in resolve(a, qregs, "quantum", line))
-        if len(qs) != arity:
-            raise QasmError("register broadcast is only supported for single-qubit gates", line)
-        if len(set(qs)) != arity:
-            raise QasmError(f"{raw_kind} applied to duplicate qubits", line)
-        ops.append(Instruction(kind, qs, params))
+                raise QasmError(f"unparseable statement {stmt!r}", 0)
+            if _unbalanced(m[2], m[3]):
+                raise QasmError(f"unbalanced parentheses in {stmt!r}", 0)
+            raise QasmError(f"unknown gate {m[1]!r}", 0)
+    except QasmError as error:
+        # a statement's line is the line of its first non-blank character
+        start = sum(map(len, segments[:index])) + index + len(segment) - len(segment.lstrip())
+        raise QasmError(error.args[0].removeprefix("line 0: "), text.count("\n", 0, start) + 1) from None
 
     if not seen:
         raise QasmError("expected 'OPENQASM 2.0;' header", 1)
@@ -292,12 +340,15 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
 def to_qasm(circuit: Circuit) -> str:
     """Emit normalized OpenQASM 2.0: flattened registers named q and c.
 
-    Each distinct qubit tuple is formatted once per call."""
+    Each distinct qubit tuple, and each distinct ``(kind, params)`` head of
+    an op with parameters, is formatted once per call. Parameters are floats,
+    printed with ``repr``."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
     append = lines.append
     args: dict[tuple[int, ...], str] = {}  # qubit tuple -> "q[a],q[b]"
+    heads: dict[tuple[str, tuple[float, ...]], str] = {}  # (kind, params) -> "kind(a,b)"
     for kind, qubits, params, clbit in circuit.ops:
         if kind == MEASURE:
             append(f"measure q[{qubits[0]}] -> c[{clbit}];")
@@ -305,10 +356,13 @@ def to_qasm(circuit: Circuit) -> str:
         text = args.get(qubits)
         if text is None:
             text = args[qubits] = ",".join([f"q[{q}]" for q in qubits])
-        if kind == BARRIER:
-            append(f"barrier {text};")
-        elif params:
-            append(f"{kind}({','.join(map(repr, params))}) {text};")
-        else:
+        if not params or kind == BARRIER:
             append(f"{kind} {text};")
+            continue
+        head = heads.get((kind, params))
+        if head is None:
+            head = f"{kind}({','.join(map(repr, params))})"
+            if 0.0 not in params:  # 0.0 and -0.0 are one key but print apart
+                heads[kind, params] = head
+        append(f"{head} {text};")
     return "\n".join(lines) + "\n"

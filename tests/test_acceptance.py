@@ -202,12 +202,11 @@ def test_predicting_beats_brute_force_by_factor_five(desk, options, fleet):
     best separate times, min(brute) / min(fast), would take them from
     different runs, and that ratio is never above the best per-run ratio.
     Over 20 runs of this test, each in a fresh process, on a 2-core shared
-    x86 host the ratio read a median of 5.5x (quartiles 5.2x and 5.9x,
-    lowest 4.7x) and fell below 5.0 in 3 runs; min/min over the same runs
-    read 5.5x and fell below 5.0 in 6. The sweep takes about 3.7 ms and
-    predict-then-compile about 0.67 ms, of which compiling is most, so a
-    faster compiler shrinks the sweep more than the prediction path. The
-    bound has little slack."""
+    x86 host the ratio read a median of 5.4x (quartiles 4.9x and 5.7x,
+    lowest 4.3x) and fell below 5.0 in 6 runs. In its fastest runs the
+    sweep takes about 3.5 ms and predict-then-compile about 0.7 ms, of
+    which compiling is most, so a faster compiler shrinks the sweep more
+    than the prediction path. The bound has little slack."""
     circuit = dj(7, variant=1, seed=0)
     best_ratio = 0.0
     for _ in range(3):

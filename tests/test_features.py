@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcpredict.circuit import Circuit, gate, measure
+from qcpredict.circuit import CANONICAL_GATES, Circuit, barrier, circuit_depth, gate, measure
 from qcpredict.features import (
     COMPOSITE_NAMES,
     FeatureSchema,
@@ -17,7 +17,7 @@ from qcpredict.features import (
     prune_constant_features,
     standardize,
 )
-from qcpredict.generators import random_circuit
+from qcpredict.generators import generate_corpus, random_circuit
 
 
 def _ghz3():
@@ -116,6 +116,30 @@ def test_composites_stay_in_unit_interval():
         lookup = dict(zip(full_schema().names, vec))
         for name in COMPOSITE_NAMES:
             assert 0.0 <= lookup[name] <= 1.0, (seed, name, lookup[name])
+
+
+def _features_one_by_one(c):
+    """The full vector from ``gate_counts``, ``circuit_depth`` and each
+    composite called on its own, as ``extract_features`` assembled it when
+    every feature had its own scan."""
+    counts = c.gate_counts()
+    row = [float(c.num_qubits), float(circuit_depth(c).depth)]
+    row += [float(counts.get(kind, 0)) for kind in CANONICAL_GATES]
+    row += [program_communication(c), critical_depth(c), entanglement_ratio(c), parallelism(c), liveness(c)]
+    return np.array(row, dtype=np.float64)
+
+
+def test_extract_features_matches_the_features_computed_one_by_one():
+    hand_built = [
+        Circuit(3, 2, (), "no_gates"),
+        Circuit(3, 2, (measure(0, 0), barrier((0, 2)), measure(2, 1), barrier((1,))), "measures_and_barriers"),
+        Circuit(1, 1, (gate("h", (0,)), gate("rz", (0,), (0.5,)), measure(0, 0)), "one_qubit"),
+        Circuit(4, 0, (gate("h", (3,)), gate("ccx", (2, 0, 3)), gate("cx", (1, 2))), "ccx"),
+        Circuit(3, 0, (gate("cx", (0, 2)), gate("x", (1,)), gate("cz", (2, 0)), gate("cx", (0, 2))), "both_orders"),
+    ]
+    corpus = generate_corpus(qubit_range=(2, 14), random_variants=3)
+    for c in hand_built + corpus:
+        assert extract_features(c).tobytes() == _features_one_by_one(c).tobytes(), c.name
 
 
 def test_prune_constant_features():

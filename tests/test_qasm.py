@@ -1,10 +1,13 @@
+import random
+import re
+from itertools import accumulate, repeat
 from math import pi
 
 import numpy as np
 import pytest
 
 from qcpredict import qasm
-from qcpredict.circuit import BARRIER, MEASURE, Circuit, Instruction
+from qcpredict.circuit import BARRIER, GATE_SIGNATURES, MEASURE, Circuit, Instruction, validate
 from qcpredict.compiler import compile_options
 from qcpredict.generators import FAMILIES, generate_corpus, qft, random_circuit
 from qcpredict.qasm import QasmError, parse_qasm, to_qasm
@@ -80,6 +83,12 @@ def test_bare_barrier_covers_all_qubits():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nbarrier;\n")
     assert c.ops[0].kind == "barrier"
     assert c.ops[0].qubits == (0, 1, 2)
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\n", "\r\n", " \n\t"])
+def test_barrier_keyword_may_be_followed_by_any_whitespace(space):
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[3];\nbarrier{space}q[0],q[1];\nbarrier{space}q;\n")
+    assert [op.qubits for op in c.ops] == [(0, 1), (0, 1, 2)]
 
 
 def test_aliases_map_to_canonical_kinds():
@@ -391,3 +400,199 @@ def test_emitter_matches_the_reference_on_hand_built_circuits():
         assert text == _reference_to_qasm(c)
     assert "creg" not in to_qasm(circuits[1])
     assert to_qasm(circuits[0]).splitlines()[4:7] == ["rz(-0.0) q[0];", "rz(0.0) q[0];", "rx(1.0) q[2];"]
+
+
+def _reference_parse_qasm(source, name=""):
+    """The parser that carried each statement's line from one ';' to the next
+    and tried the declaration, include, measure and barrier forms before a
+    gate, kept to check that ``parse_qasm`` accepts the same texts and
+    refuses the others with the same message and line. Angle lists go
+    through the module's ``_eval_angles``."""
+    text = "\n".join(l.split("//", 1)[0] for l in source.splitlines())
+
+    for word in ("gate", "if", "opaque", "reset"):
+        m = word in text and re.search(rf"(^|[;\s]){word}\b", text)
+        if m:
+            line = text.count("\n", 0, m.start() + len(m.group(1))) + 1
+            raise QasmError(f"unsupported construct '{word}'", line)
+
+    body, _, tail = text.rpartition(";")
+    if tail.strip():
+        raise QasmError(f"statement missing ';': {tail.strip()!r}", body.count("\n") + 1)
+
+    qregs = {}
+    cregs = {}
+    num_qubits = 0
+    num_clbits = 0
+    ops = []
+
+    def resolve(arg, regs, what, line):
+        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$", arg.strip())
+        if not m:
+            raise QasmError(f"bad {what} argument {arg.strip()!r}", line)
+        reg, idx = m.group(1), m.group(2)
+        if reg not in regs:
+            raise QasmError(f"undeclared {what} register {reg!r}", line)
+        offset, size = regs[reg]
+        if idx is None:
+            return [offset + i for i in range(size)]
+        i = int(idx)
+        if i >= size:
+            raise QasmError(f"index {i} out of range for {reg}[{size}]", line)
+        return [offset + i]
+
+    seen = 0
+    next_line = 1
+    for segment in body.split(";"):
+        stmt = segment.strip()
+        if not stmt:
+            next_line += segment.count("\n")
+            continue
+        line = next_line + segment.count("\n", 0, segment.find(stmt[0]))
+        next_line += segment.count("\n")
+        seen += 1
+        if seen <= 2:
+            if seen == 1 and not re.match(r"^OPENQASM\s+2\.0$", stmt):
+                raise QasmError("expected 'OPENQASM 2.0;' header", line)
+            if seen == 1 or re.match(r"^include\s+\"qelib1\.inc\"$", stmt):
+                continue
+
+        m = re.match(r"^(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", stmt)
+        if m:
+            which, reg, size = m.group(1), m.group(2), int(m.group(3))
+            if size < 1:
+                raise QasmError(f"register {reg!r} must have positive size", line)
+            if reg in qregs or reg in cregs:
+                raise QasmError(f"register {reg!r} redeclared", line)
+            if which == "qreg":
+                qregs[reg] = (num_qubits, size)
+                num_qubits += size
+            else:
+                cregs[reg] = (num_clbits, size)
+                num_clbits += size
+            continue
+
+        if stmt.startswith("include"):
+            raise QasmError(f"unsupported include: {stmt!r}", line)
+
+        if stmt.startswith("measure"):
+            m = re.match(r"^measure\s+(.+?)\s*->\s*(.+)$", stmt)
+            if not m:
+                raise QasmError(f"bad measure statement {stmt!r}", line)
+            qs = resolve(m.group(1), qregs, "quantum", line)
+            cs = resolve(m.group(2), cregs, "classical", line)
+            if len(qs) != len(cs):
+                raise QasmError("measure arity mismatch between registers", line)
+            ops.extend(Instruction(MEASURE, (q,), (), c) for q, c in zip(qs, cs))
+            continue
+
+        if stmt.startswith("barrier") and (len(stmt) == 7 or stmt[7].isspace()):
+            rest = stmt[len("barrier"):].strip()
+            if not rest:
+                qs = list(range(num_qubits))
+            else:
+                qs = []
+                for arg in rest.split(","):
+                    qs.extend(resolve(arg, qregs, "quantum", line))
+            if not qs:
+                raise QasmError("barrier on empty register set", line)
+            if len(set(qs)) != len(qs):
+                raise QasmError("barrier applied to duplicate qubits", line)
+            ops.append(Instruction(BARRIER, tuple(qs)))
+            continue
+
+        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?(.*)", stmt, re.S)
+        if not m:
+            raise QasmError(f"unparseable statement {stmt!r}", line)
+        raw_kind, raw_params, raw_args = m.groups()
+        unclosed = raw_params is None and raw_args.startswith("(")
+        if raw_params and "(" in raw_params:
+            depths = list(accumulate(map({"(": 1, ")": -1}.get, raw_params, repeat(0)), initial=0))
+            unclosed = min(depths) == 0 < depths[-1]
+        if unclosed:
+            raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
+        kind = {"u": "u3", "U": "u3", "CX": "cx", "cu1": "cp", "p": "u1"}.get(raw_kind, raw_kind)
+        if kind not in GATE_SIGNATURES:
+            raise QasmError(f"unknown gate {raw_kind!r}", line)
+        arity, nparams = GATE_SIGNATURES[kind]
+        params = ()
+        if raw_params is not None:
+            params, end = qasm._eval_angles(raw_params, line)
+            if end < len(raw_params):
+                raw_args = raw_params[end + 1:] + ")" + raw_args
+        if len(params) != nparams:
+            raise QasmError(f"{raw_kind} expects {nparams} parameter(s), got {len(params)}", line)
+        args = [a for a in raw_args.split(",") if a.strip()]
+        if len(args) != arity:
+            raise QasmError(f"{raw_kind} expects {arity} argument(s), got {len(args)}", line)
+        if arity == 1:
+            ops.extend(Instruction(kind, (q,), params) for q in resolve(args[0], qregs, "quantum", line))
+            continue
+        qs = tuple(q for a in args for q in resolve(a, qregs, "quantum", line))
+        if len(qs) != arity:
+            raise QasmError("register broadcast is only supported for single-qubit gates", line)
+        if len(set(qs)) != arity:
+            raise QasmError(f"{raw_kind} applied to duplicate qubits", line)
+        ops.append(Instruction(kind, qs, params))
+
+    if not seen:
+        raise QasmError("expected 'OPENQASM 2.0;' header", 1)
+    if num_qubits == 0:
+        raise QasmError("no qreg declared", 1)
+    circuit = Circuit(num_qubits, num_clbits, tuple(ops), name)
+    validate(circuit)
+    return circuit
+
+
+def _parse_outcome(parse, source):
+    """The parsed circuit's registers and ops, or the refusal's message and line."""
+    try:
+        c = parse(source)
+    except QasmError as error:
+        return str(error), error.line
+    return c.num_qubits, c.num_clbits, c.ops
+
+
+# the characters of the emitted QASM, and a few that start other statements
+_QASM_ALPHABET = 'qcr[]();,->. \n\t0123456789+*/piehxuzsgbmaO"_'
+
+
+def _edited(text, rng):
+    """``text`` with one to three characters deleted, inserted or substituted."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(_QASM_ALPHABET) + text[i:]
+        else:
+            text = text[:i] + rng.choice(_QASM_ALPHABET) + text[i + 1:]
+    return text
+
+
+def _reference_texts():
+    corpus = generate_corpus(qubit_range=(2, 14), random_variants=3)
+    wide = generate_corpus(qubit_range=(60, 60)) + generate_corpus(qubit_range=(127, 127))
+    return [to_qasm(c) for c in corpus], [to_qasm(c) for c in wide]
+
+
+def test_parser_matches_the_reference_on_generated_corpora():
+    narrow, wide = _reference_texts()
+    for text in narrow + wide:
+        assert _parse_outcome(parse_qasm, text) == _parse_outcome(_reference_parse_qasm, text)
+
+
+def test_parser_matches_the_reference_on_edited_texts():
+    # most edits are refused, each refusal at the edited statement, so the
+    # refusals cover most of the parser's messages in most statement forms
+    narrow, wide = _reference_texts()
+    rng = random.Random(20240)
+    sources = [_edited(t, rng) for t in narrow for _ in range(24)] + [_edited(t, rng) for t in wide for _ in range(3)]
+    messages = set()
+    for source in sources:
+        outcome = _parse_outcome(parse_qasm, source)
+        assert outcome == _parse_outcome(_reference_parse_qasm, source), repr(source)
+        if isinstance(outcome[0], str):  # the message's form, without names and numbers
+            messages.add(re.sub(r"^\w+ (?=expects|applied)|'.*|\d+", "", outcome[0].split(": ", 1)[1]))
+    assert len(messages) >= 20, sorted(messages)
