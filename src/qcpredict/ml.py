@@ -9,9 +9,12 @@ and every tie (splits, votes, neighbors) breaks toward the lowest index.
 
 The forest's trees grow together, one node per tree per step, with one
 batched split search over the step's nodes. Each tree still grows in its own
-preorder and draws from its own generator in that order, and each node still
-takes the first best split, so a seed gives the forest a tree grown alone
-would: growing together changes only how many numpy calls a node costs.
+preorder and takes its nodes' feature subsets from its own generator in that
+order, and each node still takes the first best split, so a seed gives the
+forest a tree grown alone would: growing together changes only how many
+numpy calls a node costs. A tree draws its subsets in blocks, one numpy call
+per block: a block holds the subsets one ``Generator.choice`` call per node
+draws, and the generator ends where those calls leave it.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ _MIN_DECREASE = 1e-12
 # arrays of a step, which sets the memory training peaks at
 _GROUP_TREES = 100
 _SEARCH_ROWS = 1024
+# feature subsets a tree draws at once: most trees of a narrow-corpus forest
+# use fewer, so one block serves them
+_BLOCK_SUBSETS = 32
 
 
 class ModelFormatError(ValueError):
@@ -199,6 +205,35 @@ def _batch_split_search(
     return feature, threshold
 
 
+def _subset_bounds(n_features: int, k: int, count: int) -> np.ndarray:
+    """The inclusive upper bounds of the draws ``count`` calls of
+    ``rng.choice(n_features, k, replace=False)`` make, in their order. Each
+    call runs Floyd's algorithm, one draw in ``[0, j]`` for ``j`` from
+    ``n_features - k`` to ``n_features - 1``, then shuffles its k picks with
+    one draw in ``[0, i]`` for ``i`` from ``k - 1`` down to 1."""
+    return np.tile(np.r_[n_features - k: n_features, k - 1: 0: -1], count)
+
+
+def _draw_subsets(rngs: list[np.random.Generator], n_features: int, k: int) -> np.ndarray:
+    """(len(rngs), ``_BLOCK_SUBSETS``, k): each generator's next
+    ``_BLOCK_SUBSETS`` sorted k-subsets of ``range(n_features)``, the sorted
+    results of that many ``choice(n_features, k, replace=False)`` calls in
+    turn, and the generator left where those calls leave it.
+
+    One ``integers`` call per generator makes the bounded draws the calls
+    make (see ``_subset_bounds``); Floyd's algorithm keeps each subset's
+    ``i``-th draw ``v``, or ``n_features - k + i`` if ``v`` is already kept.
+    The shuffle draws only move the stream: they reorder a subset that is
+    then sorted."""
+    bounds = _subset_bounds(n_features, k, _BLOCK_SUBSETS)
+    picks = np.array([rng.integers(0, bounds, endpoint=True) for rng in rngs]).reshape(-1, 2 * k - 1)[:, :k]
+    for i in range(1, k):
+        kept = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+        picks[kept, i] = n_features - k + i
+    picks.sort(axis=1)
+    return picks.reshape(len(rngs), _BLOCK_SUBSETS, k)
+
+
 def _grow(
     X: np.ndarray, y: np.ndarray, n_classes: int, samples: np.ndarray,
     rngs: list[np.random.Generator], max_depth: int | None, min_leaf: int,
@@ -214,12 +249,24 @@ def _grow(
     step ``t`` is its ``t``-th in preorder. The step's class counts, gini
     and leaf labels come out as arrays, its split searches run in batches
     of about ``_SEARCH_ROWS`` rows (see ``_batch_split_search``), and each split
-    node's slice is reordered in place, left child first."""
+    node's slice is reordered in place, left child first.
+
+    A tree's searched nodes take its subsets in turn from blocks of
+    ``_BLOCK_SUBSETS`` (see ``_draw_subsets``); a step refills, in one batch,
+    the trees whose block ran out. Once grown, a tree that left part of its
+    last block unused sets its generator back to where that block began and
+    redraws only the draws of the subsets it took, so each generator ends
+    where one ``choice`` per searched node leaves it."""
     n, n_features = X.shape
     draw = max_features is not None and max_features < n_features
     k = max_features if draw else n_features
     ranks, values = _dense_ranks(X)
     order = samples.flatten()
+    # per tree, its current block of subsets, the generator state the block
+    # was drawn from, and how many subsets the tree has taken
+    pool = np.empty((samples.shape[0], _BLOCK_SUBSETS, k), dtype=np.int64)
+    block_start: list[dict | None] = [None] * samples.shape[0]
+    used = np.zeros(samples.shape[0], dtype=np.int64)
     # per tree, the nodes still to grow: (start, stop, depth, step of the node whose right child it is)
     stacks = [[(t * n, t * n + n, 0, -1)] for t in range(samples.shape[0])]
     live = np.arange(samples.shape[0])
@@ -236,9 +283,15 @@ def _grow(
         gini = 1.0 - (p * p).sum(axis=1)
         searched = np.flatnonzero((gini > 0.0) & (max_depth is None or depth < max_depth))
         if draw and searched.size:
-            candidates = np.sort(
-                [rngs[live[i]].choice(n_features, size=k, replace=False) for i in searched], axis=1
-            )
+            trees = live[searched]
+            taken = used[trees] % _BLOCK_SUBSETS
+            spent = trees[taken == 0]  # a tree's first subset, or its block ran out
+            if spent.size:
+                for t in spent.tolist():
+                    block_start[t] = rngs[t].bit_generator.state
+                pool[spent] = _draw_subsets([rngs[t] for t in spent], n_features, k)
+            candidates = pool[trees, taken]
+            used[trees] += 1
         else:  # every feature, or no node to search
             candidates = np.broadcast_to(np.arange(k), (searched.size, k))
         eligible = sizes[searched] >= 2 * min_leaf
@@ -272,6 +325,12 @@ def _grow(
             for t, lo, mid, hi, d in zip(*pending):
                 stacks[t] += [(mid, hi, d, len(steps) - 1), (lo, mid, d, -1)]
         live = live[[bool(stacks[t]) for t in live]]
+
+    if draw:  # a tree that used up its last block stands where choice leaves it
+        bounds = _subset_bounds(n_features, k, _BLOCK_SUBSETS)
+        for t in np.flatnonzero(used % _BLOCK_SUBSETS).tolist():
+            rngs[t].bit_generator.state = block_start[t]
+            rngs[t].integers(0, bounds[: (2 * k - 1) * (used[t] % _BLOCK_SUBSETS)], endpoint=True)
 
     tree = np.concatenate([record[0] for record in steps])
     step = np.repeat(np.arange(len(steps)), [record[0].size for record in steps])
@@ -339,8 +398,11 @@ def fit_forest(
     lowest threshold within it. Trees grow in groups of ``_GROUP_TREES``,
     all of a group in lockstep: a step pops each unfinished tree's next
     node in its own preorder, so no tree's draws move, and the step's split
-    searches run batched. The forest is the one its trees grown one at a
-    time give, node for node."""
+    searches run batched. A tree's subsets come from its generator in
+    blocks of ``_BLOCK_SUBSETS``, each the sorted results of that many
+    ``choice(f, k, replace=False)`` calls, and the generator is left where
+    one such call per node leaves it. The forest is the one its trees grown
+    one at a time give, node for node."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
     X, y = _check_input(X, y, len(label_space))

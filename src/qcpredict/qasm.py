@@ -160,10 +160,15 @@ def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
 
 
 def _strip_comments(source: str) -> str:
-    lines = source.splitlines()
-    if "//" in source:
-        lines = [l.split("//", 1)[0] for l in lines]
-    return "\n".join(lines)
+    r"""The source with each line's ``//`` comment cut and every line ending
+    made ``"\n"``. A line ends at ``"\n"``, ``"\r\n"`` or a lone ``"\r"``,
+    the endings ``open()`` translates, and nowhere else: a form feed, say,
+    is blank space inside a line."""
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    if "//" not in source:
+        return source
+    return "\n".join(l.split("//", 1)[0] for l in source.split("\n"))
 
 
 def _unbalanced(raw_params: str | None, raw_args: str) -> bool:

@@ -335,6 +335,69 @@ def test_lockstep_trees_of_very_different_sizes_keep_their_streams():
         assert fast_rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
 
 
+def _state(rng):
+    """A generator's whole state (counter, key, buffered words) as text."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("f", range(2, 41))
+def test_block_subsets_equal_one_choice_call_each(f):
+    """Four blocks in a row, from two generators at once, give the sorted
+    results of one ``choice`` call per subset and leave each generator where
+    those calls do. Going back to a block's start and making only the draws
+    ``_subset_bounds`` names for its first ``c`` subsets lands where ``c``
+    calls from there land. Every generator first draws a bootstrap, as a
+    tree's does."""
+    size = ml._BLOCK_SUBSETS
+    for k in sorted({ceil(sqrt(f)), 2}):
+        for seed in range(3):
+            children = np.random.SeedSequence(seed).spawn(2)
+            fast, ref = ([np.random.Generator(np.random.Philox(c)) for c in children] for _ in range(2))
+            for rng in fast + ref:
+                rng.integers(0, 50, size=50)
+            for _ in range(4):
+                start = _state(fast[0])
+                for got, rng in zip(ml._draw_subsets(fast, f, k), ref):
+                    assert np.array_equal(got, [np.sort(rng.choice(f, size=k, replace=False)) for _ in range(size)])
+                assert [_state(r) for r in fast] == [_state(r) for r in ref]
+            for count in (1, size // 2, size - 1):
+                fast[0].bit_generator.state = json.loads(start)
+                fast[0].integers(0, ml._subset_bounds(f, k, count), endpoint=True)
+                rewound = np.random.Generator(np.random.Philox(children[0]))
+                rewound.bit_generator.state = json.loads(start)
+                for _ in range(count):
+                    rewound.choice(f, size=k, replace=False)
+                assert _state(fast[0]) == _state(rewound)
+
+
+def test_trees_that_draw_several_blocks_keep_their_streams():
+    """Unpruned trees on 300 noisy rows take more than three blocks of
+    subsets each. The forest and the grower give the one-tree reference's
+    nodes and leave every generator where it does, and a tree whose rows
+    are all of one class draws no subset and leaves its generator as it
+    was."""
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(300, 10)).round(2)
+    y = rng.integers(0, 8, size=300)
+    model = fit_forest(X, y, _schema(10), _labels(8), n_trees=6, max_depth=None, min_samples_leaf=1, seed=3)
+    ref, ref_rngs = _reference_forest(X, y, 8, 6, 3, None, 1, True, 4)
+    assert model.nodes == ref
+    tree = np.repeat(np.arange(6), np.diff(np.append(ref.roots, ref.feature.size)))
+    assert np.bincount(tree[ref.impurity > 0.0]).min() > 3 * ml._BLOCK_SUBSETS
+
+    # the grower on the same bootstraps and streams, with a seventh tree
+    # grown on one class-0 row repeated
+    children = np.random.SeedSequence(3).spawn(7)
+    rngs = [np.random.Generator(np.random.Philox(c)) for c in children]
+    one_class = np.full(300, np.flatnonzero(y == 0)[0])
+    samples = np.array([r.integers(0, 300, size=300) for r in rngs[:6]] + [one_class])
+    untouched = np.random.Generator(np.random.Philox(children[6]))
+    leaf = _reference_fit_tree(X[one_class], y[one_class], 8, None, 1, untouched, 4)
+    assert ml._grow(X, y, 8, samples, rngs, None, 1, 4) == ml._concat_trees([ref, leaf])
+    assert [_state(r) for r in rngs] == [_state(r) for r in ref_rngs + [untouched]]
+    assert _state(untouched) == _state(np.random.Generator(np.random.Philox(children[6])))
+
+
 def test_every_split_sends_rows_both_ways():
     # midpoints outside [lower, upper): inf, NaN from -inf + inf, and sums
     # overflowing to inf and to -inf; each threshold is the lower value

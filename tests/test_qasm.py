@@ -258,6 +258,9 @@ ERROR_TABLE = [
     ("malformed_decl", "OPENQASM 2.0;\nqreg q;\n", "line 2: unknown gate 'qreg'"),
     ("barrier_before_qreg", "OPENQASM 2.0;\nbarrier;\nqreg q[1];\n", "line 2: barrier on empty register set"),
     ("barrier_empty_arg", HEAD + "barrier q[0],;\n", "line 5: bad quantum argument ''"),
+    ("crlf_line_ends", "OPENQASM 2.0;\r\nqreg q[1];\r\nblorp q[0];\r\n", "line 3: unknown gate 'blorp'"),
+    ("lone_cr_line_ends", "OPENQASM 2.0;\rqreg q[1];\r\rblorp q[0];", "line 4: unknown gate 'blorp'"),
+    ("form_feed_ends_no_line", "OPENQASM 2.0;\x0cqreg q[1];\nblorp q[0];", "line 2: unknown gate 'blorp'"),
 ]
 
 
@@ -408,7 +411,8 @@ def _reference_parse_qasm(source, name=""):
     gate, kept to check that ``parse_qasm`` accepts the same texts and
     refuses the others with the same message and line. Angle lists go
     through the module's ``_eval_angles``."""
-    text = "\n".join(l.split("//", 1)[0] for l in source.splitlines())
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text = "\n".join(l.split("//", 1)[0] for l in lines)
 
     for word in ("gate", "if", "opaque", "reset"):
         m = word in text and re.search(rf"(^|[;\s]){word}\b", text)
@@ -542,6 +546,20 @@ def _reference_parse_qasm(source, name=""):
     circuit = Circuit(num_qubits, num_clbits, tuple(ops), name)
     validate(circuit)
     return circuit
+
+
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newline_and_carriage_return_end_a_line(blank):
+    """``str.splitlines`` also breaks lines at these, ``open()`` does not:
+    they neither move a refusal's line nor end a comment."""
+    refused = f"OPENQASM 2.0;{blank}qreg q[1];\nblorp q[0];"
+    with pytest.raises(QasmError) as info:
+        parse_qasm(refused)
+    assert info.value.line == 2
+    commented = f"OPENQASM 2.0;\nqreg q[1]; // a note{blank}blorp q[0];\nh q[0];\n"
+    assert [op.kind for op in parse_qasm(commented).ops] == ["h"]
+    for source in (refused, commented):
+        assert _parse_outcome(parse_qasm, source) == _parse_outcome(_reference_parse_qasm, source)
 
 
 def _parse_outcome(parse, source):
