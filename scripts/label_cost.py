@@ -8,8 +8,12 @@ prints one JSON line on stdout (label's own message goes to stderr):
 
 - ``wall_s``: wall-clock seconds of the label command;
 - ``gc_s``: seconds the cyclic garbage collector spent during it, summed
-  from ``gc.callbacks`` start/stop pairs;
+  from ``gc.callbacks`` start/stop pairs. ``label_dataset`` pauses the
+  collector while it labels, so these are only the collections outside
+  that loop: loading the fleet before it and writing the files after it;
 - ``gc_collections``: the number of collections it ran;
+- ``gc_collections_by_generation``: the same count split by the generation
+  collected, ``[gen0, gen1, gen2]``;
 - ``peak_rss_mb``: the process's peak resident set size, in MiB, at exit
   (``ru_maxrss``, so it includes the interpreter and imports).
 
@@ -34,16 +38,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("corpus")
     parser.add_argument("out")
     args = parser.parse_args(argv)
-    collections = 0
+    by_generation = [0, 0, 0]
     collecting = 0.0
     started = 0.0
 
     def on_gc(phase: str, info: dict) -> None:
-        nonlocal collections, collecting, started
+        nonlocal collecting, started
         if phase == "start":
             started = time.perf_counter()
         else:
-            collections += 1
+            by_generation[info["generation"]] += 1
             collecting += time.perf_counter() - started
 
     gc.callbacks.append(on_gc)
@@ -59,7 +63,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "wall_s": round(wall, 3),
         "gc_s": round(collecting, 3),
-        "gc_collections": collections,
+        "gc_collections": sum(by_generation),
+        "gc_collections_by_generation": by_generation,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }))
     return 0

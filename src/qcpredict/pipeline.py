@@ -11,6 +11,7 @@ are serialized with repr and no wall-clock values enter any dataset file.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import inspect
 import json
@@ -160,31 +161,43 @@ def label_dataset(
     option is its label. A circuit whose best score is below
     ``sys.float_info.min`` is excluded and logged, not an error: either it
     is wider than every device, or every feasible score underflows.
+
+    The walk runs with the cyclic garbage collector paused, so its
+    collections do not rescan the in-flight ops of a wide compile, and the
+    caller's setting comes back when the call ends, also by an exception.
+    Labeling creates no reference cycles, so the pause leaves nothing for a
+    later collection to free.
     """
     if not options:
-        raise PipelineError("label_dataset needs circuits and options")
+        raise PipelineError("no options to label with")
     schema = full_schema()
     seen: set[str] = set()
     samples: list[LabeledSample] = []
     excluded: list[tuple[str, str]] = []
-    for c in circuits:
-        if not c.name:
-            raise PipelineError("corpus circuits must be named")
-        _check_new_name(c.name, seen)
-        scores = rank_options(c, options, fleet)
-        best = max(scores)
-        if best < sys.float_info.min:
-            if all(c.num_qubits > fleet[opt.device_id].num_qubits for opt in options):
-                reason = f"all {len(options)} options infeasible: {c.num_qubits} qubits, wider than every device"
-            else:
-                reason = f"every feasible score underflows: the best is {best!r}"
-            logger.info("excluding %s: %s", c.name, reason)
-            excluded.append((c.name, reason))
-            continue
-        features = tuple(float(v) for v in extract_features(c, schema))
-        samples.append(LabeledSample(c.name, features, scores))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for c in circuits:
+            if not c.name:
+                raise PipelineError("corpus circuits must be named")
+            _check_new_name(c.name, seen)
+            scores = rank_options(c, options, fleet)
+            best = max(scores)
+            if best < sys.float_info.min:
+                if all(c.num_qubits > fleet[opt.device_id].num_qubits for opt in options):
+                    reason = f"all {len(options)} options infeasible: {c.num_qubits} qubits, wider than every device"
+                else:
+                    reason = f"every feasible score underflows: the best is {best!r}"
+                logger.info("excluding %s: %s", c.name, reason)
+                excluded.append((c.name, reason))
+                continue
+            features = tuple(float(v) for v in extract_features(c, schema))
+            samples.append(LabeledSample(c.name, features, scores))
+    finally:
+        if collecting:
+            gc.enable()
     if not seen:
-        raise PipelineError("label_dataset needs circuits and options")
+        raise PipelineError("the corpus holds no circuits")
     return samples, excluded
 
 

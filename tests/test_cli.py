@@ -113,6 +113,13 @@ def test_label_missing_corpus(tmp_path, capfd):
     assert "error:" in capfd.readouterr().err
 
 
+def test_label_refuses_an_empty_corpus(tmp_path, capfd):
+    write_corpus(tmp_path, [])
+    assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["files"] == []
+    assert main(["label", "--corpus", str(tmp_path)]) == 1
+    assert capfd.readouterr().err == "error: the corpus holds no circuits\n"
+
+
 def test_label_reruns_byte_identical(workdir, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

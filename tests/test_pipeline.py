@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -9,12 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
+from qcpredict import pipeline
 from qcpredict.circuit import Circuit, gate
 from qcpredict.cli import main
 from qcpredict.compiler import enumerate_options, parse_option
 from qcpredict.devices import Calibration, DeviceModel, builtin_devices, write_device
 from qcpredict.features import full_schema
-from qcpredict.generators import generate_corpus, ghz, qft
+from qcpredict.generators import FAMILIES, generate_corpus, ghz, qft
 from qcpredict.ml import fit_forest
 from qcpredict.pipeline import (
     DEFAULT_FOREST_PARAMS,
@@ -167,13 +169,66 @@ def test_label_dataset_rejects_duplicates_and_anonymous(options, fleet):
     anon = Circuit(2, 0, (gate("x", (0,)),), name="")
     with pytest.raises(PipelineError, match="named"):
         label_dataset([anon], options, fleet)
-    with pytest.raises(PipelineError):
+    with pytest.raises(PipelineError, match="the corpus holds no circuits"):
         label_dataset([], options, fleet)
+    with pytest.raises(PipelineError, match="no options to label with"):
+        label_dataset([ghz(3)], [], fleet)
 
 
 def test_label_dataset_labels_a_one_shot_iterator(options, fleet):
     samples, excluded = label_dataset(iter([ghz(2), ghz(3), ghz(4)]), options, fleet)
     assert [s.name for s in samples] == ["ghz_002", "ghz_003", "ghz_004"] and excluded == []
+
+
+@pytest.mark.parametrize("caller_collects", [True, False])
+def test_label_dataset_pauses_the_collector_and_restores_the_callers_setting(
+    options, fleet, monkeypatch, caller_collects
+):
+    collecting = []
+
+    def recording(circuit, opts, devices):
+        collecting.append(gc.isenabled())
+        return rank_options(circuit, opts, devices)
+
+    def failing(circuit, opts, devices):
+        raise RuntimeError("the sweep failed")
+
+    was_collecting = gc.isenabled()
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        monkeypatch.setattr(pipeline, "rank_options", recording)
+        samples, _ = label_dataset([ghz(2), ghz(3)], options, fleet)
+        assert len(samples) == 2 and gc.isenabled() == caller_collects
+        with pytest.raises(PipelineError, match="duplicate"):
+            label_dataset([ghz(2), ghz(3), ghz(3)], options, fleet)
+        assert gc.isenabled() == caller_collects
+        assert collecting == [False] * 4
+        monkeypatch.setattr(pipeline, "rank_options", failing)
+        with pytest.raises(RuntimeError, match="the sweep failed"):
+            label_dataset([ghz(2)], options, fleet)
+        assert gc.isenabled() == caller_collects
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def test_labeling_leaves_nothing_for_the_collector(options, fleet):
+    # the collector is paused while labeling, which is safe only while
+    # labeling creates no reference cycles: every family, and one circuit
+    # wider than every device for the exclusion path. The caller's collector
+    # stays off until the check, or the first allocation after labeling
+    # would collect any cycle before gc.collect() could count it
+    corpus = generate_corpus(qubit_range=(2, 4), seed=0, random_variants=1) + [ghz(128)]
+    assert {c.name.split("_")[0] for c in corpus} == set(FAMILIES)
+    was_collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        samples, excluded = label_dataset(corpus, options, fleet)
+        assert gc.collect() == 0
+    finally:
+        if was_collecting:
+            gc.enable()
+    assert len(samples) == len(corpus) - 1 and [name for name, _ in excluded] == ["ghz_128"]
 
 
 # names that would split a labels.csv row or cell, or lead a corpus file

@@ -59,8 +59,10 @@ def test_label_cost_prints_its_costs_and_writes_what_label_writes(tmp_path):
     write_corpus(corpus, [ghz(3), qft(4)])
     out = _run_script("label_cost.py", str(corpus), str(tmp_path / "measured"))
     cost = json.loads(out)
-    assert set(cost) == {"wall_s", "gc_s", "gc_collections", "peak_rss_mb"}
+    assert set(cost) == {"wall_s", "gc_s", "gc_collections", "gc_collections_by_generation", "peak_rss_mb"}
     assert cost["wall_s"] > 0 and cost["peak_rss_mb"] > 0 and cost["gc_collections"] >= 0
+    by_generation = cost["gc_collections_by_generation"]
+    assert len(by_generation) == 3 and sum(by_generation) == cost["gc_collections"]
     assert main(["label", "--corpus", str(corpus), "--out", str(tmp_path / "plain")]) == 0
     for name in ("labels.csv", "features.csv", "excluded.csv"):
         assert (tmp_path / "measured" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
