@@ -179,12 +179,18 @@ def generate_corpus(
     """Sweep the requested families over [lo, hi] qubits.
 
     Families with a restricted size domain (grover) are emitted only where
-    defined. Returns circuits in a fixed (family, size, variant) order.
+    defined. Refuses an unknown family, a family listed twice and a negative
+    ``random_variants``. Returns circuits in a fixed (family, size, variant)
+    order.
     """
     chosen = tuple(families) if families is not None else FAMILIES
-    for f in chosen:
+    for i, f in enumerate(chosen):
         if f not in FAMILIES:
             raise ValueError(f"unknown circuit family {f!r}; known: {', '.join(FAMILIES)}")
+        if f in chosen[:i]:
+            raise ValueError(f"circuit family {f!r} is listed twice")
+    if random_variants < 0:
+        raise ValueError(f"random_variants must be at least 0, got {random_variants}")
     lo, hi = qubit_range
     if not (MIN_QUBITS <= lo <= hi <= MAX_QUBITS):
         raise ValueError(f"qubit range must satisfy {MIN_QUBITS} <= lo <= hi <= {MAX_QUBITS}")

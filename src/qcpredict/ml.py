@@ -2,6 +2,8 @@
 with gini feature importance, nearest-neighbor and Gaussian naive Bayes
 baselines, stratified cross-validated grid search, and model persistence. A
 single CART tree is a one-tree forest without bootstrap or feature sampling.
+A saved forest is one JSON header line and then its node arrays as raw
+little-endian bytes, so loading parses only the header.
 
 Labels are class indices into an ordered label space. Determinism contract:
 all randomness flows from one seed through spawned counter-based generators,
@@ -30,7 +32,7 @@ import numpy as np
 from .features import FeatureSchema
 
 MODEL_FORMAT = "qcpredict-forest"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _MIN_DECREASE = 1e-12
 # trees grown in lockstep at once, and training rows one batched split search
@@ -98,6 +100,17 @@ _NODE_DTYPES = {
     "feature": np.int64, "threshold": np.float64, "right": np.int64, "label": np.int64,
     "n_samples": np.int64, "impurity": np.float64, "roots": np.int64,
 }
+# how model.bin stores each node array: little-endian, the integers as int32
+_FILE_DTYPES = {name: np.dtype("<f8" if dtype is np.float64 else "<i4") for name, dtype in _NODE_DTYPES.items()}
+
+
+def _check_forest_params(n_trees: int, max_depth: int | None, min_samples_leaf: int) -> None:
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be None or at least 0, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
 
 
 def _check_input(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +402,9 @@ def fit_forest(
     """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f)).
     A single CART tree is ``n_trees=1, bootstrap=False, max_features=None``.
 
-    Every label is checked before any bootstrap. Tree ``i`` owns the
+    Refuses fewer than one tree, a negative ``max_depth`` and a
+    ``min_samples_leaf`` below 1, naming the parameter. Every label is
+    checked before any bootstrap. Tree ``i`` owns the
     ``i``-th generator spawned from ``seed`` and grows depth-first, left
     child first: it draws its bootstrap first, then, with ``max_features``,
     one feature subset at every impure node above ``max_depth`` in that
@@ -403,8 +418,7 @@ def fit_forest(
     ``choice(f, k, replace=False)`` calls, and the generator is left where
     one such call per node leaves it. The forest is the one its trees grown
     one at a time give, node for node."""
-    if n_trees < 1:
-        raise ValueError("need at least one tree")
+    _check_forest_params(n_trees, max_depth, min_samples_leaf)
     X, y = _check_input(X, y, len(label_space))
     if X.shape[1] != len(schema.retained):
         raise ValueError(f"X has {X.shape[1]} columns, schema retains {len(schema.retained)}")
@@ -589,63 +603,62 @@ DEFAULT_GRID = [
 # ---------------------------------------------------------------------------
 # persistence
 
+# the hyperparameters a model file's header holds, in header order
+_HEADER_PARAMS = ("n_trees", "max_depth", "min_samples_leaf", "bootstrap", "max_features", "seed")
+
+
 def save_model(model: ForestModel, path: str | Path) -> None:
-    """Write the model as one JSON document, ``trees`` its last key. The node
-    arrays go out one at a time, each through ``json.dumps`` (``json.dump``
-    never uses the C encoder), in the bytes a ``json.dump`` of the whole
-    document writes."""
+    """One JSON header line, then the node arrays as raw ``_FILE_DTYPES`` bytes;
+    a value its file type cannot hold raises ``ValueError`` before any write."""
+    arrays = {name: getattr(model.nodes, name).astype(dtype) for name, dtype in _FILE_DTYPES.items()}
+    for name, values in arrays.items():
+        if not np.array_equal(values, getattr(model.nodes, name)):
+            raise ValueError(f"node array {name!r} holds a value that does not fit {values.dtype}")
     head = json.dumps({
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "n_trees": model.n_trees,
-        "max_depth": model.max_depth,
-        "min_samples_leaf": model.min_samples_leaf,
-        "bootstrap": model.bootstrap,
-        "max_features": model.max_features,
-        "seed": model.seed,
+        "format": MODEL_FORMAT, "version": MODEL_VERSION, **{k: getattr(model, k) for k in _HEADER_PARAMS},
         "schema": {"names": list(model.schema.names), "pruned": list(model.schema.pruned)},
-        "label_space": list(model.label_space),
+        "label_space": list(model.label_space), "n_nodes": model.nodes.feature.size,
     })
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ', "trees": {')
-        for i, name in enumerate(_NODE_DTYPES):
-            fh.write(", " * (i > 0) + f'"{name}": ' + json.dumps(getattr(model.nodes, name).tolist()))
-        fh.write("}}")
+    Path(path).write_bytes(head.encode("utf-8") + b"\n" + b"".join(a.tobytes() for a in arrays.values()))
 
 
 def load_model(path: str | Path) -> ForestModel:
+    """Parse a ``save_model`` file's header line and cast each node array back to
+    its ``_NODE_DTYPES`` type; any other file raises ``ModelFormatError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        head_line, _, body = Path(path).read_bytes().partition(b"\n")
+        head = json.loads(head_line)
+    except (OSError, ValueError) as exc:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    if not isinstance(head, dict) or head.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
-    if doc.get("version") == 1:
+    if head.get("version") in (1, 2):
         raise ModelFormatError(
-            f"{path} is a version 1 model; re-run `qcpredict train` to rebuild it "
+            f"{path} is a version {head['version']} model; re-run `qcpredict train` to rebuild it "
             "(training is seeded, so the same forest comes back)"
         )
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
+    if head.get("version") != MODEL_VERSION:
+        raise ModelFormatError(f"unsupported model version {head.get('version')!r}")
     try:
-        nodes = NodeTable(
-            **{name: np.array(doc["trees"][name], dtype=dtype) for name, dtype in _NODE_DTYPES.items()}
-        )
-        schema = FeatureSchema(tuple(doc["schema"]["names"]), tuple(doc["schema"]["pruned"]))
-        model = ForestModel(
-            nodes, doc["n_trees"], doc["max_depth"], doc["min_samples_leaf"], doc["bootstrap"],
-            doc["max_features"], schema, tuple(doc["label_space"]), doc["seed"],
-        )
+        params = {k: head[k] for k in _HEADER_PARAMS}
+        _check_forest_params(params["n_trees"], params["max_depth"], params["min_samples_leaf"])
+        size = head["n_nodes"]
+        counts = {name: params["n_trees"] if name == "roots" else size for name in _FILE_DTYPES}
+        if size < 0 or len(body) != sum(counts[k] * dtype.itemsize for k, dtype in _FILE_DTYPES.items()):
+            raise ValueError(f"{len(body)} bytes of node arrays, not those of the {size} nodes declared")
+        arrays, at = {}, 0
+        for name, dtype in _FILE_DTYPES.items():
+            arrays[name] = np.frombuffer(body, dtype, counts[name], at).astype(_NODE_DTYPES[name])
+            at += counts[name] * dtype.itemsize
+        schema = FeatureSchema(tuple(head["schema"]["names"]), tuple(head["schema"]["pruned"]))
+        model = ForestModel(NodeTable(**arrays), schema=schema, label_space=tuple(head["label_space"]), **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    size = nodes.feature.size
+    nodes = model.nodes
     splits = np.flatnonzero(nodes.feature >= 0)
     leaves = nodes.feature < 0
     if (
-        any(getattr(nodes, name).shape != (size,) for name in _NODE_DTYPES if name != "roots")
-        or nodes.roots.shape != (model.n_trees,)
-        or not np.all((nodes.roots >= 0) & (nodes.roots < size))
+        not np.all((nodes.roots >= 0) & (nodes.roots < size))
         or not np.all((nodes.right[splits] > splits + 1) & (nodes.right[splits] < size))
         or not np.all(nodes.feature < len(schema.retained))
         or not np.all((nodes.label[leaves] >= 0) & (nodes.label[leaves] < model.n_classes))

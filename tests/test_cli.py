@@ -63,6 +63,17 @@ def test_generate_rejects_unknown_family(tmp_path, capfd):
     assert "error:" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--families", "ghz,ghz"], "circuit family 'ghz' is listed twice"),
+    (["--families", "random", "--random-variants", "-1"], "random_variants must be at least 0, got -1"),
+], ids=["family-twice", "negative-variants"])
+def test_generate_refuses_a_repeated_family_and_a_negative_variant_count(tmp_path, capfd, flags, message):
+    out = tmp_path / "x"
+    assert main(["generate", "--out", str(out), "--qubits", "2..4"] + flags) == 1
+    assert capfd.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_rejects_bad_range(tmp_path, capfd):
     assert main(["generate", "--out", str(tmp_path / "x"), "--qubits", "5..2"]) == 1
     assert main(["generate", "--out", str(tmp_path / "x"), "--qubits", "abc"]) == 1
@@ -198,6 +209,16 @@ def test_train_max_depth_none(workdir, tmp_path):
 ], ids=["knn-n-trees", "grid-max-depth", "nb-grid-search", "folds-without-grid", "forest-knn-k"])
 def test_train_refuses_a_flag_its_mode_ignores(workdir, tmp_path, capfd, flags, message):
     assert main(["train", "--data", str(workdir), "--out", str(tmp_path)] + flags) == 1
+    assert capfd.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--min-samples-leaf", "0"], "min_samples_leaf must be at least 1, got 0"),
+    (["--max-depth", "-1"], "max_depth must be None or at least 0, got -1"),
+], ids=["min-samples-leaf-0", "max-depth-negative"])
+def test_train_refuses_forest_hyperparameters_that_mean_nothing(workdir, tmp_path, capfd, flags, message):
+    assert main(["train", "--data", str(workdir), "--out", str(tmp_path), "--n-trees", "5"] + flags) == 1
     assert capfd.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
 

@@ -196,6 +196,11 @@ def test_corpus_validation():
         generate_corpus(qubit_range=(0, 4))
     with pytest.raises(ValueError, match="qubit range"):
         generate_corpus(qubit_range=(2, 500))
+    with pytest.raises(ValueError, match="circuit family 'ghz' is listed twice"):
+        generate_corpus(families=("ghz", "qft", "ghz"), qubit_range=(2, 3))
+    with pytest.raises(ValueError, match="random_variants must be at least 0, got -1"):
+        generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=-1)
+    assert generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=0) == []
 
 
 def test_family_list_is_stable():

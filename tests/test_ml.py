@@ -560,10 +560,11 @@ def test_predict_validates_width():
 def test_forest_validates_inputs():
     X = np.zeros((10, 2))
     y = np.zeros(10, dtype=np.int64)
-    with pytest.raises(ValueError):
-        fit_forest(X, y, _schema(2), _labels(1), n_trees=0)
     with pytest.raises(ValueError, match="columns"):
         fit_forest(X, y, _schema(3), _labels(1))
+    for name, value in (("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0)):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            fit_forest(X, y, _schema(2), _labels(1), **{name: value})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
@@ -752,6 +753,38 @@ def _small_model(seed=11):
     return fit_forest(X, y, schema, ("left", "right"), n_trees=8, max_depth=5, seed=3), X
 
 
+# the version-3 layout, written out here apart from ml: each node array's
+# name and file type in file order; ``roots`` holds one entry per tree
+_LAYOUT = (("feature", "<i4"), ("threshold", "<f8"), ("right", "<i4"), ("label", "<i4"),
+           ("n_samples", "<i4"), ("impurity", "<f8"), ("roots", "<i4"))
+
+
+def _read_file(path):
+    """(header, node arrays) of a version-3 file."""
+    line, newline, body = path.read_bytes().partition(b"\n")
+    assert newline
+    head = json.loads(line)
+    arrays, at = {}, 0
+    for name, dtype in _LAYOUT:
+        count = head["n_trees"] if name == "roots" else head["n_nodes"]
+        arrays[name] = np.frombuffer(body, dtype, count, at).copy()
+        at += count * np.dtype(dtype).itemsize
+    assert at == len(body)
+    return head, arrays
+
+
+def _write_file(path, head, arrays):
+    body = b"".join(np.asarray(arrays[name]).astype(dtype).tobytes() for name, dtype in _LAYOUT)
+    path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + body)
+
+
+def _saved_small_model(tmp_path):
+    model, _ = _small_model()
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    return model, path
+
+
 def test_save_load_round_trip(tmp_path):
     model, X = _small_model()
     path = tmp_path / "model.bin"
@@ -761,6 +794,18 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.schema == model.schema
     assert loaded.label_space == model.label_space
     assert np.array_equal(predict_many(loaded, X), predict_many(model, X))
+    assert all(getattr(loaded.nodes, name).dtype == dtype for name, dtype in ml._NODE_DTYPES.items())
+
+
+def test_saved_file_is_a_header_line_then_the_node_arrays(tmp_path):
+    model, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    assert list(head) == ["format", "version", "n_trees", "max_depth", "min_samples_leaf", "bootstrap",
+                          "max_features", "seed", "schema", "label_space", "n_nodes"]
+    assert head["n_nodes"] == model.nodes.feature.size
+    assert [name for name, _ in _LAYOUT] == list(ml._NODE_DTYPES)
+    for name, values in arrays.items():
+        assert np.array_equal(values, getattr(model.nodes, name))
 
 
 def test_save_load_none_max_depth(tmp_path):
@@ -782,70 +827,133 @@ def test_load_rejects_garbage(tmp_path):
         load_model(tmp_path / "missing.bin")
 
 
-def test_load_rejects_wrong_format_and_version(tmp_path):
-    model, _ = _small_model()
-    path = tmp_path / "m.bin"
-    save_model(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["format"] == MODEL_FORMAT and doc["version"] == MODEL_VERSION
+def test_load_rejects_a_header_line_that_is_not_json(tmp_path):
+    _, path = _saved_small_model(tmp_path)
+    _, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(b"\xff{format: qcpredict-forest}\n" + body)
+    with pytest.raises(ModelFormatError, match="unreadable"):
+        load_model(path)
 
-    doc_bad = dict(doc, format="something-else")
-    path.write_text(json.dumps(doc_bad), encoding="utf-8")
+
+def test_load_rejects_wrong_format_and_version(tmp_path):
+    _, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    assert head["format"] == MODEL_FORMAT and head["version"] == MODEL_VERSION == 3
+
+    _write_file(path, dict(head, format="something-else"), arrays)
     with pytest.raises(ModelFormatError, match="not a"):
         load_model(path)
 
-    doc_bad = dict(doc, version=99)
-    path.write_text(json.dumps(doc_bad), encoding="utf-8")
+    _write_file(path, dict(head, version=99), arrays)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
 
 
 def test_load_rejects_version_1_and_names_the_retrain_command(tmp_path):
-    model, _ = _small_model()
-    path = tmp_path / "m.bin"
-    save_model(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    # a version-1 file held one list of preorder node records per tree
-    doc.update(version=1, trees=[[[-1, 0, [1, 0], 1, 0.0]]])
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    _, path = _saved_small_model(tmp_path)
+    head, _ = _read_file(path)
+    del head["n_nodes"]
+    # a version-1 file was one JSON document holding one list of preorder
+    # node records per tree
+    path.write_text(json.dumps(dict(head, version=1, trees=[[[-1, 0, [1, 0], 1, 0.0]]])), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="qcpredict train"):
         load_model(path)
 
 
+def test_load_rejects_version_2_json_and_names_the_retrain_command(tmp_path):
+    _, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    del head["n_nodes"]
+    # a version-2 file was one JSON document ending in the node arrays as lists
+    trees = {name: values.tolist() for name, values in arrays.items()}
+    path.write_text(json.dumps(dict(head, version=2, trees=trees)), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="version 2 model; re-run `qcpredict train`"):
+        load_model(path)
+
+
 def test_load_rejects_inconsistent_node_arrays(tmp_path):
-    model, _ = _small_model()
-    path = tmp_path / "m.bin"
-    save_model(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    leaf = doc["trees"]["feature"].index(-1)
+    model, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    leaf = int(np.flatnonzero(arrays["feature"] == -1)[0])
     edits = [
-        ("threshold", lambda a: a.pop()),  # arrays of unequal length
         ("right", lambda a: a.__setitem__(0, len(a))),  # child past the end
         ("feature", lambda a: a.__setitem__(0, 3)),  # the schema retains 3 features
         ("label", lambda a: a.__setitem__(leaf, 2)),  # the label space has 2 classes
+        ("roots", lambda a: a.__setitem__(0, -1)),  # a root before the first node
     ]
     for name, edit in edits:
-        bad = json.loads(json.dumps(doc))
-        edit(bad["trees"][name])
-        path.write_text(json.dumps(bad), encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="corrupt"):
+        bad = {k: v.copy() for k, v in arrays.items()}
+        edit(bad[name])
+        _write_file(path, head, bad)
+        with pytest.raises(ModelFormatError, match="corrupt model file .*inconsistent"):
             load_model(path)
-
-
-def test_load_rejects_truncated_trees(tmp_path):
-    model, _ = _small_model()
-    path = tmp_path / "m.bin"
-    save_model(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    del doc["trees"]
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # arrays of unequal length: one threshold short of the node count
+    short = dict(arrays, threshold=arrays["threshold"][:-1])
+    _write_file(path, head, short)
     with pytest.raises(ModelFormatError, match="corrupt"):
         load_model(path)
 
 
-# sha256 of model.bin for the forest of ``test_saved_forest_is_pinned``;
-# a change means the forest or its file format moved
-PINNED_FOREST_SHA256 = "6fe9406744758dbe64d80ab7bd0b4444796ea6756c2410bb20ff34c4d3f93f8e"
+def test_load_rejects_truncated_trees(tmp_path):
+    _, path = _saved_small_model(tmp_path)
+    line, _, _ = path.read_bytes().partition(b"\n")
+    for cut in (line, line + b"\n"):  # the header alone, with and without its newline
+        path.write_bytes(cut)
+        with pytest.raises(ModelFormatError, match="corrupt"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one_byte_short", "one_trailing_byte"])
+def test_load_rejects_a_byte_count_the_header_does_not_declare(tmp_path, change):
+    _, path = _saved_small_model(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] if change < 0 else data + b"\0")
+    with pytest.raises(ModelFormatError, match="corrupt model file .*bytes of node arrays"):
+        load_model(path)
+
+
+def test_load_rejects_a_header_without_the_node_count(tmp_path):
+    _, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    del head["n_nodes"]
+    _write_file(path, head, arrays)
+    with pytest.raises(ModelFormatError, match="corrupt model file .*n_nodes"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0)])
+def test_load_rejects_hyperparameters_fit_forest_refuses(tmp_path, key, value):
+    _, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    _write_file(path, dict(head, **{key: value}), arrays)
+    with pytest.raises(ModelFormatError, match=f"corrupt model file .*{key}"):
+        load_model(path)
+
+
+def test_save_refuses_a_node_value_that_does_not_fit_int32(tmp_path):
+    model, _ = _small_model()
+    right = model.nodes.right.copy()
+    right[np.flatnonzero(right >= 0)[0]] = 2**31
+    model.nodes = NodeTable(**{**{name: getattr(model.nodes, name) for name in ml._NODE_DTYPES}, "right": right})
+    path = tmp_path / "m.bin"
+    with pytest.raises(ValueError, match="right"):
+        save_model(model, path)
+    assert not path.exists()
+
+
+def _nodes_sha256(nodes):
+    """sha256 of the in-memory node arrays, little-endian, in file order."""
+    return hashlib.sha256(b"".join(
+        getattr(nodes, name).astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+        for name, dtype in ml._NODE_DTYPES.items()
+    )).hexdigest()
+
+
+# sha256 of model.bin for the forest of ``test_saved_forest_is_pinned``; a
+# change means the forest or its file format moved. The node-array sha256
+# moves only with the forest.
+PINNED_FOREST_SHA256 = "197b0c0e794e9e70af721e8658e7734a4882ff2fde89fe0aa3cbf797dfbcf891"
+PINNED_FOREST_NODES_SHA256 = "19e262addfe048196d30d600cd0d3f9f1fda67acae5bb3930e6486c1c89c9f58"
 
 
 def test_saved_forest_is_pinned(tmp_path):
@@ -854,6 +962,8 @@ def test_saved_forest_is_pinned(tmp_path):
     X = np.column_stack([X, X[:, 2]])  # an exact copy of column 2
     y = (X[:, 0] + X[:, 2] + rng.integers(0, 3, size=150)) % 4
     model = fit_forest(X, y, _schema(9), ("a", "b", "c", "d"), n_trees=40, seed=5)
+    assert _nodes_sha256(model.nodes) == PINNED_FOREST_NODES_SHA256
     path = tmp_path / "model.bin"
     save_model(model, path)
+    assert _nodes_sha256(load_model(path).nodes) == PINNED_FOREST_NODES_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FOREST_SHA256
