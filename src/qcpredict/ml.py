@@ -20,9 +20,10 @@ draws, and the generator ends where those calls leave it.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import ceil, sqrt
 from pathlib import Path
@@ -35,10 +36,12 @@ MODEL_FORMAT = "qcpredict-forest"
 MODEL_VERSION = 3
 
 _MIN_DECREASE = 1e-12
-# trees grown in lockstep at once, and training rows one batched split search
-# holds (plus the rows of the node that crosses the bound): both bound the
-# arrays of a step, which sets the memory training peaks at
-_GROUP_TREES = 100
+# bootstrap rows grown in lockstep at once (a group takes as many whole trees
+# as fit, at least one), and training rows one batched split search holds
+# (plus the rows of the node that crosses the bound): both bound the arrays
+# of a step, which sets the memory training peaks at. The group budget is
+# 100 trees of the paper's 1,374 training rows
+_GROUP_ROWS = 100 * 1374
 _SEARCH_ROWS = 1024
 # feature subsets a tree draws at once: most trees of a narrow-corpus forest
 # use fewer, so one block serves them
@@ -104,13 +107,22 @@ _NODE_DTYPES = {
 _FILE_DTYPES = {name: np.dtype("<f8" if dtype is np.float64 else "<i4") for name, dtype in _NODE_DTYPES.items()}
 
 
-def _check_forest_params(n_trees: int, max_depth: int | None, min_samples_leaf: int) -> None:
+def _check_forest_params(
+    n_trees: int, max_depth: int | None, min_samples_leaf: int, seed: int, bootstrap: bool,
+    max_features: str | None,
+) -> None:
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be None or at least 0, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(bootstrap, bool):
+        raise ValueError(f"bootstrap must be True or False, got {bootstrap!r}")
+    if max_features not in ("sqrt", None):
+        raise ValueError(f"max_features must be 'sqrt' or None, got {max_features!r}")
 
 
 def _check_input(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +150,11 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, values
 
 
+def _bits(count: int) -> int:
+    """Bits of a field that holds 0 .. count - 1."""
+    return (count - 1).bit_length()
+
+
 def _batch_split_search(
     ranks: np.ndarray, values: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
     candidates: np.ndarray, counts: np.ndarray, parent_gini: np.ndarray, min_leaf: int,
@@ -149,7 +166,17 @@ def _batch_split_search(
 
     One sort of packed integer keys (node, candidate, value rank, class)
     orders every node's rows by every candidate feature at once, with no
-    padding; row order within a node never matters. A threshold is the
+    padding; row order within a node never matters. Each field below the
+    node takes the bits its largest value needs (``_bits``), and shifts and
+    masks read the fields back: as every field is below its power of two,
+    the packed order is the lexicographic order of the fields, the order a
+    mixed-radix key gives, so the sort and every gini value and tie-break
+    that follow it are the same. A second sort, of (node, candidate, class,
+    position) keys, counts ``occ`` below. With ``m`` the batch's (row,
+    candidate) pairs, at most (``_SEARCH_ROWS`` + n) * f, and ``C`` the
+    classes, both keys stay under 2**63 while ``8 * C * m * max(m, n + 1)``
+    does: up to about 2 * 10**8 pairs for 30 classes, some 3,000 times the
+    paper's (1,024 + 1,374) * 25. A threshold is the
     midpoint of two adjacent distinct values where that midpoint lies in
     [lower, upper), and the lower value elsewhere: next to an infinity,
     where the midpoint rounds onto the upper value, or where the sum
@@ -161,56 +188,66 @@ def _batch_split_search(
     ``sum(T**2) - 2 * cumsum(T[class]) + left`` for the node's class
     totals ``T``. So the weighted child gini of
     each (feature, threshold) pair is the float64 expression a per-node
-    class-count cumsum gives. Each node takes its first minimum in
+    class-count cumsum gives. It is evaluated only at the positions where
+    a split can fall, each with the same operands in the same order, and
+    every other position reads ``inf``. Each node takes its first minimum in
     feature-major order: the lowest candidate feature, then the lowest
     threshold. A node with no split leaving both sides ``min_leaf`` rows
     and lowering the gini by more than ``_MIN_DECREASE`` stays a leaf."""
     n_nodes, k = candidates.shape
-    n_classes = counts.shape[1]
     width = values.shape[1] + 1  # ranks, NaN's included
+    class_bits, rank_bits, candidate_bits = _bits(counts.shape[1]), _bits(width), _bits(k)
     node = np.repeat(np.arange(n_nodes), sizes)
-    key = (node[:, None] * k + np.arange(k)) * width + ranks[rows[:, None], candidates[node]]
-    key = np.sort(key * n_classes + y[rows, None], axis=None)
+    key = (node[:, None] << candidate_bits | np.arange(k)) << rank_bits | ranks[rows[:, None], candidates[node]]
+    key = np.sort(key << class_bits | y[rows, None], axis=None)
     m = key.size
-    cls = key % n_classes
-    key //= n_classes
-    rank = key % width
-    column = key // width  # node * k + candidate
-    owner = column // k
+    cls = key & ((1 << class_bits) - 1)
+    rank = key >> class_bits & ((1 << rank_bits) - 1)
+    column = key >> (class_bits + rank_bits)  # node << candidate_bits | candidate
+    owner, candidate = column >> candidate_bits, column & ((1 << candidate_bits) - 1)
     size = sizes[owner]
     node_start = np.cumsum(sizes * k) - sizes * k
-    start = node_start[owner] + (column % k) * size
+    start = node_start[owner] + candidate * size
     left = np.arange(m) - start + 1  # rows at or before each position of its column
 
     # occ: each position's rank among the positions of its column and class
-    by_class = np.sort((column * n_classes + cls) * m + np.arange(m))
-    run = by_class // m
+    position_bits = _bits(m)
+    by_class = np.sort((column << class_bits | cls) << position_bits | np.arange(m))
+    run = by_class >> position_bits
     new_run = np.ones(m, dtype=bool)
     new_run[1:] = run[1:] != run[:-1]
     occ = np.empty(m, dtype=np.int64)
-    occ[by_class % m] = np.arange(m) - np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
+    occ[by_class & ((1 << position_bits) - 1)] = np.arange(m) - np.maximum.accumulate(
+        np.where(new_run, np.arange(m), 0)
+    )
 
     terms = np.stack([2 * occ + 1, counts[owner, cls]])
     sums = np.cumsum(terms, axis=1)
     sums -= (sums - terms)[:, start]  # restart at each column
-    sumsq_left, cross = sums
-    sumsq_right = (counts * counts).sum(axis=1)[owner] - 2 * cross + sumsq_left
-    valid = (left < size) & (left >= min_leaf) & (size - left >= min_leaf)
+    # min_leaf >= 1 keeps a row to the right, so no column's last position is valid
+    valid = (left >= min_leaf) & (size - left >= min_leaf)
     # between distinct numbers only: NaN compares false with every number
     valid[:-1] &= (rank[:-1] < rank[1:]) & (rank[1:] < width - 1)
 
-    left_count = left.astype(np.float64)
-    right_count = size - left_count
-    with np.errstate(divide="ignore", invalid="ignore"):  # at each column's last row
-        weighted = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / size
-    weighted[~valid] = np.inf
+    at = np.flatnonzero(valid)
+    sumsq_left, cross = sums[:, at]
+    owner_at, size_at = owner[at], size[at]
+    sumsq_right = (counts * counts).sum(axis=1)[owner_at] - 2 * cross + sumsq_left
+    left_count = left[at].astype(np.float64)
+    right_count = size_at - left_count
+    weighted = np.full(m, np.inf)
+    weighted[at] = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / size_at
     lowest = np.minimum.reduceat(weighted, node_start)
-    best = np.minimum.reduceat(np.where(weighted == lowest[owner], np.arange(m), m), node_start)
     split = parent_gini - lowest > _MIN_DECREASE
+    # each node's first valid position at its lowest gini; a node without one never splits
+    hit = at[weighted[at] == lowest[owner_at]]
+    first = hit[np.diff(owner[hit], prepend=-1) != 0]
+    best = np.empty(n_nodes, dtype=np.int64)
+    best[owner[first]] = first
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.zeros(n_nodes)
     at = best[split]
-    feature[split] = candidates[split, column[at] % k]
+    feature[split] = candidates[split, candidate[at]]
     lower, upper = values[feature[split], rank[at]], values[feature[split], rank[at + 1]]
     with np.errstate(over="ignore", invalid="ignore"):  # next to an infinity or the float maximum
         middle = (lower + upper) / 2.0
@@ -254,7 +291,9 @@ def _grow(
 ) -> NodeTable:
     """One tree per row of ``samples``, the tree's training rows of X, grown
     in lockstep into one node table. ``max_features`` (which needs ``rngs``,
-    one per tree) draws each searched node's candidate features.
+    one per tree) draws each searched node's candidate features. A step's
+    arrays grow with ``samples.size``, the rows of all the trees, which
+    ``fit_forest`` bounds by ``_GROUP_ROWS``.
 
     Each tree keeps its rows in its own stretch of one array, a node's rows
     a slice of it, and a preorder stack of the slices still to grow. At each
@@ -402,23 +441,31 @@ def fit_forest(
     """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f)).
     A single CART tree is ``n_trees=1, bootstrap=False, max_features=None``.
 
-    Refuses fewer than one tree, a negative ``max_depth`` and a
-    ``min_samples_leaf`` below 1, naming the parameter. Every label is
+    Refuses fewer than one tree, a negative ``max_depth``, a
+    ``min_samples_leaf`` below 1, a ``seed`` that is not a non-negative
+    int (a bool included), a ``bootstrap`` that is not a bool and a
+    ``max_features`` other than "sqrt" or None, naming the parameter; so
+    does ``load_model`` for a header. Every label is
     checked before any bootstrap. Tree ``i`` owns the
     ``i``-th generator spawned from ``seed`` and grows depth-first, left
     child first: it draws its bootstrap first, then, with ``max_features``,
     one feature subset at every impure node above ``max_depth`` in that
     preorder, even at a node too small to split, so a seed fixes the tree.
     Ties between splits go to the lowest candidate feature, then to the
-    lowest threshold within it. Trees grow in groups of ``_GROUP_TREES``,
-    all of a group in lockstep: a step pops each unfinished tree's next
-    node in its own preorder, so no tree's draws move, and the step's split
-    searches run batched. A tree's subsets come from its generator in
-    blocks of ``_BLOCK_SUBSETS``, each the sorted results of that many
-    ``choice(f, k, replace=False)`` calls, and the generator is left where
-    one such call per node leaves it. The forest is the one its trees grown
-    one at a time give, node for node."""
-    _check_forest_params(n_trees, max_depth, min_samples_leaf)
+    lowest threshold within it. Trees grow in groups of as many whole
+    trees as ``_GROUP_ROWS`` bootstrap rows hold, at least one, all of a
+    group in lockstep: 100 trees of the paper's 1,374 training rows, and
+    the narrow corpus's 500 trees of 110 rows in one group. A step pops
+    each unfinished tree's next node in its own preorder, so no tree's
+    draws move, and the step's split searches run batched. A tree's
+    subsets come from its generator in blocks of ``_BLOCK_SUBSETS``, each
+    the sorted results of that many ``choice(f, k, replace=False)`` calls,
+    and the generator is left where one such call per node leaves it. The
+    forest is the one its trees grown one at a time give, node for node, so
+    the ``n``-tree forest is the first ``n`` trees of any larger one with
+    the same data, seed and other parameters, which ``grid_search_cv``
+    relies on."""
+    _check_forest_params(n_trees, max_depth, min_samples_leaf, seed, bootstrap, max_features)
     X, y = _check_input(X, y, len(label_space))
     if X.shape[1] != len(schema.retained):
         raise ValueError(f"X has {X.shape[1]} columns, schema retains {len(schema.retained)}")
@@ -426,8 +473,9 @@ def fit_forest(
     subset = ceil(sqrt(X.shape[1])) if max_features == "sqrt" else None
     groups = []
     children = np.random.SeedSequence(seed).spawn(n_trees)
-    for first in range(0, n_trees, _GROUP_TREES):
-        rngs = [np.random.Generator(np.random.Philox(c)) for c in children[first: first + _GROUP_TREES]]
+    group = max(1, _GROUP_ROWS // n)
+    for first in range(0, n_trees, group):
+        rngs = [np.random.Generator(np.random.Philox(c)) for c in children[first: first + group]]
         # each tree's first draw is its bootstrap
         samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
         groups.append(_grow(X, y, len(label_space), samples, rngs, max_depth, min_samples_leaf, subset))
@@ -557,6 +605,15 @@ def _fold_assignment(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.
     return fold_of
 
 
+def _first_trees(model: ForestModel, n_trees: int) -> ForestModel:
+    """The forest of ``model``'s first ``n_trees`` trees: its node arrays up
+    to the next tree's root, where those trees' right children all point."""
+    end = model.nodes.roots[n_trees] if n_trees < model.n_trees else model.nodes.feature.size
+    nodes = {name: getattr(model.nodes, name)[:end] for name in _NODE_DTYPES}
+    nodes["roots"] = model.nodes.roots[:n_trees]
+    return replace(model, nodes=NodeTable(**nodes), n_trees=n_trees)
+
+
 def grid_search_cv(
     X: np.ndarray,
     y: np.ndarray,
@@ -566,7 +623,14 @@ def grid_search_cv(
     folds: int = 5,
     seed: int = 0,
 ) -> tuple[dict, list[tuple[dict, float]]]:
-    """Mean CV accuracy per grid point; argmax with ties toward grid order."""
+    """Mean CV accuracy per grid point; argmax with ties toward grid order.
+
+    Tree ``i`` of a forest depends only on the seed, the other parameters
+    and ``i``, so the ``n``-tree forest is the first ``n`` trees of a larger
+    one. Each fold therefore fits each set of the points' other parameters
+    once, at the largest ``n_trees`` any of those points asks for, and
+    scores every point on that forest's first ``n_trees`` trees: the
+    accuracies a separate fit per point gives."""
     if folds < 2:
         raise ValueError("need at least 2 folds")
     if not grid:
@@ -579,15 +643,23 @@ def grid_search_cv(
     fold_of = _fold_assignment(y, folds, rng)
     fit_seeds = [int(s.generate_state(1)[0]) for s in fit_ss]
 
-    results: list[tuple[dict, float]] = []
-    for params in grid:
-        accuracies = []
-        for k in range(folds):
-            train = fold_of != k
-            model = fit_forest(X[train], y[train], schema, label_space, seed=fit_seeds[k], **params)
-            pred = predict_many(model, X[~train])
-            accuracies.append(float(np.mean(pred == y[~train])))
-        results.append((params, float(np.mean(accuracies))))
+    default_trees = inspect.signature(fit_forest).parameters["n_trees"].default
+    trees = [params.get("n_trees", default_trees) for params in grid]
+    shared: dict[tuple, list[int]] = {}  # the other parameters -> the points that ask for them
+    for i, params in enumerate(grid):
+        if trees[i] < 1:
+            raise ValueError(f"n_trees must be at least 1, got {trees[i]}")
+        shared.setdefault(tuple(sorted((k, v) for k, v in params.items() if k != "n_trees")), []).append(i)
+    accuracies: list[list[float]] = [[] for _ in grid]
+    for k in range(folds):
+        train = fold_of != k
+        for others, points in shared.items():
+            model = fit_forest(X[train], y[train], schema, label_space, n_trees=max(trees[i] for i in points),
+                               seed=fit_seeds[k], **dict(others))
+            for i in points:
+                pred = predict_many(_first_trees(model, trees[i]), X[~train])
+                accuracies[i].append(float(np.mean(pred == y[~train])))
+    results = [(params, float(np.mean(scores))) for params, scores in zip(grid, accuracies)]
     best = max(range(len(results)), key=lambda i: (results[i][1], -i))
     return results[best][0], results
 
@@ -641,7 +713,7 @@ def load_model(path: str | Path) -> ForestModel:
         raise ModelFormatError(f"unsupported model version {head.get('version')!r}")
     try:
         params = {k: head[k] for k in _HEADER_PARAMS}
-        _check_forest_params(params["n_trees"], params["max_depth"], params["min_samples_leaf"])
+        _check_forest_params(**params)
         size = head["n_nodes"]
         counts = {name: params["n_trees"] if name == "roots" else size for name in _FILE_DTYPES}
         if size < 0 or len(body) != sum(counts[k] * dtype.itemsize for k, dtype in _FILE_DTYPES.items()):

@@ -385,6 +385,17 @@ def test_evaluate_rescores_the_split_train_made(workdir, tmp_path):
     assert (other / "report.json").read_bytes() == trained
 
 
+@pytest.mark.parametrize("key, value", [("seed", "zero"), ("bootstrap", 1), ("max_features", "log2")])
+def test_evaluate_refuses_a_model_header_train_would_refuse(workdir, tmp_path, capfd, key, value):
+    # such a header used to load, and evaluate then died with a traceback
+    head, _, body = (workdir / "model.bin").read_bytes().partition(b"\n")
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(json.dumps({**json.loads(head), key: value}).encode() + b"\n" + body)
+    assert main(["evaluate", "--data", str(workdir), "--model", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: corrupt model file {bad}: {key} must be") and err.count("\n") == 1
+
+
 def test_evaluate_votes_once(workdir, tmp_path, monkeypatch):
     # the report and the fig5 dots share one forest vote over the test rows
     calls = []

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from math import ceil, sqrt
@@ -398,6 +399,62 @@ def test_trees_that_draw_several_blocks_keep_their_streams():
     assert _state(untouched) == _state(np.random.Generator(np.random.Philox(children[6])))
 
 
+def _power_of_two_matrix(n_classes, distinct, n=70, seed=0):
+    """Six columns of ``distinct`` numbers each, every one of them taken in
+    columns 0 and 2, NaN in a tenth of column 1 (ranked at the top of the
+    rank field), and every class present, the highest included."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, distinct, size=(n, 6)).astype(np.float64)
+    X[:distinct, 0] = np.arange(distinct)
+    X[:distinct, 2] = np.arange(distinct)[::-1]
+    X[rng.uniform(size=n) < 0.1, 1] = np.nan
+    y = (X[:, 0].astype(np.int64) + rng.integers(0, 3, size=n)) % n_classes
+    y[rng.permutation(n)[:n_classes]] = np.arange(n_classes)
+    return X, y
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 3, 4, 7, 8, 16, 17])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4, 5, 32, 33])
+def test_split_key_fields_at_and_past_powers_of_two(n_classes, distinct):
+    """The packed split keys on class counts, distinct values per column and
+    candidate counts at, and one past, a power of two: the grower with 1, 2,
+    4 and 5 candidates of 6 features, and fit_forest with its 3, give the
+    one-tree-at-a-time reference's nodes."""
+    X, y = _power_of_two_matrix(n_classes, distinct)
+    for k in (1, 2, 4, 5):
+        rngs = [np.random.Generator(np.random.Philox(c)) for c in np.random.SeedSequence(k).spawn(3)]
+        samples = np.array([r.integers(0, X.shape[0], size=X.shape[0]) for r in rngs])
+        ref, _ = _reference_forest(X, y, n_classes, 3, k, None, 1, True, k)
+        assert ml._grow(X, y, n_classes, samples, rngs, None, 1, k) == ref, k
+    model = fit_forest(X, y, _schema(6), _labels(n_classes), n_trees=3, max_depth=None, min_samples_leaf=1, seed=9)
+    ref, _ = _reference_forest(X, y, n_classes, 3, 9, None, 1, True, 3)
+    assert model.nodes == ref
+    if n_classes > 1 and distinct > 1:
+        assert (ref.feature >= 0).sum() > 3
+
+
+@pytest.mark.parametrize("budget, groups", [
+    (1000, [7]), (280, [7]), (279, [6, 1]), (120, [3, 3, 1]), (80, [2, 2, 2, 1]), (79, [1] * 7), (1, [1] * 7),
+])
+def test_forest_grows_in_groups_bounded_by_rows(monkeypatch, budget, groups):
+    """Each lockstep group holds as many whole trees of 40 rows as the row
+    budget does, at least one; the groups joined give the reference forest
+    and leave every generator where it does."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, size=(40, 5)).astype(np.float64)
+    y = rng.integers(0, 3, size=40)
+    grown, grow = [], ml._grow
+    def recording_grow(X, y, n_classes, samples, rngs, *args):
+        grown.append(samples.shape[0])
+        return grow(X, y, n_classes, samples, rngs, *args)
+    monkeypatch.setattr(ml, "_GROUP_ROWS", budget)
+    monkeypatch.setattr(ml, "_grow", recording_grow)
+    model = fit_forest(X, y, _schema(5), _labels(3), n_trees=7, max_depth=None, min_samples_leaf=1, seed=4)
+    assert grown == groups
+    ref, _ = _reference_forest(X, y, 3, 7, 4, None, 1, True, 3)
+    assert model.nodes == ref
+
+
 def test_every_split_sends_rows_both_ways():
     # midpoints outside [lower, upper): inf, NaN from -inf + inf, and sums
     # overflowing to inf and to -inf; each threshold is the lower value
@@ -562,7 +619,11 @@ def test_forest_validates_inputs():
     y = np.zeros(10, dtype=np.int64)
     with pytest.raises(ValueError, match="columns"):
         fit_forest(X, y, _schema(3), _labels(1))
-    for name, value in (("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0)):
+    for name, value in (
+        ("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0), ("seed", "zero"), ("seed", True),
+        ("seed", 1.5), ("seed", -1), ("bootstrap", 1), ("bootstrap", "yes"), ("max_features", "log2"),
+        ("max_features", 3),
+    ):
         with pytest.raises(ValueError, match=f"{name} must be"):
             fit_forest(X, y, _schema(2), _labels(1), **{name: value})
 
@@ -734,6 +795,50 @@ def test_grid_search_validation():
         grid_search_cv(X, y, _schema(3), _labels(2), [{"n_trees": 2}], folds=1)
     with pytest.raises(ValueError, match="grid"):
         grid_search_cv(X, y, _schema(3), _labels(2), [], folds=3)
+
+
+def test_grid_search_shares_forests_across_tree_counts(monkeypatch):
+    """A forest's first n trees are the n-tree forest, so each fold fits
+    each (max_depth, min_samples_leaf) once, at its largest tree count, and
+    the results equal a loop of separate fits."""
+    X, y = _toy_grid_data(n=45)
+    y[::4] = 2
+    grid = [{"n_trees": t, "max_depth": d} for d in (2, None) for t in (6, 2, 9, 2)] + [
+        {"n_trees": 4, "max_depth": 2, "min_samples_leaf": 3}, {"max_depth": 1},
+    ]
+    fits = []
+    real_fit = ml.fit_forest
+    @functools.wraps(real_fit)
+    def recording_fit(*args, **kwargs):
+        fits.append(kwargs["n_trees"])
+        return real_fit(*args, **kwargs)
+    monkeypatch.setattr(ml, "fit_forest", recording_fit)
+    best, results = grid_search_cv(X, y, _schema(3), _labels(3), grid, folds=3, seed=6)
+    assert fits == [9, 9, 4, 500] * 3
+
+    fold_ss, *fit_ss = np.random.SeedSequence(6).spawn(4)
+    fold_of = ml._fold_assignment(y, 3, np.random.Generator(np.random.Philox(fold_ss)))
+    expected = []
+    for params in grid:
+        accuracies = []
+        for k, ss in enumerate(fit_ss):
+            train = fold_of != k
+            model = real_fit(X[train], y[train], _schema(3), _labels(3), seed=int(ss.generate_state(1)[0]), **params)
+            accuracies.append(float(np.mean(predict_many(model, X[~train]) == y[~train])))
+        expected.append((params, float(np.mean(accuracies))))
+    assert results == expected
+    assert all(got is params for (got, _), params in zip(results, grid))
+    assert best is max(expected, key=lambda r: r[1])[0]
+    # the first trees' node arrays are the smaller forest's
+    nine = real_fit(X, y, _schema(3), _labels(3), n_trees=9, seed=1)
+    for n in (1, 4, 9):
+        assert ml._first_trees(nine, n).nodes == real_fit(X, y, _schema(3), _labels(3), n_trees=n, seed=1).nodes
+
+
+def test_grid_search_refuses_a_point_without_trees():
+    X, y = _toy_grid_data()
+    with pytest.raises(ValueError, match="n_trees must be at least 1, got 0"):
+        grid_search_cv(X, y, _schema(3), _labels(2), [{"n_trees": 3}, {"n_trees": 0}], folds=3)
 
 
 def test_default_grid_shape():
@@ -921,7 +1026,10 @@ def test_load_rejects_a_header_without_the_node_count(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("key, value", [("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0)])
+@pytest.mark.parametrize("key, value", [
+    ("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0), ("seed", "zero"), ("seed", True), ("seed", 1.5),
+    ("seed", -1), ("bootstrap", 1), ("bootstrap", None), ("max_features", "log2"), ("max_features", 3),
+])
 def test_load_rejects_hyperparameters_fit_forest_refuses(tmp_path, key, value):
     _, path = _saved_small_model(tmp_path)
     head, arrays = _read_file(path)
