@@ -239,11 +239,7 @@ def _batch_split_search(
     weighted[at] = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / size_at
     lowest = np.minimum.reduceat(weighted, node_start)
     split = parent_gini - lowest > _MIN_DECREASE
-    # each node's first valid position at its lowest gini; a node without one never splits
-    hit = at[weighted[at] == lowest[owner_at]]
-    first = hit[np.diff(owner[hit], prepend=-1) != 0]
-    best = np.empty(n_nodes, dtype=np.int64)
-    best[owner[first]] = first
+    best = np.minimum.reduceat(np.where(weighted == lowest[owner], np.arange(m), m), node_start)
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.zeros(n_nodes)
     at = best[split]

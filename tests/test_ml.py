@@ -315,9 +315,9 @@ def test_forest_equals_its_trees_grown_one_at_a_time(matrix, max_depth, min_leaf
 
 def test_lockstep_trees_of_very_different_sizes_keep_their_streams():
     """Bootstraps that miss the rare classes give one-leaf trees, finished at
-    the first step, beside trees still growing dozens of steps later. Past
-    the 100 trees of one lockstep group, each tree's generator ends where
-    the one-tree reference leaves it."""
+    the first step, beside trees still growing dozens of steps later. All
+    130 trees grow in one lockstep group, and each tree's generator ends
+    where the one-tree reference leaves it."""
     rng = np.random.default_rng(5)
     X = rng.integers(0, 6, size=(40, 5)).astype(np.float64)
     y = np.zeros(40, dtype=np.int64)
