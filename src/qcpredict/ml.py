@@ -231,15 +231,14 @@ def _batch_split_search(
 
     at = np.flatnonzero(valid)
     sumsq_left, cross = sums[:, at]
-    owner_at, size_at = owner[at], size[at]
-    sumsq_right = (counts * counts).sum(axis=1)[owner_at] - 2 * cross + sumsq_left
-    left_count = left[at].astype(np.float64)
+    sumsq_right = (counts * counts).sum(axis=1)[owner[at]] - 2 * cross + sumsq_left
+    left_count, size_at = left[at].astype(np.float64), size[at]
     right_count = size_at - left_count
     weighted = np.full(m, np.inf)
     weighted[at] = (left_count - sumsq_left / left_count + right_count - sumsq_right / right_count) / size_at
     lowest = np.minimum.reduceat(weighted, node_start)
-    split = parent_gini - lowest > _MIN_DECREASE
     best = np.minimum.reduceat(np.where(weighted == lowest[owner], np.arange(m), m), node_start)
+    split = parent_gini - lowest > _MIN_DECREASE
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.zeros(n_nodes)
     at = best[split]

@@ -438,8 +438,8 @@ def test_split_key_fields_at_and_past_powers_of_two(n_classes, distinct):
 ])
 def test_forest_grows_in_groups_bounded_by_rows(monkeypatch, budget, groups):
     """Each lockstep group holds as many whole trees of 40 rows as the row
-    budget does, at least one; the groups joined give the reference forest
-    and leave every generator where it does."""
+    budget does, at least one, and the groups joined give the reference
+    forest."""
     rng = np.random.default_rng(5)
     X = rng.integers(0, 6, size=(40, 5)).astype(np.float64)
     y = rng.integers(0, 3, size=40)
