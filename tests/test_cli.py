@@ -387,7 +387,7 @@ def test_evaluate_rescores_the_split_train_made(workdir, tmp_path):
 
 @pytest.mark.parametrize("key, value", [("seed", "zero"), ("bootstrap", 1), ("max_features", "log2")])
 def test_evaluate_refuses_a_model_header_train_would_refuse(workdir, tmp_path, capfd, key, value):
-    # such a header used to load, and evaluate then died with a traceback
+    # each such header used to load; with the string seed, evaluate then died with a traceback
     head, _, body = (workdir / "model.bin").read_bytes().partition(b"\n")
     bad = tmp_path / "model.bin"
     bad.write_bytes(json.dumps({**json.loads(head), key: value}).encode() + b"\n" + body)
