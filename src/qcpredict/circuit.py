@@ -77,24 +77,38 @@ class Instruction(NamedTuple):
         return self.kind in GATE_SIGNATURES
 
 
+# builds an Instruction from its four fields at half the cost of the
+# NamedTuple constructor, which generation, parsing, routing and lowering call
+# once per op they emit; the one copy that compiler.py and qasm.py import
+_new_tuple = tuple.__new__
+
+
 def gate(kind: str, qubits: tuple[int, ...] | list[int], params: tuple[float, ...] | list[float] = ()) -> Instruction:
-    """Build a gate instruction, checking arity and parameter count."""
+    """Build a gate instruction, checking it against the vocabulary.
+
+    Refuses an unknown kind, the wrong qubit count, the wrong parameter count
+    and, on a multi-qubit gate, a repeated qubit, each as a CircuitError; a
+    parameter ``float()`` cannot convert raises what ``float()`` raises.
+    Register bounds are left to ``validate``. Past the checks, the
+    instruction costs one tuple.
+    """
     sig = GATE_SIGNATURES.get(kind)
     if sig is None:
         raise CircuitError(f"unknown gate kind {kind!r}")
+    arity, nparams = sig
     qubits = tuple(qubits)
-    params = tuple(float(p) for p in params)
-    if len(qubits) != sig[0]:
-        raise CircuitError(f"{kind} expects {sig[0]} qubit(s), got {len(qubits)}")
-    if len(params) != sig[1]:
-        raise CircuitError(f"{kind} expects {sig[1]} parameter(s), got {len(params)}")
-    if len(set(qubits)) != len(qubits):
+    params = tuple(map(float, params))
+    if len(qubits) != arity:
+        raise CircuitError(f"{kind} expects {arity} qubit(s), got {len(qubits)}")
+    if len(params) != nparams:
+        raise CircuitError(f"{kind} expects {nparams} parameter(s), got {len(params)}")
+    if arity > 1 and len(set(qubits)) != arity:
         raise CircuitError(f"{kind} applied to duplicate qubits {qubits}")
-    return Instruction(kind, qubits, params)
+    return _new_tuple(Instruction, (kind, qubits, params, None))
 
 
 def measure(qubit: int, clbit: int) -> Instruction:
-    return Instruction(MEASURE, (qubit,), (), clbit)
+    return _new_tuple(Instruction, (MEASURE, (qubit,), (), clbit))
 
 
 def barrier(qubits: tuple[int, ...] | list[int]) -> Instruction:

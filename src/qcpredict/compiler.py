@@ -19,6 +19,7 @@ from .circuit import (
     MEASURE,
     Circuit,
     Instruction,
+    _new_tuple,
     interaction_counts,
     interaction_graph,
 )
@@ -122,11 +123,6 @@ _DIAG_ANGLE = {
     "t": pi / 4,
     "tdg": -pi / 4,
 }
-
-
-# builds an Instruction from its four fields at half the cost of the
-# NamedTuple constructor, which routing and lowering call once per op they emit
-_new_tuple = tuple.__new__
 
 
 def _g(kind: str, qubits: tuple[int, ...], *params: float) -> Instruction:

@@ -147,7 +147,13 @@ _RANDOM_2Q = ("cx", "cz", "swap", "rzz", "cp")
 
 def random_circuit(n: int, seed: int = 0, variant: int = 0) -> Circuit:
     """4n seeded gates: roughly 60% single-qubit, 35% two-qubit, 5% Toffoli
-    (when width allows), then a full measurement layer."""
+    (when width allows), then a full measurement layer.
+
+    Each gate draws, in order: one uniform that picks its width, one integer
+    that picks its kind from the width's list, its qubits (one integer, or a
+    ``choice`` of 2 or 3 distinct qubits), then one angle in [0, 2*pi) per
+    parameter. A gate without parameters draws no angle.
+    """
     if n < 2:
         raise CircuitError("random circuits need at least 2 qubits")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(variant,)))
@@ -155,16 +161,16 @@ def random_circuit(n: int, seed: int = 0, variant: int = 0) -> Circuit:
     for _ in range(4 * n):
         draw = rng.random()
         if draw < 0.60:
-            kind = _RANDOM_1Q[int(rng.integers(len(_RANDOM_1Q)))]
+            kind = _RANDOM_1Q[rng.integers(len(_RANDOM_1Q))]
             qubits = (int(rng.integers(n)),)
         elif draw < 0.95 or n < 3:
-            kind = _RANDOM_2Q[int(rng.integers(len(_RANDOM_2Q)))]
-            qubits = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+            kind = _RANDOM_2Q[rng.integers(len(_RANDOM_2Q))]
+            qubits = rng.choice(n, size=2, replace=False).tolist()
         else:
             kind = "ccx"
-            qubits = tuple(int(q) for q in rng.choice(n, size=3, replace=False))
+            qubits = rng.choice(n, size=3, replace=False).tolist()
         nparams = GATE_SIGNATURES[kind][1]
-        params = tuple(float(a) for a in rng.uniform(0.0, 2.0 * pi, size=nparams))
+        params = rng.uniform(0.0, 2.0 * pi, size=nparams).tolist() if nparams else ()
         ops.append(gate(kind, qubits, params))
     _measure_all(ops, range(n))
     return Circuit(n, n, tuple(ops), name=f"random_{n:03d}_v{variant}")
@@ -179,9 +185,11 @@ def generate_corpus(
     """Sweep the requested families over [lo, hi] qubits.
 
     Families with a restricted size domain (grover) are emitted only where
-    defined. Refuses an unknown family, a family listed twice and a negative
-    ``random_variants``. Returns circuits in a fixed (family, size, variant)
-    order.
+    defined. Refuses an unknown family, a family listed twice, a negative
+    ``random_variants`` and a ``seed`` that is not a non-negative int (a bool
+    included), before generating anything, so a family that draws nothing
+    does not let a bad seed through. Returns circuits in a fixed (family,
+    size, variant) order.
     """
     chosen = tuple(families) if families is not None else FAMILIES
     for i, f in enumerate(chosen):
@@ -191,6 +199,8 @@ def generate_corpus(
             raise ValueError(f"circuit family {f!r} is listed twice")
     if random_variants < 0:
         raise ValueError(f"random_variants must be at least 0, got {random_variants}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     lo, hi = qubit_range
     if not (MIN_QUBITS <= lo <= hi <= MAX_QUBITS):
         raise ValueError(f"qubit range must satisfy {MIN_QUBITS} <= lo <= hi <= {MAX_QUBITS}")

@@ -21,7 +21,7 @@ import re
 from itertools import accumulate, repeat
 from math import isfinite, pi
 
-from .circuit import BARRIER, GATE_SIGNATURES, MEASURE, Circuit, Instruction, validate
+from .circuit import BARRIER, GATE_SIGNATURES, MEASURE, Circuit, Instruction, _new_tuple, validate
 
 
 class QasmError(ValueError):
@@ -42,8 +42,6 @@ _SIGNATURES = {
     raw: (kind, *GATE_SIGNATURES[kind])
     for raw, kind in [(kind, kind) for kind in GATE_SIGNATURES] + list(_ALIASES.items())
 }
-
-_new_tuple = tuple.__new__
 
 # angle tokens (group `ok`), the item separator ',', and any other non-blank
 # character as a token of its own that makes its item a bad expression

@@ -5,6 +5,7 @@ from qcpredict.circuit import (
     GATE_SIGNATURES,
     Circuit,
     CircuitError,
+    Instruction,
     barrier,
     circuit_depth,
     gate,
@@ -29,14 +30,37 @@ def ghz3():
 def test_gate_builder_checks_arity_and_params():
     assert gate("cx", (0, 1)).qubits == (0, 1)
     assert gate("rz", (2,), (0.5,)).params == (0.5,)
-    with pytest.raises(CircuitError):
-        gate("nope", (0,))
-    with pytest.raises(CircuitError):
-        gate("cx", (0,))
-    with pytest.raises(CircuitError):
-        gate("rz", (0,))  # missing angle
-    with pytest.raises(CircuitError):
-        gate("cx", (1, 1))
+    # the one-tuple build equals the NamedTuple constructor's, lists and int
+    # angles become tuples and floats
+    op = gate("cp", [3, 1], [1])
+    assert type(op) is Instruction
+    assert op == Instruction("cp", (3, 1), (1.0,), None)
+    assert type(op.qubits) is tuple and type(op.params) is tuple and type(op.params[0]) is float
+    assert measure(2, 1) == Instruction("measure", (2,), (), 1) and type(measure(2, 1)) is Instruction
+    refusals = [
+        (("nope", (0,)), "unknown gate kind 'nope'"),
+        (("cx", (0,)), "cx expects 2 qubit(s), got 1"),
+        (("h", (0, 1)), "h expects 1 qubit(s), got 2"),
+        (("rz", (0,)), "rz expects 1 parameter(s), got 0"),  # missing angle
+        (("u3", (0,), (0.1, 0.2)), "u3 expects 3 parameter(s), got 2"),
+        (("cx", (1, 1)), "cx applied to duplicate qubits (1, 1)"),
+        (("ccx", (0, 2, 0)), "ccx applied to duplicate qubits (0, 2, 0)"),
+        (("cswap", [4, 4, 4]), "cswap applied to duplicate qubits (4, 4, 4)"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(CircuitError) as refused:
+            gate(*args)
+        assert str(refused.value) == message
+    # an angle float() cannot convert raises what float() raises, before the
+    # arity check
+    for bad in ("abc", None, [0.5]):
+        with pytest.raises(Exception) as expected:
+            float(bad)
+        for args in (("rz", (0,), (bad,)), ("cx", (0,), (bad,))):
+            with pytest.raises(Exception) as refused:
+                gate(*args)
+            assert type(refused.value) is type(expected.value)
+            assert str(refused.value) == str(expected.value)
 
 
 def test_vocabulary_is_stable():

@@ -74,6 +74,19 @@ def test_generate_refuses_a_repeated_family_and_a_negative_variant_count(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--families", "ghz", "--seed", "-5"],
+], ids=["all-families", "ghz-draws-nothing"])
+def test_generate_refuses_a_negative_seed(tmp_path, capfd, flags):
+    """Refused by generate_corpus, naming the seed, before any circuit is
+    built; a family that draws nothing from the seed is no exception."""
+    out = tmp_path / "x"
+    assert main(["generate", "--out", str(out), "--qubits", "2..4"] + flags) == 1
+    assert capfd.readouterr().err == f"error: seed must be a non-negative integer, got {flags[-1]}\n"
+    assert not out.exists()
+
+
 def test_generate_rejects_bad_range(tmp_path, capfd):
     assert main(["generate", "--out", str(tmp_path / "x"), "--qubits", "5..2"]) == 1
     assert main(["generate", "--out", str(tmp_path / "x"), "--qubits", "abc"]) == 1

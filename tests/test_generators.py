@@ -1,10 +1,14 @@
-from math import asin, sin, sqrt
+import re
+from math import asin, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
-from qcpredict.circuit import Circuit, CircuitError, gate, validate
+from qcpredict.circuit import GATE_SIGNATURES, Circuit, CircuitError, gate, validate
 from qcpredict.generators import (
+    _RANDOM_1Q,
+    _RANDOM_2Q,
+    _measure_all,
     DEFAULT_RANDOM_VARIANTS,
     FAMILIES,
     dj,
@@ -139,6 +143,58 @@ def test_random_circuit_shape_and_determinism():
     assert c.ops != other.ops
 
 
+def _reference_random_circuit(n: int, seed: int = 0, variant: int = 0) -> Circuit:
+    """The reference: random_circuit with one uniform call for every gate,
+    an empty one included, and each drawn number converted on its own."""
+    if n < 2:
+        raise CircuitError("random circuits need at least 2 qubits")
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(variant,)))
+    ops = []
+    for _ in range(4 * n):
+        draw = rng.random()
+        if draw < 0.60:
+            kind = _RANDOM_1Q[int(rng.integers(len(_RANDOM_1Q)))]
+            qubits = (int(rng.integers(n)),)
+        elif draw < 0.95 or n < 3:
+            kind = _RANDOM_2Q[int(rng.integers(len(_RANDOM_2Q)))]
+            qubits = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+        else:
+            kind = "ccx"
+            qubits = tuple(int(q) for q in rng.choice(n, size=3, replace=False))
+        nparams = GATE_SIGNATURES[kind][1]
+        params = tuple(float(a) for a in rng.uniform(0.0, 2.0 * pi, size=nparams))
+        ops.append(gate(kind, qubits, params))
+    _measure_all(ops, range(n))
+    return Circuit(n, n, tuple(ops), name=f"random_{n:03d}_v{variant}")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 14, 64, 127, 130])
+def test_random_circuit_matches_the_reference(n):
+    """Every op, down to the Python type of each qubit and angle, is the
+    reference's: the skipped empty draws left every later draw in place."""
+    for seed in (0, 1, 987654321, 2**32 - 1, 2**63 + 5):
+        for variant in (0, 3, 6):
+            got = random_circuit(n, seed=seed, variant=variant)
+            want = _reference_random_circuit(n, seed=seed, variant=variant)
+            assert got.name == want.name and got.num_clbits == want.num_clbits
+            assert got.ops == want.ops
+            assert [tuple(map(type, op.qubits + op.params)) for op in got.ops] == \
+                [tuple(map(type, op.qubits + op.params)) for op in want.ops]
+
+
+def test_an_empty_uniform_draw_leaves_the_generator_state():
+    """random_circuit skips uniform(size=0) for a gate without angles, which
+    is exact only while numpy's empty draw consumes nothing."""
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(2,)))
+    rng.random()
+    before = rng.bit_generator.state
+    assert rng.uniform(0.0, 2.0 * pi, size=0).shape == (0,)
+    assert rng.bit_generator.state == before
+    # a nonempty draw does move it, so the comparison above can fail
+    rng.uniform(0.0, 2.0 * pi, size=1)
+    assert rng.bit_generator.state != before
+
+
 def test_random_circuit_no_toffoli_below_three_qubits():
     for seed in range(30):
         c = random_circuit(2, seed=seed)
@@ -201,6 +257,13 @@ def test_corpus_validation():
     with pytest.raises(ValueError, match="random_variants must be at least 0, got -1"):
         generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=-1)
     assert generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=0) == []
+    # a bad seed is refused before any family is built, also by families that
+    # draw nothing from it
+    for seed in (-1, 1.5, True, False, "0", None, np.int64(3)):
+        for families in (None, ("ghz",)):
+            with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+                generate_corpus(families=families, qubit_range=(2, 3), seed=seed)
+    assert len(generate_corpus(qubit_range=(2, 3), seed=2**64)) == 34
 
 
 def test_family_list_is_stable():
