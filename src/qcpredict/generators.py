@@ -176,6 +176,10 @@ def random_circuit(n: int, seed: int = 0, variant: int = 0) -> Circuit:
     return Circuit(n, n, tuple(ops), name=f"random_{n:03d}_v{variant}")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def generate_corpus(
     families: list[str] | tuple[str, ...] | None = None,
     qubit_range: tuple[int, int] = (MIN_QUBITS, MAX_QUBITS),
@@ -185,11 +189,13 @@ def generate_corpus(
     """Sweep the requested families over [lo, hi] qubits.
 
     Families with a restricted size domain (grover) are emitted only where
-    defined. Refuses an unknown family, a family listed twice, a negative
-    ``random_variants`` and a ``seed`` that is not a non-negative int (a bool
-    included), before generating anything, so a family that draws nothing
-    does not let a bad seed through. Returns circuits in a fixed (family,
-    size, variant) order.
+    defined. Refuses an unknown family, a family listed twice, a
+    ``random_variants`` that is not a non-negative int, a ``seed`` that is
+    not a non-negative int and a ``qubit_range`` that is not two ints inside
+    [MIN_QUBITS, MAX_QUBITS] in order (a bool is not an int here), naming
+    the parameter, before generating anything, so a family that draws
+    nothing does not let a bad value through. Returns circuits in a fixed
+    (family, size, variant) order.
     """
     chosen = tuple(families) if families is not None else FAMILIES
     for i, f in enumerate(chosen):
@@ -197,10 +203,14 @@ def generate_corpus(
             raise ValueError(f"unknown circuit family {f!r}; known: {', '.join(FAMILIES)}")
         if f in chosen[:i]:
             raise ValueError(f"circuit family {f!r} is listed twice")
+    if not _is_int(random_variants):
+        raise ValueError(f"random_variants must be an integer, got {random_variants!r}")
     if random_variants < 0:
         raise ValueError(f"random_variants must be at least 0, got {random_variants}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if len(qubit_range) != 2 or not all(_is_int(bound) for bound in qubit_range):
+        raise ValueError(f"qubit_range must be two integers (lo, hi), got {qubit_range!r}")
     lo, hi = qubit_range
     if not (MIN_QUBITS <= lo <= hi <= MAX_QUBITS):
         raise ValueError(f"qubit range must satisfy {MIN_QUBITS} <= lo <= hi <= {MAX_QUBITS}")

@@ -16,7 +16,7 @@ order, and each node still takes the first best split, so a seed gives the
 forest a tree grown alone would: growing together changes only how many
 numpy calls a node costs. A tree draws its subsets in blocks, one numpy call
 per block: a block holds the subsets one ``Generator.choice`` call per node
-draws, and the generator ends where those calls leave it.
+draws.
 """
 from __future__ import annotations
 
@@ -107,16 +107,24 @@ _NODE_DTYPES = {
 _FILE_DTYPES = {name: np.dtype("<f8" if dtype is np.float64 else "<i4") for name, dtype in _NODE_DTYPES.items()}
 
 
+def _check_int(name: str, value: object, least: int, none: bool = False) -> None:
+    """Refuse, naming it, a parameter that is not an int (a bool included) or
+    is below ``least``; with ``none``, None passes."""
+    if none and value is None:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {'None or ' * none}an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'None or ' * none}at least {least}, got {value}")
+
+
 def _check_forest_params(
     n_trees: int, max_depth: int | None, min_samples_leaf: int, seed: int, bootstrap: bool,
     max_features: str | None,
 ) -> None:
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be None or at least 0, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
+    _check_int("n_trees", n_trees, 1)
+    _check_int("max_depth", max_depth, 0, none=True)
+    _check_int("min_samples_leaf", min_samples_leaf, 1)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not isinstance(bootstrap, bool):
@@ -250,15 +258,6 @@ def _batch_split_search(
     return feature, threshold
 
 
-def _subset_bounds(n_features: int, k: int, count: int) -> np.ndarray:
-    """The inclusive upper bounds of the draws ``count`` calls of
-    ``rng.choice(n_features, k, replace=False)`` make, in their order. Each
-    call runs Floyd's algorithm, one draw in ``[0, j]`` for ``j`` from
-    ``n_features - k`` to ``n_features - 1``, then shuffles its k picks with
-    one draw in ``[0, i]`` for ``i`` from ``k - 1`` down to 1."""
-    return np.tile(np.r_[n_features - k: n_features, k - 1: 0: -1], count)
-
-
 def _draw_subsets(rngs: list[np.random.Generator], n_features: int, k: int) -> np.ndarray:
     """(len(rngs), ``_BLOCK_SUBSETS``, k): each generator's next
     ``_BLOCK_SUBSETS`` sorted k-subsets of ``range(n_features)``, the sorted
@@ -266,11 +265,13 @@ def _draw_subsets(rngs: list[np.random.Generator], n_features: int, k: int) -> n
     turn, and the generator left where those calls leave it.
 
     One ``integers`` call per generator makes the bounded draws the calls
-    make (see ``_subset_bounds``); Floyd's algorithm keeps each subset's
-    ``i``-th draw ``v``, or ``n_features - k + i`` if ``v`` is already kept.
-    The shuffle draws only move the stream: they reorder a subset that is
-    then sorted."""
-    bounds = _subset_bounds(n_features, k, _BLOCK_SUBSETS)
+    make, in their order. Each call runs Floyd's algorithm, one draw in
+    ``[0, j]`` for ``j`` from ``n_features - k`` to ``n_features - 1``,
+    keeping its ``i``-th draw ``v``, or ``n_features - k + i`` if ``v`` is
+    already kept; then it shuffles its k picks with one draw in ``[0, i]``
+    for ``i`` from ``k - 1`` down to 1. The shuffle draws only move the
+    stream: they reorder a subset that is then sorted."""
+    bounds = np.tile(np.r_[n_features - k: n_features, k - 1: 0: -1], _BLOCK_SUBSETS)
     picks = np.array([rng.integers(0, bounds, endpoint=True) for rng in rngs]).reshape(-1, 2 * k - 1)[:, :k]
     for i in range(1, k):
         kept = (picks[:, :i] == picks[:, i, None]).any(axis=1)
@@ -300,19 +301,15 @@ def _grow(
 
     A tree's searched nodes take its subsets in turn from blocks of
     ``_BLOCK_SUBSETS`` (see ``_draw_subsets``); a step refills, in one batch,
-    the trees whose block ran out. Once grown, a tree that left part of its
-    last block unused sets its generator back to where that block began and
-    redraws only the draws of the subsets it took, so each generator ends
-    where one ``choice`` per searched node leaves it."""
+    the trees whose block ran out. A tree's generator is read only while
+    the tree grows."""
     n, n_features = X.shape
     draw = max_features is not None and max_features < n_features
     k = max_features if draw else n_features
     ranks, values = _dense_ranks(X)
     order = samples.flatten()
-    # per tree, its current block of subsets, the generator state the block
-    # was drawn from, and how many subsets the tree has taken
+    # per tree, its current block of subsets and how many subsets the tree has taken
     pool = np.empty((samples.shape[0], _BLOCK_SUBSETS, k), dtype=np.int64)
-    block_start: list[dict | None] = [None] * samples.shape[0]
     used = np.zeros(samples.shape[0], dtype=np.int64)
     # per tree, the nodes still to grow: (start, stop, depth, step of the node whose right child it is)
     stacks = [[(t * n, t * n + n, 0, -1)] for t in range(samples.shape[0])]
@@ -334,8 +331,6 @@ def _grow(
             taken = used[trees] % _BLOCK_SUBSETS
             spent = trees[taken == 0]  # a tree's first subset, or its block ran out
             if spent.size:
-                for t in spent.tolist():
-                    block_start[t] = rngs[t].bit_generator.state
                 pool[spent] = _draw_subsets([rngs[t] for t in spent], n_features, k)
             candidates = pool[trees, taken]
             used[trees] += 1
@@ -372,12 +367,6 @@ def _grow(
             for t, lo, mid, hi, d in zip(*pending):
                 stacks[t] += [(mid, hi, d, len(steps) - 1), (lo, mid, d, -1)]
         live = live[[bool(stacks[t]) for t in live]]
-
-    if draw:  # a tree that used up its last block stands where choice leaves it
-        bounds = _subset_bounds(n_features, k, _BLOCK_SUBSETS)
-        for t in np.flatnonzero(used % _BLOCK_SUBSETS).tolist():
-            rngs[t].bit_generator.state = block_start[t]
-            rngs[t].integers(0, bounds[: (2 * k - 1) * (used[t] % _BLOCK_SUBSETS)], endpoint=True)
 
     tree = np.concatenate([record[0] for record in steps])
     step = np.repeat(np.arange(len(steps)), [record[0].size for record in steps])
@@ -436,11 +425,12 @@ def fit_forest(
     """Bagged CART ensemble; per-node feature subsets of ceil(sqrt(f)).
     A single CART tree is ``n_trees=1, bootstrap=False, max_features=None``.
 
-    Refuses fewer than one tree, a negative ``max_depth``, a
-    ``min_samples_leaf`` below 1, a ``seed`` that is not a non-negative
-    int (a bool included), a ``bootstrap`` that is not a bool and a
-    ``max_features`` other than "sqrt" or None, naming the parameter; so
-    does ``load_model`` for a header. Every label is
+    Refuses an ``n_trees`` or ``min_samples_leaf`` that is not an int of at
+    least 1, a ``max_depth`` that is neither None nor an int of at least 0,
+    a ``seed`` that is not a non-negative int (a bool is not an int here),
+    a ``bootstrap`` that is not a bool and a ``max_features`` other than
+    "sqrt" or None, naming the parameter; so does ``load_model`` for a
+    header. Every label is
     checked before any bootstrap. Tree ``i`` owns the
     ``i``-th generator spawned from ``seed`` and grows depth-first, left
     child first: it draws its bootstrap first, then, with ``max_features``,
@@ -455,7 +445,7 @@ def fit_forest(
     draws move, and the step's split searches run batched. A tree's
     subsets come from its generator in blocks of ``_BLOCK_SUBSETS``, each
     the sorted results of that many ``choice(f, k, replace=False)`` calls,
-    and the generator is left where one such call per node leaves it. The
+    of which the tree's searched nodes take the first they need. The
     forest is the one its trees grown one at a time give, node for node, so
     the ``n``-tree forest is the first ``n`` trees of any larger one with
     the same data, seed and other parameters, which ``grid_search_cv``
@@ -642,8 +632,7 @@ def grid_search_cv(
     trees = [params.get("n_trees", default_trees) for params in grid]
     shared: dict[tuple, list[int]] = {}  # the other parameters -> the points that ask for them
     for i, params in enumerate(grid):
-        if trees[i] < 1:
-            raise ValueError(f"n_trees must be at least 1, got {trees[i]}")
+        _check_int("n_trees", trees[i], 1)
         shared.setdefault(tuple(sorted((k, v) for k, v in params.items() if k != "n_trees")), []).append(i)
     accuracies: list[list[float]] = [[] for _ in grid]
     for k in range(folds):

@@ -257,6 +257,14 @@ def test_corpus_validation():
     with pytest.raises(ValueError, match="random_variants must be at least 0, got -1"):
         generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=-1)
     assert generate_corpus(families=("random",), qubit_range=(2, 3), random_variants=0) == []
+    # a bound that is not an int is refused by name before any family is
+    # built, a bool included
+    for variants in (True, False, 1.5, "2", None):
+        with pytest.raises(ValueError, match=rf"^random_variants must be an integer, got {re.escape(repr(variants))}$"):
+            generate_corpus(families=("ghz", "random"), qubit_range=(2, 3), random_variants=variants)
+    for qubits in ((2.5, 3), (2, 3.0), (True, 3), (2, "3"), (2, 3, 4)):
+        with pytest.raises(ValueError, match=rf"^qubit_range must be two integers \(lo, hi\), got {re.escape(repr(qubits))}$"):
+            generate_corpus(families=("ghz",), qubit_range=qubits)
     # a bad seed is refused before any family is built, also by families that
     # draw nothing from it
     for seed in (-1, 1.5, True, False, "0", None, np.int64(3)):
