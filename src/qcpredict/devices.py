@@ -135,7 +135,8 @@ class DeviceModel:
 
 
 def _reaches_every_qubit(n: int, coupling: frozenset[tuple[int, int]]) -> bool:
-    """Whether the directed pairs lead from qubit 0 to all ``n`` qubits, in O(pairs) time for any ``n``."""
+    """Whether the directed pairs lead from qubit 0 to all ``n`` qubits, in O(pairs) time for any ``n``;
+    for a coupling listed both ways, whether it is connected."""
     adj: dict[int, list[int]] = {}
     for a, b in coupling:
         adj.setdefault(a, []).append(b)
@@ -234,7 +235,8 @@ def load_device(path: str | Path) -> DeviceModel:
     """Read one device description; gaps in the calibration fill from defaults.
 
     A malformed file raises ``DeviceError`` naming it: a YAML syntax error, an
-    entry without a field it needs, or a value of the wrong type."""
+    entry without a field it needs, or a value of the wrong type. So does a
+    coupling pair whose reverse is not listed, since routing needs both."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _device_from_doc(yaml.safe_load(fh), path)
@@ -276,6 +278,11 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
     coupling = frozenset(coupling)
     if technology == ION_TRAP and len(coupling) != n * (n - 1):  # distinct ordered pairs off the diagonal
         raise DeviceError(f"{path}: ion-trap devices must declare complete coupling")
+    # a routing swap lowers to cx in both directions across its pair
+    one_way = min(((a, b) for a, b in coupling if (b, a) not in coupling), default=None)
+    if one_way:
+        a, b = one_way
+        raise DeviceError(f"{path}: coupling pair ({a}, {b}) is one-way: routing needs ({b}, {a}) listed too")
     if not _reaches_every_qubit(n, coupling):
         raise DeviceError(f"{path}: coupling map is not connected")
 

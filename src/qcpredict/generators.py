@@ -189,14 +189,16 @@ def generate_corpus(
     """Sweep the requested families over [lo, hi] qubits.
 
     Families with a restricted size domain (grover) are emitted only where
-    defined. Refuses an unknown family, a family listed twice, a
-    ``random_variants`` that is not a non-negative int, a ``seed`` that is
-    not a non-negative int and a ``qubit_range`` that is not two ints inside
-    [MIN_QUBITS, MAX_QUBITS] in order (a bool is not an int here), naming
-    the parameter, before generating anything, so a family that draws
-    nothing does not let a bad value through. Returns circuits in a fixed
-    (family, size, variant) order.
+    defined. Refuses ``families`` given as one string, an unknown family, a
+    family listed twice, a ``random_variants`` that is not a non-negative
+    int, a ``seed`` that is not a non-negative int and a ``qubit_range``
+    that is not two ints inside [MIN_QUBITS, MAX_QUBITS] in order (a bool
+    is not an int here), naming the parameter, before generating anything,
+    so a family that draws nothing does not let a bad value through.
+    Returns circuits in a fixed (family, size, variant) order.
     """
+    if isinstance(families, str):
+        raise ValueError(f"families must be a list of family names, got the string {families!r}")
     chosen = tuple(families) if families is not None else FAMILIES
     for i, f in enumerate(chosen):
         if f not in FAMILIES:

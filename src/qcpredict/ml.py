@@ -537,39 +537,34 @@ def feature_importance(model: ForestModel) -> tuple[np.ndarray, np.ndarray, bool
     return mean / grand, std, False
 
 
-def knn_fit_predict(X: np.ndarray, y: np.ndarray, x: np.ndarray, k: int, n_classes: int) -> int:
-    """Euclidean k-nearest vote; neighbor ties by (distance, index), vote ties
-    by lowest class index."""
+def knn_predict(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, k: int, n_classes: int) -> np.ndarray:
+    """Euclidean k-nearest vote for each test row; neighbor ties by (distance,
+    index), vote ties by lowest class index. One row's distances at a time:
+    a test x train x feature array would take about 130 MB at paper scale."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must be in [1, {X.shape[0]}]")
-    d2 = ((X - np.asarray(x, dtype=np.float64)) ** 2).sum(axis=1)
-    nearest = np.lexsort((np.arange(X.shape[0]), d2))[:k]
-    counts = np.bincount(y[nearest], minlength=n_classes)
-    return int(np.argmax(counts))
+    predicted = np.empty(len(X_test), dtype=np.int64)
+    for i, x in enumerate(np.asarray(X_test, dtype=np.float64)):
+        nearest = np.argsort(((X - x) ** 2).sum(axis=1), kind="stable")[:k]
+        predicted[i] = np.argmax(np.bincount(y[nearest], minlength=n_classes))
+    return predicted
 
 
-def naive_bayes_fit_predict(X: np.ndarray, y: np.ndarray, x: np.ndarray, n_classes: int) -> int:
-    """Gaussian class-conditional argmax with uniform-smoothed priors and a
-    variance floor of 1e-9."""
+def naive_bayes_predict(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, n_classes: int) -> np.ndarray:
+    """Gaussian class-conditional argmax for each test row, over the classes
+    present in ``y``, with uniform-smoothed priors and a variance floor of
+    1e-9; a tie goes to the lowest class."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
-    n = X.shape[0]
     present = np.unique(y)
-    best_class = -1
-    best_logp = -np.inf
-    for c in present:
-        rows = X[y == c]
-        mean = rows.mean(axis=0)
-        var = np.maximum(rows.var(axis=0), 1e-9)
-        prior = (rows.shape[0] + 1.0) / (n + n_classes)
-        logp = float(np.log(prior) - 0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var).sum())
-        if logp > best_logp:
-            best_logp = logp
-            best_class = int(c)
-    return best_class
+    mean = np.array([X[y == c].mean(axis=0) for c in present])
+    var = np.maximum([X[y == c].var(axis=0) for c in present], 1e-9)
+    prior = (np.bincount(y)[present] + 1.0) / (X.shape[0] + n_classes)
+    diff = np.asarray(X_test, dtype=np.float64)[:, None, :] - mean
+    logp = np.log(prior) - 0.5 * (np.log(2.0 * np.pi * var) + diff**2 / var).sum(axis=2)
+    return present[np.argmax(logp, axis=1)]
 
 
 def _fold_assignment(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:

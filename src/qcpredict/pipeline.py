@@ -43,8 +43,8 @@ from .ml import (
     feature_importance,
     fit_forest,
     grid_search_cv,
-    knn_fit_predict,
-    naive_bayes_fit_predict,
+    knn_predict,
+    naive_bayes_predict,
     predict,
     predict_many,
 )
@@ -230,6 +230,17 @@ def _label_indices(samples: list[LabeledSample], options: list[CompilationOption
     return np.array([s.best for s in samples], dtype=np.int64)
 
 
+def _training_matrix(
+    train: list[LabeledSample], options: list[CompilationOption]
+) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
+    """The training rows in their non-constant feature columns, their label
+    indices, and the schema of those columns."""
+    schema = full_schema()
+    X_full = _full_matrix(train)
+    pruned = prune_constant_features(X_full, schema)
+    return project_columns(X_full, schema, pruned), _label_indices(train, options), pruned
+
+
 def train_model(
     train: list[LabeledSample],
     options: list[CompilationOption],
@@ -250,11 +261,7 @@ def train_model(
         raise PipelineError("empty training set")
     if len({s.best for s in train}) < 2:
         raise PipelineError("degenerate training labels: need at least 2 classes")
-    schema = full_schema()
-    X_full = _full_matrix(train)
-    pruned = prune_constant_features(X_full, schema)
-    X = project_columns(X_full, schema, pruned)
-    y = _label_indices(train, options)
+    X, y, pruned = _training_matrix(train, options)
     label_space = tuple(opt.option_id for opt in options)
     if grid is not None:
         params, _ = grid_search_cv(X, y, pruned, label_space, grid, folds=folds, seed=seed)
@@ -320,28 +327,20 @@ def evaluate_baseline(
 ) -> EvalReport:
     """Nearest-neighbor or Gaussian Bayes baseline through the same harness.
 
-    Features are pruned on the training rows and standardized before use.
+    Features are pruned on the training rows, as for the forest, then standardized.
     """
     if kind not in ("knn", "nb"):
         raise PipelineError(f"unknown baseline {kind!r}")
     if not train or not test:
         raise PipelineError("empty train or test set")
-    schema = full_schema()
-    pruned = prune_constant_features(_full_matrix(train), schema)
-    X_train = project_columns(_full_matrix(train), schema, pruned)
-    X_test = project_columns(_full_matrix(test), schema, pruned)
+    X_train, y, pruned = _training_matrix(train, options)
     X_train, mean, std = standardize(X_train)
-    X_test = apply_standardize(X_test, mean, std)
-    y = _label_indices(train, options)
-    n_classes = len(options)
-    predictions = []
-    for row in X_test:
-        if kind == "knn":
-            c = knn_fit_predict(X_train, y, row, min(k, X_train.shape[0]), n_classes)
-        else:
-            c = naive_bayes_fit_predict(X_train, y, row, n_classes)
-        predictions.append(c)
-    return _report(predictions, test)
+    X_test = apply_standardize(project_columns(_full_matrix(test), full_schema(), pruned), mean, std)
+    if kind == "knn":
+        predicted = knn_predict(X_train, y, X_test, min(k, len(train)), len(options))
+    else:
+        predicted = naive_bayes_predict(X_train, y, X_test, len(options))
+    return _report(predicted.tolist(), test)
 
 
 def majority_baseline(
@@ -621,7 +620,10 @@ def build_report(
     """Assemble the JSON report of ``report``, the predictions on
     ``test_set``. Deliberately excludes wall-clock timings so reruns with one
     seed are byte-identical. ``excluded`` None (unknown) is written as null,
-    not as an empty list."""
+    not as an empty list. The one report builder for every classifier: a key
+    computed from the predictions goes here, so the baselines get it too; a
+    key that needs the forest goes in ``write_evaluation``, which the
+    baselines do not pass through, so that it need not branch on its caller."""
     _, majority_accuracy = majority_baseline(train_set, test_set, options)
     return {
         "accuracy": report.accuracy,

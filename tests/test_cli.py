@@ -17,6 +17,7 @@ from qcpredict.generators import generate_corpus, ghz
 from qcpredict.ml import fit_forest, load_model, predict, predict_top_k, save_model
 from qcpredict.pipeline import model_features, write_corpus
 from qcpredict.qasm import parse_qasm
+from qcpredict.scoring import CalibrationError
 from qcpredict.simulator import check_equivalence
 
 
@@ -542,13 +543,17 @@ def test_a_malformed_device_file_is_refused_without_a_traceback(tmp_path):
     assert proc.stderr == f"error: {broken}: an entry has no 'qubits' field\n"
 
 
-def test_a_missing_calibration_entry_is_printed_as_written(tmp_path, capfd):
-    # on a one-way chain 0 -> 1 -> 2 the routing swap lowers to cx in both
-    # directions, and the device has no fidelity for cx on (1, 0)
+def test_a_missing_calibration_entry_is_printed_as_written(tmp_path, capfd, monkeypatch):
+    # a CalibrationError is a KeyError, whose str() would quote the message;
+    # a loaded device has every entry, so scoring is made to miss one
+    def missing(result, device):
+        raise CalibrationError(f"{device.id}: no fidelity for cx on (1, 0)")
+
+    monkeypatch.setattr("qcpredict.cli.evaluate_score", missing)
     devdir = tmp_path / "devices"
     devdir.mkdir()
     (devdir / "toy.yaml").write_text(
-        "id: toy\ntechnology: superconducting\nnum_qubits: 3\ncoupling: [[0, 1], [1, 2]]\n"
+        "id: toy\ntechnology: superconducting\nnum_qubits: 3\ncoupling: [[0, 1], [1, 0], [1, 2], [2, 1]]\n"
         "native_gates: [rz, sx, x, cx, measure]\n"
         "defaults: {single_qubit: 0.999, two_qubit: 0.99, readout: 0.97}\n",
         encoding="utf-8",

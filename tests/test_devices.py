@@ -66,14 +66,10 @@ def test_next_hop_table_equals_the_neighbor_scan(tmp_path, devices):
     grid += [(r * 3 + c, (r + 1) * 3 + c) for r in range(2) for c in range(3)] + [(4, 8)]
     path = tmp_path / "grid.yaml"
     _write_yaml(path, _minimal_yaml(num_qubits=9, coupling=[list(e) for e in grid] + [[b, a] for a, b in grid]))
-    # a one-way chain 0 -> 1 -> 2: hops run with the coupling, none against it
-    one_way = tmp_path / "one_way.yaml"
-    _write_yaml(one_way, _minimal_yaml(num_qubits=3, coupling=[[0, 1], [1, 2]]))
-    for device in [*devices, load_device(path), load_device(one_way)]:
+    for device in [*devices, load_device(path)]:
         n = device.num_qubits
         assert device.next_hops == [[_scanned_hop(device, a, b) for b in range(n)] for a in range(n)], device.id
         assert all(device.next_hops[q][q] is None for q in range(n)), device.id
-    assert load_device(one_way).next_hops == [[None, 1, 1], [None, None, 2], [None, None, None]]
 
 
 def test_native_gate_sets(devices):
@@ -251,6 +247,23 @@ def test_load_device_rejects_calibration_scoring_never_reads(tmp_path, overrides
     _write_yaml(path, _minimal_yaml(**overrides))
     with pytest.raises(DeviceError, match=match):
         load_device(path)
+
+
+@pytest.mark.parametrize(
+    "coupling, pair",
+    [([[0, 1], [1, 2]], (0, 1)), ([[0, 1], [1, 2], [2, 0], [1, 0]], (1, 2))],
+    ids=["chain", "ring"],
+)
+def test_load_device_refuses_a_one_way_coupling(tmp_path, coupling, pair):
+    # a routing swap lowers to cx in both directions across its pair, so a
+    # one-way pair would stop the sweep, even on a ring where every qubit
+    # reaches every other; the refusal names the first such pair
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(num_qubits=3, coupling=coupling))
+    a, b = pair
+    with pytest.raises(DeviceError) as refused:
+        load_device(path)
+    assert str(refused.value) == f"{path}: coupling pair ({a}, {b}) is one-way: routing needs ({b}, {a}) listed too"
 
 
 # the child caps its own address space, so a table of every qubit, or of every

@@ -246,6 +246,9 @@ def test_corpus_deterministic():
 def test_corpus_validation():
     with pytest.raises(ValueError, match="unknown circuit family"):
         generate_corpus(families=("ghz", "bogus"))
+    # one string is not split into letters
+    with pytest.raises(ValueError, match="^families must be a list of family names, got the string 'ghz'$"):
+        generate_corpus(families="ghz", qubit_range=(2, 3))
     with pytest.raises(ValueError, match="qubit range"):
         generate_corpus(qubit_range=(5, 3))
     with pytest.raises(ValueError, match="qubit range"):

@@ -18,9 +18,9 @@ from qcpredict.ml import (
     feature_importance,
     fit_forest,
     grid_search_cv,
-    knn_fit_predict,
+    knn_predict,
     load_model,
-    naive_bayes_fit_predict,
+    naive_bayes_predict,
     predict,
     predict_many,
     predict_top_k,
@@ -681,35 +681,113 @@ def test_importance_degenerate_single_class():
 # baselines
 
 
+def _knn_one_row(X, y, x, k, n_classes):
+    """Reference: the one-row kNN vote the batched predictor replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if not 1 <= k <= X.shape[0]:
+        raise ValueError(f"k must be in [1, {X.shape[0]}]")
+    d2 = ((X - np.asarray(x, dtype=np.float64)) ** 2).sum(axis=1)
+    nearest = np.lexsort((np.arange(X.shape[0]), d2))[:k]
+    counts = np.bincount(y[nearest], minlength=n_classes)
+    return int(np.argmax(counts))
+
+
+def _naive_bayes_one_row(X, y, x, n_classes):
+    """Reference: the one-row naive Bayes fit and argmax the batched
+    predictor replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    n = X.shape[0]
+    present = np.unique(y)
+    best_class = -1
+    best_logp = -np.inf
+    for c in present:
+        rows = X[y == c]
+        mean = rows.mean(axis=0)
+        var = np.maximum(rows.var(axis=0), 1e-9)
+        prior = (rows.shape[0] + 1.0) / (n + n_classes)
+        logp = float(np.log(prior) - 0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var).sum())
+        if logp > best_logp:
+            best_logp = logp
+            best_class = int(c)
+    return best_class
+
+
+def _reference_cases():
+    """Seeded (X, y, X_test, n_classes) cases. Small integer grids give
+    distance ties and vote ties, class 2 never appears in the training
+    labels, and one case copies a class's rows so that two classes score
+    alike under naive Bayes."""
+    rng = np.random.default_rng(11)
+    for n_train, n_features in ((5, 1), (12, 2), (30, 3), (60, 5)):
+        X = rng.integers(-2, 3, size=(n_train, n_features)).astype(np.float64)
+        y = rng.choice([0, 1, 3, 4], size=n_train)
+        X_test = rng.integers(-3, 4, size=(40, n_features)).astype(np.float64)
+        yield X, y, X_test, 6
+        yield rng.normal(size=(n_train, n_features)), y, rng.normal(size=(40, n_features)), 6
+    twin = rng.normal(size=(4, 3))
+    yield np.vstack([twin, twin]), np.array([1] * 4 + [0] * 4), rng.normal(size=(20, 3)), 3
+
+
+def test_knn_predict_equals_the_one_row_reference():
+    for X, y, X_test, n_classes in _reference_cases():
+        for k in sorted({1, 2, 3, 4, X.shape[0]}):
+            expected = [_knn_one_row(X, y, x, k, n_classes) for x in X_test]
+            assert knn_predict(X, y, X_test, k, n_classes).tolist() == expected, (X.shape, k)
+
+
+def test_naive_bayes_predict_equals_the_one_row_reference():
+    for X, y, X_test, n_classes in _reference_cases():
+        expected = [_naive_bayes_one_row(X, y, x, n_classes) for x in X_test]
+        assert naive_bayes_predict(X, y, X_test, n_classes).tolist() == expected, X.shape
+
+
+def test_the_reference_cases_hold_every_tie():
+    # the equality tests above reach distance ties, vote ties, an absent
+    # class, k equal to the training-row count and a naive Bayes tie
+    distance_ties = vote_ties = 0
+    for X, y, X_test, n_classes in _reference_cases():
+        assert 2 not in y
+        for x in X_test:
+            d2 = ((X - x) ** 2).sum(axis=1)
+            distance_ties += len(np.unique(d2)) < len(d2)
+            counts = np.bincount(y[np.argsort(d2, kind="stable")[:2]], minlength=n_classes)
+            vote_ties += int((counts == counts.max()).sum() > 1)
+    assert distance_ties > 0 and vote_ties > 0
+    X, y, X_test, n_classes = list(_reference_cases())[-1]
+    assert set(naive_bayes_predict(X, y, X_test, n_classes).tolist()) == {0}
+
+
 def test_knn_hand_oracle():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    assert knn_fit_predict(X, y, np.array([0.4]), k=1, n_classes=2) == 0
-    assert knn_fit_predict(X, y, np.array([10.4]), k=3, n_classes=2) == 1
-    # 2 near class-0 points against 1 class-1 point
-    assert knn_fit_predict(X, y, np.array([4.0]), k=3, n_classes=2) == 0
+    # the third probe has 2 near class-0 points against 1 class-1 point
+    assert knn_predict(X, y, np.array([[0.4]]), k=1, n_classes=2).tolist() == [0]
+    assert knn_predict(X, y, np.array([[10.4], [4.0]]), k=3, n_classes=2).tolist() == [1, 0]
 
 
 def test_knn_distance_tie_prefers_lower_index():
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
     # probe equidistant; index 0 (class 1) wins the k=1 vote
-    assert knn_fit_predict(X, y, np.array([1.0]), k=1, n_classes=2) == 1
+    assert knn_predict(X, y, np.array([[1.0]]), k=1, n_classes=2).tolist() == [1]
 
 
 def test_knn_vote_tie_prefers_lower_class():
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
-    assert knn_fit_predict(X, y, np.array([1.0]), k=2, n_classes=2) == 0
+    assert knn_predict(X, y, np.array([[1.0]]), k=2, n_classes=2).tolist() == [0]
 
 
 def test_knn_k_validation():
     X = np.zeros((3, 1))
     y = np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError):
-        knn_fit_predict(X, y, np.zeros(1), k=0, n_classes=1)
+        knn_predict(X, y, np.zeros((1, 1)), k=0, n_classes=1)
     with pytest.raises(ValueError):
-        knn_fit_predict(X, y, np.zeros(1), k=4, n_classes=1)
+        knn_predict(X, y, np.zeros((1, 1)), k=4, n_classes=1)
 
 
 def test_naive_bayes_separated_clusters():
@@ -718,21 +796,20 @@ def test_naive_bayes_separated_clusters():
     b = rng.normal(8.0, 0.5, size=(40, 2))
     X = np.vstack([a, b])
     y = np.array([0] * 40 + [1] * 40)
-    assert naive_bayes_fit_predict(X, y, np.array([0.3, -0.2]), 2) == 0
-    assert naive_bayes_fit_predict(X, y, np.array([7.8, 8.1]), 2) == 1
+    assert naive_bayes_predict(X, y, np.array([[0.3, -0.2], [7.8, 8.1]]), 2).tolist() == [0, 1]
 
 
 def test_naive_bayes_never_predicts_absent_class():
     X = np.array([[0.0], [0.1], [9.0], [9.1]])
     y = np.array([0, 0, 3, 3])
-    for probe in (np.array([0.05]), np.array([9.05]), np.array([4.5])):
-        assert naive_bayes_fit_predict(X, y, probe, 5) in (0, 3)
+    probes = np.array([[0.05], [9.05], [4.5]])
+    assert set(naive_bayes_predict(X, y, probes, 5).tolist()) <= {0, 3}
 
 
 def test_naive_bayes_handles_zero_variance():
     X = np.array([[1.0], [1.0], [2.0], [2.0]])
     y = np.array([0, 0, 1, 1])
-    assert naive_bayes_fit_predict(X, y, np.array([1.0]), 2) == 0
+    assert naive_bayes_predict(X, y, np.array([[1.0]]), 2).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
