@@ -72,10 +72,6 @@ class Instruction(NamedTuple):
     params: tuple[float, ...] = ()
     clbit: int | None = None
 
-    @property
-    def is_gate(self) -> bool:
-        return self.kind in GATE_SIGNATURES
-
 
 # builds an Instruction from its four fields at half the cost of the
 # NamedTuple constructor, which generation, parsing, routing and lowering call

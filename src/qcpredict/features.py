@@ -1,9 +1,25 @@
 """Static circuit features: size, depth, per-kind gate counts, and five
 composite structure metrics, each normalized into [0, 1].
 
-Degenerate circuits (no gates, single qubit, zero depth) map every composite
-to 0 so the vector is total. Measures and barriers count toward depth and
-qubit activity but never toward gate counts or the interaction graph.
+With n qubits, depth d (ASAP layers, measures and barriers included), g
+gates, m of them on two or more qubits, e interaction-graph edges and b
+(op, qubit) incidences, the composites are:
+
+- program communication = 2e / (n(n - 1)), the average interaction degree
+  over its maximum n - 1;
+- critical depth = the share of the m multi-qubit gates that lie on a
+  longest dependency path;
+- entanglement ratio = m / g;
+- parallelism = (g/d - 1) / (n - 1), clamped to [0, 1];
+- liveness = b / (n d), the share of qubit-layer cells where the qubit is
+  busy.
+
+One forward walk over the ops tallies every count; one walk over the
+reversed ops adds what critical depth needs. Together they give all 38
+values. Degenerate circuits (no gates, single qubit, zero depth) map every
+composite to 0 so the vector is total. Measures and barriers count toward
+depth and qubit activity but never toward gate counts or the interaction
+graph.
 """
 from __future__ import annotations
 
@@ -13,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import CANONICAL_GATES, GATE_SIGNATURES, Circuit, DepthSchedule, circuit_depth, interaction_graph
+from .circuit import CANONICAL_GATES, GATE_SIGNATURES, Circuit, DepthSchedule, circuit_depth
 
 COMPOSITE_NAMES = (
     "program_communication",
@@ -93,73 +109,16 @@ def _walk(circuit: Circuit) -> _Tally:
     return _Tally(counts, schedule, len(edges), gates, multi, busy)
 
 
-def _multi_qubit_gates(circuit: Circuit) -> list[int]:
-    return [i for i, op in enumerate(circuit.ops) if op.is_gate and len(op.qubits) >= 2]
-
-
-def program_communication(circuit: Circuit, edges: int | None = None) -> float:
-    """Average interaction-graph degree over its maximum n-1. ``edges`` is
-    the size of the circuit's interaction graph, when already counted."""
-    n = circuit.num_qubits
-    if n < 2:
-        return 0.0
-    degree_sum = 2 * (len(interaction_graph(circuit)) if edges is None else edges)
-    return degree_sum / (n * (n - 1))
-
-
-def critical_depth(
-    circuit: Circuit, schedule: DepthSchedule | None = None, multi: list[int] | None = None
-) -> float:
-    """Fraction of multi-qubit gates lying on a longest dependency path.
-    ``schedule`` is the circuit's ``circuit_depth`` and ``multi`` the indices
-    of its multi-qubit gates, when already built."""
-    ops = circuit.ops
-    if multi is None:
-        multi = _multi_qubit_gates(circuit)
+def _critical_depth(circuit: Circuit, schedule: DepthSchedule, multi: list[int]) -> float:
+    """Share of the multi-qubit gates at indices ``multi`` on a longest dependency path."""
     if not multi:
         return 0.0
-
     # the longest chain ending at an op is its ASAP layer, and the longest
     # chain starting there is its ASAP layer in the reversed circuit
-    schedule = schedule or circuit_depth(circuit)
     up = schedule.layer_of
-    down = circuit_depth(circuit.with_ops(ops[::-1])).layer_of[::-1]
+    down = circuit_depth(circuit.with_ops(circuit.ops[::-1])).layer_of[::-1]
     on_longest = sum(1 for i in multi if up[i] + down[i] - 1 == schedule.depth)
     return on_longest / len(multi)
-
-
-def entanglement_ratio(circuit: Circuit, gates: int | None = None, multi: list[int] | None = None) -> float:
-    """Share of gates acting on more than one qubit. ``gates`` is the gate
-    count and ``multi`` the indices of the multi-qubit gates, when known."""
-    total = circuit.num_gates() if gates is None else gates
-    if total == 0:
-        return 0.0
-    return len(_multi_qubit_gates(circuit) if multi is None else multi) / total
-
-
-def parallelism(circuit: Circuit, schedule: DepthSchedule | None = None, gates: int | None = None) -> float:
-    """How far the schedule packs gates side by side: (n_g/d - 1)/(n - 1), clamped.
-    ``gates`` is the gate count, when known."""
-    n = circuit.num_qubits
-    depth = (schedule or circuit_depth(circuit)).depth
-    if n < 2 or depth == 0:
-        return 0.0
-    if gates is None:
-        gates = circuit.num_gates()
-    raw = (gates / depth - 1.0) / (n - 1.0)
-    return min(1.0, max(0.0, raw))
-
-
-def liveness(circuit: Circuit, schedule: DepthSchedule | None = None, busy: int | None = None) -> float:
-    """Fraction of qubit-layer cells in which the qubit is busy (measures count).
-    ``busy`` is the number of (op, qubit) incidences, when counted."""
-    depth = (schedule or circuit_depth(circuit)).depth
-    if depth == 0:
-        return 0.0
-    # ASAP never packs two ops sharing a qubit into one layer, so each
-    # (op, qubit) incidence is a distinct busy cell
-    active = sum(len(op.qubits) for op in circuit.ops) if busy is None else busy
-    return active / (circuit.num_qubits * depth)
 
 
 def extract_features(circuit: Circuit, schema: FeatureSchema | None = None) -> np.ndarray:
@@ -167,14 +126,18 @@ def extract_features(circuit: Circuit, schema: FeatureSchema | None = None) -> n
     if schema is None:
         schema = full_schema()
     counts, schedule, edges, gates, multi, busy = _walk(circuit)
+    n, depth = circuit.num_qubits, schedule.depth
     values = dict(zip(_COUNT_NAMES, [counts.get(kind, 0) for kind in CANONICAL_GATES]))
-    values["num_qubits"] = circuit.num_qubits
-    values["depth"] = schedule.depth
-    values["program_communication"] = program_communication(circuit, edges)
-    values["critical_depth"] = critical_depth(circuit, schedule, multi)
-    values["entanglement_ratio"] = entanglement_ratio(circuit, gates, multi)
-    values["parallelism"] = parallelism(circuit, schedule, gates)
-    values["liveness"] = liveness(circuit, schedule, busy)
+    values["num_qubits"] = n
+    values["depth"] = depth
+    values["program_communication"] = 2 * edges / (n * (n - 1)) if n >= 2 else 0.0
+    values["critical_depth"] = _critical_depth(circuit, schedule, multi)
+    values["entanglement_ratio"] = len(multi) / gates if gates else 0.0
+    parallel = (gates / depth - 1.0) / (n - 1.0) if n >= 2 and depth else 0.0
+    values["parallelism"] = min(1.0, max(0.0, parallel))
+    # ASAP never packs two ops sharing a qubit into one layer, so each
+    # (op, qubit) incidence is a distinct busy cell
+    values["liveness"] = busy / (n * depth) if depth else 0.0
     return np.array([values[name] for name in schema.retained], dtype=np.float64)
 
 

@@ -133,6 +133,20 @@ def _check_forest_params(
         raise ValueError(f"max_features must be 'sqrt' or None, got {max_features!r}")
 
 
+def _check_label_space(label_space: object) -> None:
+    """Refuse, naming the field, a label space that is not a list (or tuple)
+    of distinct strings, so that each class has a name of its own."""
+    if not isinstance(label_space, (list, tuple)):
+        raise ValueError(f"label_space must be a list of distinct strings, got {label_space!r}")
+    seen = set()
+    for label in label_space:
+        if not isinstance(label, str):
+            raise ValueError(f"label_space must be a list of distinct strings, got the item {label!r}")
+        if label in seen:
+            raise ValueError(f"label_space must be a list of distinct strings, got {label!r} twice")
+        seen.add(label)
+
+
 def _check_input(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -429,9 +443,9 @@ def fit_forest(
     least 1, a ``max_depth`` that is neither None nor an int of at least 0,
     a ``seed`` that is not a non-negative int (a bool is not an int here),
     a ``bootstrap`` that is not a bool and a ``max_features`` other than
-    "sqrt" or None, naming the parameter; so does ``load_model`` for a
-    header. Every label is
-    checked before any bootstrap. Tree ``i`` owns the
+    "sqrt" or None, and a ``label_space`` that is not a list of distinct
+    strings, naming the parameter; so does ``load_model`` for a header.
+    Every label is checked before any bootstrap. Tree ``i`` owns the
     ``i``-th generator spawned from ``seed`` and grows depth-first, left
     child first: it draws its bootstrap first, then, with ``max_features``,
     one feature subset at every impure node above ``max_depth`` in that
@@ -451,6 +465,7 @@ def fit_forest(
     the same data, seed and other parameters, which ``grid_search_cv``
     relies on."""
     _check_forest_params(n_trees, max_depth, min_samples_leaf, seed, bootstrap, max_features)
+    _check_label_space(label_space)
     X, y = _check_input(X, y, len(label_space))
     if X.shape[1] != len(schema.retained):
         raise ValueError(f"X has {X.shape[1]} columns, schema retains {len(schema.retained)}")
@@ -693,6 +708,7 @@ def load_model(path: str | Path) -> ForestModel:
     try:
         params = {k: head[k] for k in _HEADER_PARAMS}
         _check_forest_params(**params)
+        _check_label_space(head["label_space"])
         size = head["n_nodes"]
         counts = {name: params["n_trees"] if name == "roots" else size for name in _FILE_DTYPES}
         if size < 0 or len(body) != sum(counts[k] * dtype.itemsize for k, dtype in _FILE_DTYPES.items()):

@@ -65,7 +65,8 @@ def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
     """Evaluate a comma-separated list of constant angle expressions.
 
     Items are split at commas outside parentheses, blank items are skipped,
-    and each item is evaluated by recursive descent and must be finite. A ')'
+    and each item is evaluated by recursive descent and must be finite; an
+    item nested past the interpreter's recursion limit is refused. A ')'
     outside parentheses ends the list early. Returns the values and the
     offset in ``text`` where the list ended. A list of finite, optionally
     signed decimal literals and nothing else is read by ``float()`` alone,
@@ -133,7 +134,10 @@ def _eval_angles(text: str, line: int) -> tuple[tuple[float, ...], int]:
         if not clean:
             raise QasmError(f"bad angle expression {item!r}", line)
         if tokens:
-            value = expr()
+            try:
+                value = expr()
+            except RecursionError:  # the item is not echoed: it may run to thousands of tokens
+                raise QasmError("angle expression nests too deeply", line) from None
             if pos != len(tokens):
                 raise QasmError(f"trailing tokens in angle expression {item!r}", line)
             if not isfinite(value):

@@ -18,11 +18,8 @@ from qcpredict.compiler import CompiledResult, compile_circuit, is_device_legal,
 from qcpredict.features import (
     COMPOSITE_NAMES,
     FeatureSchema,
-    critical_depth,
-    entanglement_ratio,
     extract_features,
     full_schema,
-    program_communication,
 )
 from qcpredict.generators import dj, generate_corpus, ghz, random_circuit
 from qcpredict.ml import (
@@ -113,12 +110,12 @@ def test_compilation_correctness_all_options_all_small_circuits(fleet, options):
 def test_feature_oracles_exact_values_and_unit_bounds():
     """GHZ(3) feature values match hand-derived ratios exactly; every
     composite metric stays inside [0, 1] on 1000 random circuits."""
-    ghz3 = ghz(3)
-    assert program_communication(ghz3) == 4 / 6
-    assert critical_depth(ghz3) == 1.0
-    assert entanglement_ratio(ghz3) == 2 / 3
-
     schema = full_schema()
+    ghz3 = dict(zip(schema.names, extract_features(ghz(3))))
+    assert ghz3["program_communication"] == 4 / 6
+    assert ghz3["critical_depth"] == 1.0
+    assert ghz3["entanglement_ratio"] == 2 / 3
+
     composite_index = [schema.names.index(n) for n in COMPOSITE_NAMES]
     count = 0
     for n in range(2, 12):

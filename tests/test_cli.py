@@ -399,9 +399,13 @@ def test_evaluate_rescores_the_split_train_made(workdir, tmp_path):
     assert (other / "report.json").read_bytes() == trained
 
 
-@pytest.mark.parametrize("key, value", [("seed", "zero"), ("bootstrap", 1), ("max_features", "log2")])
+@pytest.mark.parametrize("key, value", [
+    ("seed", "zero"), ("bootstrap", 1), ("max_features", "log2"),
+    ("label_space", list(range(30))), ("label_space", ["dev8/A/O0"] * 30),
+])
 def test_evaluate_refuses_a_model_header_train_would_refuse(workdir, tmp_path, capfd, key, value):
-    # each such header used to load; with the string seed, evaluate then died with a traceback
+    # each such header used to load; with the string seed, evaluate then died
+    # with a traceback, and with one label repeated it scored accuracy 0
     head, _, body = (workdir / "model.bin").read_bytes().partition(b"\n")
     bad = tmp_path / "model.bin"
     bad.write_bytes(json.dumps({**json.loads(head), key: value}).encode() + b"\n" + body)

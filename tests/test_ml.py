@@ -611,6 +611,23 @@ def test_forest_validates_inputs():
             fit_forest(X, y, _schema(2), _labels(1), **{name: value})
 
 
+# label spaces that are not a list of distinct strings, with the message each gets
+_BAD_LABEL_SPACES = [
+    ([0, 1], "label_space must be a list of distinct strings, got the item 0"),
+    (["left"] * 30, "label_space must be a list of distinct strings, got 'left' twice"),
+    ("ab", "label_space must be a list of distinct strings, got 'ab'"),
+    (None, "label_space must be a list of distinct strings, got None"),
+]
+
+
+@pytest.mark.parametrize("label_space, message", _BAD_LABEL_SPACES, ids=["ints", "repeated", "string", "null"])
+def test_forest_refuses_a_label_space_that_is_not_distinct_strings(label_space, message):
+    X = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(ValueError) as info:
+        fit_forest(X, np.arange(10) % 2, _schema(2), label_space, n_trees=1)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_forest_checks_every_row_before_bootstrap(seed):
     X = np.arange(20.0).reshape(10, 2)
@@ -1093,7 +1110,7 @@ def test_load_rejects_a_header_without_the_node_count(tmp_path):
     ("n_trees", 0), ("max_depth", -1), ("min_samples_leaf", 0), ("seed", "zero"), ("seed", True), ("seed", 1.5),
     ("seed", -1), ("bootstrap", 1), ("bootstrap", None), ("max_features", "log2"), ("max_features", 3),
     ("n_trees", True), ("n_trees", 2.5), ("min_samples_leaf", True), ("min_samples_leaf", 1.5),
-    ("max_depth", True), ("max_depth", 2.5),
+    ("max_depth", True), ("max_depth", 2.5), *(("label_space", space) for space, _ in _BAD_LABEL_SPACES),
 ])
 def test_load_rejects_hyperparameters_fit_forest_refuses(tmp_path, key, value):
     _, path = _saved_small_model(tmp_path)

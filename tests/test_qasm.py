@@ -243,6 +243,10 @@ ERROR_TABLE = [
     ("comma_inside_parens", HEAD + "rz((1,2)) q[0];\n", "line 5: bad angle expression '(1,2)'"),
     ("bad_second_item", HEAD + "u3(0.1, foo, 0.3) q[0];\n", "line 5: bad angle expression ' foo'"),
     ("inf_literal", HEAD + "rz(inf) q[0];\n", "line 5: bad angle expression 'inf'"),
+    # past the recursion limit; the message does not echo the expression
+    ("nested_parentheses", HEAD + "rz(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];\n",
+     "line 5: angle expression nests too deeply"),
+    ("nested_unary_minus", HEAD + "rz(" + "-" * 5000 + "1) q[0];\n", "line 5: angle expression nests too deeply"),
     ("empty_parens", HEAD + "rz() q[0];\n", "line 5: rz expects 1 parameter(s), got 0"),
     ("params_on_h", HEAD + "h(0.5) q[0];\n", "line 5: h expects 0 parameter(s), got 1"),
     ("too_few_args", HEAD + "cx q[0];\n", "line 5: cx expects 2 argument(s), got 1"),
@@ -319,6 +323,8 @@ def test_empty_argument_items_are_skipped():
 def test_parameters_may_span_lines_and_nest():
     c = parse_qasm(HEAD + "u3(0.1,\n  (0.2 + pi) * 2,\n  -.3e1) q[2];\n")
     assert c.ops == (Instruction("u3", (2,), (0.1, (0.2 + pi) * 2, -3.0)),)
+    c = parse_qasm(HEAD + "rz(" + "(" * 50 + "-" * 50 + "0.5" + ")" * 50 + ") q[0];\n")
+    assert c.ops == (Instruction("rz", (0,), (0.5,)),)
 
 
 def test_validate_runs_once_per_parse(monkeypatch):
