@@ -54,7 +54,6 @@ from .ml import (
     fit_forest,
     grid_search_cv,
     load_model,
-    predict,
     predict_many,
     predict_top_k,
     save_model,
@@ -130,7 +129,6 @@ __all__ = [
     "optimize",
     "parse_option",
     "parse_qasm",
-    "predict",
     "predict_many",
     "predict_top_k",
     "prune_constant_features",

@@ -17,7 +17,8 @@ from pathlib import Path
 from .compiler import CompilationOption, compile_circuit, enumerate_options, parse_option
 from .devices import DeviceModel, builtin_devices, load_device_dir
 from .generators import DEFAULT_RANDOM_VARIANTS, FAMILIES, MAX_QUBITS, MIN_QUBITS, generate_corpus
-from .ml import DEFAULT_GRID, feature_importance, load_model, predict, predict_top_k, save_model
+from .features import extract_features
+from .ml import DEFAULT_GRID, feature_importance, load_model, predict_many, predict_top_k, save_model
 from .pipeline import (
     DEFAULT_FOLDS,
     DEFAULT_FOREST_PARAMS,
@@ -33,12 +34,12 @@ from .pipeline import (
     REPORT_FILE,
     PipelineError,
     build_report,
+    check_model,
     csv_text,
     evaluate_baseline,
     json_text,
     label_dataset,
     load_labeled_dataset,
-    model_features,
     parse_circuit_file,
     read_corpus,
     read_excluded_csv,
@@ -164,7 +165,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    x = model_features(model, parse_circuit_file(args.circuit, Path(args.circuit).stem))
+    check_model(model)
+    x = extract_features(parse_circuit_file(args.circuit, Path(args.circuit).stem), model.schema)
     top = predict_top_k(model, x, args.top_k)
     print(f"predicted: {top[0][0]}")
     for i, (label, share) in enumerate(top, start=1):
@@ -219,7 +221,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
             raise PipelineError(f"option {option.option_id!r} not available on this fleet")
     elif args.model:
         model = load_model(args.model)
-        option = parse_option(predict(model, model_features(model, circuit)))
+        check_model(model, options)
+        option = options[int(predict_many(model, extract_features(circuit, model.schema))[0])]
     else:
         raise PipelineError("compile needs --option, --model, or --all")
 

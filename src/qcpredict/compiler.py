@@ -299,6 +299,25 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     return circuit.with_ops(tuple(out))
 
 
+def lowering_fault(device: DeviceModel) -> str | None:
+    """The first gate kind, in vocabulary order, that a compile cannot lower
+    onto ``device``'s native set, and why; None when every kind lowers. One
+    op of each kind is expanded and lowered as ``decompose_to_native`` would,
+    and fails if that raises or emits a kind that is not native."""
+    for kind, (arity, nparams) in GATE_SIGNATURES.items():
+        op = _g(kind, tuple(range(arity)), *(0.5,) * nparams)
+        out: list[Instruction] = []
+        try:
+            for sub in _three_qubit_rule(op) if arity == 3 else [op]:
+                _lower(sub, device, out)
+        except CompileError as exc:
+            return f"{kind}: {exc}"
+        emitted = next((o.kind for o in out if o.kind not in device.native_gates), None)
+        if emitted:
+            return f"{kind}: it lowers to {emitted}, which is not native"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # placement
 

@@ -231,12 +231,22 @@ def _check_fidelity(value: float, what: str) -> float:
     return value
 
 
+def _integer(value: object, path: str | Path, field: str) -> int:
+    """``int(value)``, refusing a float or a bool, which ``int`` would
+    truncate or read as 0 or 1, naming the file and the field."""
+    if isinstance(value, (bool, float)):
+        raise DeviceError(f"{path}: {field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_device(path: str | Path) -> DeviceModel:
     """Read one device description; gaps in the calibration fill from defaults.
 
     A malformed file raises ``DeviceError`` naming it: a YAML syntax error, an
-    entry without a field it needs, or a value of the wrong type. So does a
-    coupling pair whose reverse is not listed, since routing needs both."""
+    entry without a field it needs, or a value of the wrong type, a count or
+    qubit that is a float or a bool among them. So does a coupling pair whose
+    reverse is not listed, since routing needs both, and a native gate set
+    the compiler cannot lower every gate kind onto."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _device_from_doc(yaml.safe_load(fh), path)
@@ -263,7 +273,7 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
     technology = str(doc["technology"])
     if technology not in (SUPERCONDUCTING, ION_TRAP):
         raise DeviceError(f"{path}: unknown technology {technology!r}")
-    n = int(doc["num_qubits"])
+    n = _integer(doc["num_qubits"], path, "num_qubits")
     if n < 1:
         raise DeviceError(f"{path}: num_qubits must be positive")
 
@@ -271,7 +281,7 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
     for pair in doc["coupling"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise DeviceError(f"{path}: coupling entries must be pairs, got {pair!r}")
-        a, b = int(pair[0]), int(pair[1])
+        a, b = (_integer(q, path, "a coupling qubit") for q in pair)
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise DeviceError(f"{path}: coupling pair ({a}, {b}) out of range")
         coupling.add((a, b))
@@ -304,7 +314,7 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
     gate_fidelity: dict[tuple[str, tuple[int, ...]], float] = {}
     for entry in doc.get("gate_fidelities") or []:
         kind = str(entry["gate"])
-        qubits = tuple(int(q) for q in entry["qubits"])
+        qubits = tuple(_integer(q, path, "a gate_fidelities qubit") for q in entry["qubits"])
         if kind == MEASURE:
             raise DeviceError(
                 f"{path}: gate_fidelities entry for measure{qubits}; "
@@ -324,7 +334,7 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
         gate_fidelity[(kind, qubits)] = _check_fidelity(entry["fidelity"], f"gate {kind}{qubits}")
     readout: dict[int, float] = {}
     for entry in doc.get("readout_fidelities") or []:
-        q = int(entry["qubit"])
+        q = _integer(entry["qubit"], path, "a readout_fidelities qubit")
         if not 0 <= q < n:
             raise DeviceError(f"{path}: readout fidelity for qubit {q} out of range")
         readout[q] = _check_fidelity(entry["fidelity"], f"readout {q}")
@@ -347,7 +357,13 @@ def _device_from_doc(doc, path: str | Path) -> DeviceModel:
                 raise DeviceError(f"{path}: no readout fidelity for qubit {q} and no default")
             readout[q] = _check_fidelity(defaults["readout"], "readout")
 
-    return DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
+    device = DeviceModel(dev_id, technology, n, coupling, native, Calibration(gate_fidelity, readout))
+    from .compiler import lowering_fault  # compiler imports this module
+
+    fault = lowering_fault(device)
+    if fault:
+        raise DeviceError(f"{path}: native_gates cannot compile {fault}")
+    return device
 
 
 def write_device(device: DeviceModel, path: str | Path) -> None:

@@ -511,10 +511,6 @@ def predict_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
     return np.argmax(_vote_counts(model, X), axis=1)
 
 
-def predict(model: ForestModel, x: np.ndarray) -> str:
-    return model.label_space[int(predict_many(model, x)[0])]
-
-
 def predict_top_k(model: ForestModel, x: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Top-k labels by vote share, ties toward the lower label index."""
     if not 1 <= k <= model.n_classes:
@@ -724,8 +720,13 @@ def load_model(path: str | Path) -> ForestModel:
     nodes = model.nodes
     splits = np.flatnonzero(nodes.feature >= 0)
     leaves = nodes.feature < 0
+    # min and max carry a NaN through, so a NaN impurity fails its bounds
     if (
-        not np.all((nodes.roots >= 0) & (nodes.roots < size))
+        nodes.roots[0] != 0
+        or not np.all(nodes.roots[1:] > nodes.roots[:-1])
+        or nodes.roots[-1] >= size
+        or nodes.n_samples.min() < 1
+        or not (nodes.impurity.min() >= 0.0 and nodes.impurity.max() <= 1.0)
         or not np.all((nodes.right[splits] > splits + 1) & (nodes.right[splits] < size))
         or not np.all(nodes.feature < len(schema.retained))
         or not np.all((nodes.label[leaves] >= 0) & (nodes.label[leaves] < model.n_classes))

@@ -45,7 +45,6 @@ from .ml import (
     grid_search_cv,
     knn_predict,
     naive_bayes_predict,
-    predict,
     predict_many,
 )
 from .qasm import parse_qasm, to_qasm
@@ -268,26 +267,20 @@ def train_model(
     return fit_forest(X, y, pruned, label_space, seed=seed, **(params or {}))
 
 
-def _extractor_schema(model: ForestModel) -> FeatureSchema:
-    """The full schema, once the model is known to be built on it."""
-    schema = full_schema()
-    if tuple(model.schema.names) != schema.names:
+def check_model(model: ForestModel, options: list[CompilationOption] | None = None) -> None:
+    """Refuse a model built on another feature schema and, given this fleet's
+    ``options``, one whose label space is not their ids in order. After it, a
+    circuit's input is ``extract_features(circuit, model.schema)``, which
+    extracts only the model's columns (projecting the full vector costs
+    predict-then-compile about 5%), and class ``i`` is ``options[i]``."""
+    if tuple(model.schema.names) != full_schema().names:
         raise PipelineError("model schema does not match this feature extractor")
-    return schema
-
-
-def project_to_model(model: ForestModel, features: np.ndarray) -> np.ndarray:
-    """The model's input columns of a matrix of full-schema feature rows;
-    refuses a model built on another feature schema."""
-    return project_columns(features, _extractor_schema(model), model.schema)
-
-
-def model_features(model: ForestModel, circuit: Circuit) -> np.ndarray:
-    """One circuit's features, extracted in the model's input columns rather
-    than projected from the full vector (a projection costs predict-then-
-    compile about 5%); refuses a model built on another feature schema."""
-    _extractor_schema(model)
-    return extract_features(circuit, model.schema)
+    ids = model.label_space if options is None else tuple(opt.option_id for opt in options)
+    if model.label_space != ids:
+        i = next((i for i, (a, b) in enumerate(zip(model.label_space, ids)) if a != b), None)
+        where = (f"it has {len(model.label_space)} options, this fleet {len(ids)}" if i is None
+                 else f"its option {i} is {model.label_space[i]}, this fleet's is {ids[i]}")
+        raise PipelineError(f"the model was trained on other options than this fleet's: {where}")
 
 
 def _report(predicted: list[int], samples: list[LabeledSample]) -> EvalReport:
@@ -308,14 +301,9 @@ def evaluate(
     """Ground-truth rank of each prediction, aggregated into the three measures."""
     if not test:
         raise PipelineError("empty test set")
-    position = {opt.option_id: i for i, opt in enumerate(options)}
-    predicted = []
-    for c in predict_many(model, project_to_model(model, _full_matrix(test))):
-        label = model.label_space[int(c)]
-        if label not in position:
-            raise PipelineError(f"predicted option {label!r} missing from the ranking")
-        predicted.append(position[label])
-    return _report(predicted, test)
+    check_model(model, options)
+    X = project_columns(_full_matrix(test), full_schema(), model.schema)
+    return _report(predict_many(model, X).tolist(), test)
 
 
 def evaluate_baseline(
@@ -367,9 +355,10 @@ def runtime_compare(
 ) -> dict:
     """Wall time of the full brute-force sweep vs predict-then-compile-once.
 
-    The model comes loaded, and its descent table is derived before the
-    clock starts: both are set-up paid once per model, not per prediction."""
-    by_id = {opt.option_id: opt for opt in options}
+    The model comes loaded and checked against ``options``, and its descent
+    table is derived before the clock starts: all three are set-up paid once
+    per model, not per prediction."""
+    check_model(model, options)
     model.nodes.descent
 
     started = time.perf_counter()
@@ -377,10 +366,7 @@ def runtime_compare(
     brute = time.perf_counter() - started
 
     started = time.perf_counter()
-    label = predict(model, model_features(model, circuit))
-    option = by_id.get(label)
-    if option is None:
-        raise PipelineError(f"the model predicts {label}, which is not among the {len(options)} options given")
+    option = options[int(predict_many(model, extract_features(circuit, model.schema))[0])]
     compile_circuit(circuit, option, fleet)
     fast = time.perf_counter() - started
 
@@ -388,7 +374,7 @@ def runtime_compare(
         "brute_force_seconds": brute,
         "predict_and_compile_seconds": fast,
         "reduction_fraction": 1.0 - fast / brute if brute > 0 else 0.0,
-        "predicted_option": label,
+        "predicted_option": option.option_id,
     }
 
 

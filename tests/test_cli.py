@@ -12,10 +12,11 @@ import qcpredict
 from qcpredict import ml, pipeline
 from qcpredict.cli import main
 from qcpredict.devices import builtin_devices, write_device
-from qcpredict.features import FeatureSchema
+from qcpredict.compiler import enumerate_options
+from qcpredict.features import FeatureSchema, extract_features, full_schema
 from qcpredict.generators import generate_corpus, ghz
-from qcpredict.ml import fit_forest, load_model, predict, predict_top_k, save_model
-from qcpredict.pipeline import model_features, write_corpus
+from qcpredict.ml import fit_forest, load_model, predict_many, predict_top_k, save_model
+from qcpredict.pipeline import write_corpus
 from qcpredict.qasm import parse_qasm
 from qcpredict.scoring import CalibrationError
 from qcpredict.simulator import check_equivalence
@@ -250,8 +251,8 @@ def test_predict_prints_choice_and_shares(workdir, capfd):
 def test_predict_votes_once(workdir, capfd, monkeypatch):
     model = load_model(workdir / "model.bin")
     qasm = workdir / "circuits" / "qft_004.qasm"
-    x = model_features(model, parse_qasm(qasm.read_text(encoding="utf-8")))
-    expected = [f"predicted: {predict(model, x)}"]
+    x = extract_features(parse_qasm(qasm.read_text(encoding="utf-8")), model.schema)
+    expected = [f"predicted: {model.label_space[int(predict_many(model, x)[0])]}"]
     expected += [f"  {i}. {label}  vote share {share:.3f}"
                  for i, (label, share) in enumerate(predict_top_k(model, x, 3), start=1)]
     capfd.readouterr()
@@ -312,6 +313,55 @@ def test_compile_with_model(workdir, tmp_path):
     parts = stats["option"].split("/")
     assert parts[0] in {"dev8", "dev11", "dev27", "dev80", "dev127"}
     assert out.is_file()
+
+
+@pytest.mark.parametrize(
+    "devices, message",
+    [
+        ("dev8,dev11,dev80,dev127", "its option 12 is dev80/A/O0, this fleet's is dev27/A/O0"),
+        ("dev127,dev80,dev27,dev11,dev8", "its option 0 is dev127/A/O0, this fleet's is dev8/A/O0"),
+        ("dev8,dev11,dev27,dev80", "it has 24 options, this fleet 30"),
+    ],
+    ids=["without-dev27", "reordered", "without-dev127"],
+)
+def test_a_model_from_another_fleet_is_refused_with_one_message(workdir, tmp_path, capfd, devices, message):
+    # compile --model used to serve such a model's pick by its name, so a
+    # circuit got another option than the one the model meant, or the run
+    # died on a device this fleet lacks, depending on which option won
+    builtin = builtin_devices()
+    named = {d.id: d for d in builtin}
+    label_space = [opt.option_id for opt in enumerate_options([named[i] for i in devices.split(",")])]
+    schema = full_schema()
+    model = fit_forest(np.zeros((1, len(schema.retained))), np.array([0]), schema, label_space, n_trees=1,
+                       max_depth=None, min_samples_leaf=1, bootstrap=False, max_features=None)
+    path = tmp_path / "other.bin"
+    save_model(model, path)
+    expected = f"the model was trained on other options than this fleet's: {message}"
+    src = workdir / "circuits" / "ghz_004.qasm"
+    for argv in (["evaluate", "--data", str(workdir), "--model", str(path), "--out", str(tmp_path / "eval")],
+                 ["compile", str(src), "--model", str(path)]):
+        assert main(argv) == 1
+        assert capfd.readouterr() == ("", f"error: {expected}\n")
+    assert not (tmp_path / "eval").exists()
+    with pytest.raises(pipeline.PipelineError) as refused:
+        pipeline.runtime_compare(ghz(4), load_model(path), enumerate_options(builtin), named)
+    assert str(refused.value) == expected
+
+
+def test_compile_with_model_serves_the_same_bytes_on_a_fleet_loaded_from_files(workdir, tmp_path, capfd):
+    # the 0_..4_ prefixes keep load_device_dir in the builtin fleet's order
+    devdir = tmp_path / "fleet"
+    devdir.mkdir()
+    for i, device in enumerate(builtin_devices()):
+        write_device(device, devdir / f"{i}_{device.id}.yaml")
+    circuits = sorted((workdir / "circuits").glob("*.qasm"))
+    served = []
+    for flags in ([], ["--devices", str(devdir)]):
+        for src in circuits:
+            assert main(["compile", str(src), "--model", str(workdir / "model.bin")] + flags) == 0
+        served.append(capfd.readouterr())
+    assert served[0] == served[1]
+    assert served[0].out.count("OPENQASM") == len(circuits)
 
 
 @pytest.mark.parametrize("command", [["predict"], ["compile"]])

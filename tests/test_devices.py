@@ -220,6 +220,63 @@ def test_load_device_rejects_missing_required_key(tmp_path):
         load_device(path)
 
 
+@pytest.mark.parametrize(
+    "native",
+    [["rz", "sx", "x", "cx"], ["rx", "ry", "rz", "rxx"], ["rz", "rx", "ry", "cx"]],
+    ids=["superconducting", "ion-trap", "rotations-and-cx"],
+)
+def test_load_device_accepts_a_native_set_the_compiler_lowers_onto(tmp_path, native):
+    # the first two are the builtin fleet's sets
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(native_gates=native + ["measure"]))
+    assert load_device(path).native_gates == frozenset(native + ["measure"])
+
+
+@pytest.mark.parametrize(
+    "native, message",
+    [
+        (["rz", "sx", "x", "cz"], "cx: no cx lowering onto native set ['cz', 'measure', 'rz', 'sx', 'x']"),
+        (["sx", "x", "cx"], "y: it lowers to rz, which is not native"),
+        (["rz", "sx", "x", "rxx"], "cx: it lowers to ry, which is not native"),
+    ],
+    ids=["cz-without-cx", "no-rz", "rxx-without-rx-ry"],
+)
+def test_load_device_refuses_a_native_set_the_compiler_cannot_lower_onto(tmp_path, native, message):
+    # each loaded before, and labeling then died on the first circuit
+    # without naming the file
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(native_gates=native + ["measure"]))
+    with pytest.raises(DeviceError) as refused:
+        load_device(path)
+    assert str(refused.value) == f"{path}: native_gates cannot compile {message}"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"num_qubits": 3.9}, "num_qubits must be an integer, got 3.9"),
+        ({"num_qubits": True}, "num_qubits must be an integer, got True"),
+        ({"coupling": [[0, 1.7], [1, 0]]}, "a coupling qubit must be an integer, got 1.7"),
+        (
+            {"gate_fidelities": [{"gate": "x", "qubits": [0.5], "fidelity": 0.9}]},
+            "a gate_fidelities qubit must be an integer, got 0.5",
+        ),
+        (
+            {"readout_fidelities": [{"qubit": 1.5, "fidelity": 0.9}]},
+            "a readout_fidelities qubit must be an integer, got 1.5",
+        ),
+    ],
+    ids=["num-qubits-float", "num-qubits-bool", "coupling-qubit", "gate-fidelities-qubit", "readout-qubit"],
+)
+def test_load_device_refuses_a_count_or_qubit_that_is_not_an_integer(tmp_path, overrides, message):
+    # int() truncated each of these: 3.9 qubits loaded as 3, true as 1
+    path = tmp_path / "toy.yaml"
+    _write_yaml(path, _minimal_yaml(**overrides))
+    with pytest.raises(DeviceError) as refused:
+        load_device(path)
+    assert str(refused.value) == f"{path}: {message}"
+
+
 _CHAIN3 = {"num_qubits": 3, "coupling": [[0, 1], [1, 0], [1, 2], [2, 1]]}
 
 

@@ -21,7 +21,6 @@ from qcpredict.ml import (
     knn_predict,
     load_model,
     naive_bayes_predict,
-    predict,
     predict_many,
     predict_top_k,
     save_model,
@@ -573,7 +572,7 @@ def test_predict_returns_label_and_top_k_shares():
     y = (X[:, 0] > 0.5).astype(np.int64)
     model = fit_forest(X, y, _schema(3), _labels(3), n_trees=20, seed=0)
     x = np.array([0.9, 0.5, 0.5])
-    label = predict(model, x)
+    label = model.label_space[int(predict_many(model, x)[0])]
     assert label in _labels(3)
     top = predict_top_k(model, x, 3)
     assert top[0][0] == label
@@ -1076,6 +1075,31 @@ def test_load_rejects_inconsistent_node_arrays(tmp_path):
     short = dict(arrays, threshold=arrays["threshold"][:-1])
     _write_file(path, head, short)
     with pytest.raises(ModelFormatError, match="corrupt"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("roots", lambda a: a.__setitem__(slice(None), a[::-1].copy())),  # trees listed last first
+        ("roots", lambda a: a.__setitem__(0, 1)),  # the first tree does not start at node 0
+        ("n_samples", lambda a: a.__setitem__(1, 0)),  # a node no training row reaches
+        ("impurity", lambda a: a.__setitem__(0, np.nan)),
+        ("impurity", lambda a: a.__setitem__(0, 1.5)),
+        ("impurity", lambda a: a.__setitem__(0, -0.25)),
+    ],
+    ids=["roots-reversed", "roots-not-from-zero", "n-samples-zero", "impurity-nan", "impurity-above-one",
+         "impurity-negative"],
+)
+def test_load_refuses_node_arrays_feature_importance_cannot_read(tmp_path, name, edit):
+    # each loaded before; feature_importance (so evaluate and predict
+    # --explain) then failed on it or wrote a NaN or a wrong importance
+    _, path = _saved_small_model(tmp_path)
+    head, arrays = _read_file(path)
+    assert head["n_trees"] > 1
+    edit(arrays[name])
+    _write_file(path, head, arrays)
+    with pytest.raises(ModelFormatError, match="corrupt model file .*inconsistent node arrays"):
         load_model(path)
 
 

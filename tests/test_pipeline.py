@@ -467,12 +467,17 @@ def test_runtime_compare_keys(labeled, options, fleet):
     assert result["reduction_fraction"] < 1.0
 
 
-def test_runtime_compare_refuses_a_prediction_outside_the_options(options, fleet):
-    # a model trained on the full fleet, compared on a subset without its pick
+def test_runtime_compare_refuses_a_prediction_outside_the_options(options, fleet, monkeypatch):
+    # a model trained on the full fleet, compared on a subset without its
+    # pick: refused as a model of other options, before the sweep is timed
     model = _constant_model(options, options.index(parse_option("dev27/B/graph")))
     subset = [opt for opt in options if opt.device_id != "dev27"]
-    with pytest.raises(PipelineError, match="dev27/B/graph"):
+    monkeypatch.setattr(pipeline, "rank_options", lambda *a: pytest.fail("the sweep ran"))
+    with pytest.raises(PipelineError) as refused:
         runtime_compare(qft(5), model, subset, fleet)
+    assert str(refused.value) == (
+        "the model was trained on other options than this fleet's: its option 12 is dev27/A/O0, "
+        "this fleet's is dev80/A/O0")
 
 
 def test_export_dot_graph_rows(options):
